@@ -439,7 +439,8 @@ def cmd_evaluate(args) -> int:
             if not a or not b:
                 raise CliError(f"--pairs entries look like NAME:NAME, got {chunk!r}")
             pair_list.append((a, b))
-    table = evaluation.compare_report(reports, pair_list)
+    comparisons = evaluation.compare_pairs(reports, pair_list)
+    table = evaluation.compare_report(reports, comparisons)
     print(f"evaluate: {len(reports)} models on {len(actuals)} test issues "
           f"(random-guess MAE {mae_rguess:.4f})")
     print(table)
@@ -451,12 +452,9 @@ def cmd_evaluate(args) -> int:
                 writer.writerow([r.model_name, repr(r.mae), repr(r.sa),
                                  repr(r.mre) if r.mre is not None else "",
                                  repr(r.pred) if r.pred is not None else "", r.n])
-            for a, b in pair_list:
-                cmp = evaluation.compare_pair(
-                    next(r for r in reports if r.model_name == a),
-                    next(r for r in reports if r.model_name == b),
-                )
-                writer.writerow([f"{a} vs {b}", repr(cmp.p_value), repr(cmp.a12), "", "", cmp.m])
+            for cmp in comparisons:
+                writer.writerow([f"{cmp.model_a} vs {cmp.model_b}", repr(cmp.p_value),
+                                 repr(cmp.a12), "", "", cmp.m])
     return 0
 
 

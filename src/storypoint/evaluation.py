@@ -234,11 +234,24 @@ def compare_pair(report_a: EvalReport, report_b: EvalReport,
     )
 
 
+def compare_pairs(reports: list[EvalReport],
+                  pairs: list[tuple[str, str]]) -> list[PairwiseComparison]:
+    """compare_pair for each (name_a, name_b) pair, looked up by model name."""
+    by_name = {r.model_name: r for r in reports}
+    out = []
+    for name_a, name_b in pairs:
+        if name_a not in by_name or name_b not in by_name:
+            raise EvaluationError(f"unknown model in pair {name_a}:{name_b}")
+        out.append(compare_pair(by_name[name_a], by_name[name_b]))
+    return out
+
+
 def compare_report(reports: list[EvalReport],
-                   pairs: list[tuple[str, str]] | None = None) -> str:
+                   comparisons: list[PairwiseComparison] | None = None) -> str:
     """Aligned comparison table; the best (lowest) MAE is starred.
 
-    Requested pairs add Wilcoxon p-values with the effect size in brackets.
+    Each comparison (see compare_pairs) adds its Wilcoxon p-value with the
+    effect size in brackets.
     """
     if not reports:
         raise EvaluationError("no reports to compare")
@@ -246,7 +259,6 @@ def compare_report(reports: list[EvalReport],
     prints = {r.fingerprint for r in reports if r.fingerprint is not None}
     if len(sizes) > 1 or len(prints) > 1:
         raise EvaluationError("reports cover different test sets")
-    by_name = {r.model_name: r for r in reports}
     best_mae = min(r.mae for r in reports)
     name_width = max(len(r.model_name) for r in reports) + 2
     lines = [f"{'model':<{name_width}}{'MAE':>10}{'SA':>10}{'MRE':>10}{'Pred':>10}"]
@@ -258,12 +270,9 @@ def compare_report(reports: list[EvalReport],
             f"{r.model_name:<{name_width}}{mae_text:>10}{r.sa:>10.2f}"
             f"{mre_text:>10}{pred_text:>10}"
         )
-    for name_a, name_b in pairs or []:
-        if name_a not in by_name or name_b not in by_name:
-            raise EvaluationError(f"unknown model in pair {name_a}:{name_b}")
-        cmp = compare_pair(by_name[name_a], by_name[name_b])
+    for cmp in comparisons or []:
         p_text = "<0.001" if cmp.p_value < 0.001 else f"{cmp.p_value:.3f}"
-        lines.append(f"{name_a} vs {name_b}: p={p_text} [{cmp.a12:.2f}]")
+        lines.append(f"{cmp.model_a} vs {cmp.model_b}: p={p_text} [{cmp.a12:.2f}]")
     return "\n".join(lines)
 
 

@@ -10,6 +10,7 @@ tests/test_model.py checks every tensor against central differences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -170,6 +171,24 @@ def pad_batch(sequences: list[list[int]], pad_id: int = 0) -> tuple[np.ndarray, 
     return ids, mask
 
 
+def length_batches(lengths, batch_size: int,
+                   rng: np.random.Generator | None = None) -> list[np.ndarray]:
+    """Group indices of similar length into batches of at most batch_size.
+
+    Without rng the batches come in ascending length, ties in index order.
+    With rng the indices are shuffled before the stable sort, so ties keep
+    the shuffled order, and the batch order is shuffled too: epochs differ
+    while padding waste stays low.
+    """
+    lengths = np.asarray(lengths)
+    order = rng.permutation(len(lengths)) if rng is not None else np.arange(len(lengths))
+    order = order[np.argsort(lengths[order], kind="stable")]
+    batches = np.split(order, range(batch_size, len(order), batch_size)) if len(order) else []
+    if rng is not None:
+        batches = [batches[i] for i in rng.permutation(len(batches))]
+    return batches
+
+
 def _lstm_forward(x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, dict]:
     """Run the LSTM over x (B, T, d); returns output states and a cache."""
     batch, steps, d = x.shape
@@ -254,13 +273,32 @@ def _highway_backward(dv: np.ndarray, cache: dict, params: ModelParams,
     return dv
 
 
-def batch_forward(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
-                  config: ModelConfig, masks: DropoutMasks | None = None):
-    """Forward pass over a padded batch; returns estimates and a cache."""
+def encode(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
+           masks: DropoutMasks | None = None) -> tuple[np.ndarray, dict]:
+    """Embed a padded batch and run the LSTM over it: the encoder shared by
+    the regressor and the language model. Returns the output states
+    (B, T, d) and the cache encode_backward needs."""
     x = embed(ids, params.emb) * mask[:, :, None]
     if masks is not None:
         x = x * masks.lstm_in
     states, lstm_cache = _lstm_forward(x, params)
+    return states, {"ids": ids, "mask": mask, "masks": masks, "lstm": lstm_cache}
+
+
+def encode_backward(d_states: np.ndarray, cache: dict, params: ModelParams,
+                    grads: dict[str, np.ndarray]) -> None:
+    """Accumulate the LSTM and embedding gradients of d(loss)/d(states)."""
+    mask, masks = cache["mask"], cache["masks"]
+    dx = _lstm_backward(d_states, mask, cache["lstm"], params, grads)
+    if masks is not None:
+        dx = dx * masks.lstm_in
+    np.add.at(grads["emb"], cache["ids"], dx * mask[:, :, None])
+
+
+def batch_forward(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
+                  config: ModelConfig, masks: DropoutMasks | None = None):
+    """Forward pass over a padded batch; returns estimates and a cache."""
+    states, enc_cache = encode(ids, mask, params, masks)
     consumed = states * masks.lstm_out if masks is not None else states
     lengths = mask.sum(axis=1)
     pooled = (consumed * mask[:, :, None]).sum(axis=1) / lengths[:, None]
@@ -268,8 +306,8 @@ def batch_forward(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
     deep_out = deep * masks.highway if masks is not None else deep
     yhat = deep_out @ params.reg_w + params.reg_b[0]
     cache = {
-        "ids": ids, "mask": mask, "lengths": lengths, "masks": masks,
-        "lstm": lstm_cache, "states": states, "hw": hw_cache, "deep_out": deep_out,
+        "mask": mask, "lengths": lengths, "masks": masks,
+        "encoder": enc_cache, "hw": hw_cache, "deep_out": deep_out,
     }
     return yhat, cache
 
@@ -287,17 +325,8 @@ def batch_backward(dyhat: np.ndarray, cache: dict, params: ModelParams) -> dict[
     d_states = d_pooled[:, None, :] * (mask / lengths[:, None])[:, :, None]
     if masks is not None:
         d_states = d_states * masks.lstm_out
-    dx = _lstm_backward(d_states, mask, cache["lstm"], params, grads)
-    if masks is not None:
-        dx = dx * masks.lstm_in
-    np.add.at(grads["emb"], cache["ids"], dx * mask[:, :, None])
+    encode_backward(d_states, cache["encoder"], params, grads)
     return grads
-
-
-def squared_error(yhat: float, y: float) -> tuple[float, float]:
-    """Training criterion for one issue: loss and d(loss)/d(yhat)."""
-    diff = yhat - y
-    return diff * diff, 2.0 * diff
 
 
 def batch_loss_and_grads(sequences: list[list[int]], targets, params: ModelParams,
@@ -340,27 +369,15 @@ def lstm_encode(inputs: np.ndarray, params: ModelParams,
     return out
 
 
-def mean_pool(states: np.ndarray) -> np.ndarray:
-    """Average the state sequence into one document vector."""
-    states = np.asarray(states, dtype=np.float64)
-    if states.ndim != 2 or states.shape[0] == 0:
-        raise ModelError("mean_pool expects a non-empty (n, d) sequence")
-    return states.mean(axis=0)
-
-
 def document_vectors(sequences: list[list[int]], params: ModelParams,
                      batch_size: int = 256) -> np.ndarray:
     """Mean-pooled LSTM output states per sequence: the frozen text features
     consumed by external regressors instead of the highway/regressor head."""
     out = np.empty((len(sequences), params.dim))
-    for start in range(0, len(sequences), batch_size):
-        chunk = sequences[start : start + batch_size]
-        ids, mask = pad_batch(chunk)
-        x = embed(ids, params.emb) * mask[:, :, None]
-        states, _ = _lstm_forward(x, params)
-        out[start : start + len(chunk)] = (
-            (states * mask[:, :, None]).sum(axis=1) / mask.sum(axis=1)[:, None]
-        )
+    for idx in length_batches([len(s) for s in sequences], batch_size):
+        ids, mask = pad_batch([sequences[i] for i in idx])
+        states, _ = encode(ids, mask, params)
+        out[idx] = (states * mask[:, :, None]).sum(axis=1) / mask.sum(axis=1)[:, None]
     return out
 
 
@@ -438,21 +455,27 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     data = Path(path).read_bytes()
     if data[:8] != CHECKPOINT_MAGIC:
         raise ModelError(f"{path} is not a checkpoint file")
-    header_len = int.from_bytes(data[8:16], "big")
-    header = json.loads(data[16 : 16 + header_len].decode("utf-8"))
-    config = ModelConfig.from_dict(header["config"])
-    offset = 16 + header_len
+    offset = 16 + int.from_bytes(data[8:16], "big")
+    if offset > len(data):
+        raise ModelError(f"{path}: header length exceeds the file size")
+    try:
+        header = json.loads(data[16:offset].decode("utf-8"))
+        config = ModelConfig.from_dict(header["config"])
+        kind, vocab_hash = header["kind"], header["vocab_hash"]
+        layout = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad UTF-8 and JSON
+        raise ModelError(f"{path}: corrupt header ({exc!r})") from exc
     tensors = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
+    for name, shape in layout:
+        if not isinstance(name, str) or not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise ModelError(f"{path}: invalid tensor entry {name!r} {shape}")
+        end = offset + 8 * math.prod(shape)
         if end > len(data):
             raise ModelError(f"{path} is truncated")
-        tensors[entry["name"]] = (
-            np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
-        )
+        tensors[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(shape).copy()
         offset = end
+    if offset != len(data):
+        raise ModelError(f"{path} has {len(data) - offset} trailing bytes")
     if "emb" not in tensors:
         raise ModelError(f"{path} lacks an embedding tensor")
     expected = expected_shapes(tensors["emb"].shape[0], config.embedding_dim)
@@ -463,7 +486,4 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise ModelError(
                 f"{path}: tensor {name} has shape {value.shape}, expected {expected[name]}"
             )
-    return Checkpoint(
-        kind=header["kind"], config=config,
-        vocab_hash=header["vocab_hash"], tensors=tensors,
-    )
+    return Checkpoint(kind=kind, config=config, vocab_hash=vocab_hash, tensors=tensors)

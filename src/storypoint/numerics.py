@@ -18,11 +18,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Derive n independent deterministic generators from one seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
 def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
@@ -39,29 +34,10 @@ def log_sigmoid(x):
     return -np.logaddexp(0.0, -x)
 
 
-def softmax_rows(x):
-    """Row-wise softmax with max subtraction; rows sum to 1."""
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def log_softmax_rows(x):
     x = np.asarray(x, dtype=np.float64)
     shifted = x - x.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def activations(x, kind: str):
-    """Dispatch table used where the nonlinearity is configuration."""
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "tanh":
-        return np.tanh(np.asarray(x, dtype=np.float64))
-    if kind == "softmax_rows":
-        return softmax_rows(x)
-    raise ValueError(f"unknown activation {kind!r}")
 
 
 class RmsPropState:
@@ -88,14 +64,6 @@ class RmsPropState:
         ms *= self.decay
         ms += (1.0 - self.decay) * grads * grads
         params -= self.learning_rate * grads / np.sqrt(ms + self.smoothing)
-
-
-def rmsprop_step(params: np.ndarray, grads: np.ndarray, state: RmsPropState,
-                 name: str = "param") -> np.ndarray:
-    """Single-tensor convenience wrapper around RmsPropState.step."""
-    out = params.astype(np.float64).copy()
-    state.step(name, out, np.asarray(grads, dtype=np.float64))
-    return out
 
 
 def clip_by_global_norm(grads: dict[str, np.ndarray], threshold: float) -> float:

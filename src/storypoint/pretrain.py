@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelConfig, ModelParams, _lstm_backward, _lstm_forward, embed, init_params
+from .model import (ModelConfig, ModelParams, encode, encode_backward, init_params, length_batches,
+                    pad_batch)
 from .numerics import NumericError, RmsPropState, log_sigmoid, log_softmax_rows, make_rng, sigmoid
 
 
@@ -98,22 +99,14 @@ def nce_loss(h: np.ndarray, u: np.ndarray, target: int, noise_ids,
     return loss, dh, du_rows
 
 
-def _prediction_batches(sequences: list[list[int]], batch_size: int):
-    """Yield (inputs, targets, mask) arrays; position t predicts token t+1."""
+def _prediction_batches(sequences: list[list[int]], batch_size: int,
+                        rng: np.random.Generator | None = None):
+    """Yield length-bucketed (inputs, targets, mask) arrays, in the batch
+    order of length_batches; position t predicts token t+1."""
     usable = [s for s in sequences if len(s) >= 2]
-    for start in range(0, len(usable), batch_size):
-        chunk = usable[start : start + batch_size]
-        if not chunk:
-            continue
-        steps = max(len(s) - 1 for s in chunk)
-        ids = np.zeros((len(chunk), steps), dtype=np.int64)
-        targets = np.zeros((len(chunk), steps), dtype=np.int64)
-        mask = np.zeros((len(chunk), steps), dtype=np.float64)
-        for i, seq in enumerate(chunk):
-            n = len(seq) - 1
-            ids[i, :n] = seq[:-1]
-            targets[i, :n] = seq[1:]
-            mask[i, :n] = 1.0
+    for idx in length_batches([len(s) for s in usable], batch_size, rng):
+        ids, mask = pad_batch([usable[i][:-1] for i in idx])
+        targets, _ = pad_batch([usable[i][1:] for i in idx])
         yield ids, targets, mask
 
 
@@ -123,8 +116,7 @@ def perplexity(params: ModelParams, sequences: list[list[int]],
     total_nll = 0.0
     total_count = 0
     for ids, targets, mask in _prediction_batches(sequences, batch_size):
-        x = embed(ids, params.emb) * mask[:, :, None]
-        states, _ = _lstm_forward(x, params)
+        states, _ = encode(ids, mask, params)
         logp = log_softmax_rows(states @ params.lm_u.T)
         picked = np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
         total_nll -= float((picked * mask).sum())
@@ -137,8 +129,7 @@ def perplexity(params: ModelParams, sequences: list[list[int]],
 def _nce_batch_step(ids, targets, mask, params, noise_dist, n_samples, rng):
     positions = mask.sum()
     noise = rng.choice(len(noise_dist), size=n_samples, p=noise_dist)
-    x = embed(ids, params.emb) * mask[:, :, None]
-    states, cache = _lstm_forward(x, params)
+    states, cache = encode(ids, mask, params)
     u_tgt = params.lm_u[targets]                      # (B, T, d)
     u_noise = params.lm_u[noise]                      # (M, d)
     delta_t = np.einsum("btd,btd->bt", states, u_tgt) - np.log(
@@ -153,15 +144,13 @@ def _nce_batch_step(ids, targets, mask, params, noise_dist, n_samples, rng):
     np.add.at(grads["lm_u"], targets, dd_t[:, :, None] * states)
     np.add.at(grads["lm_u"], noise, np.einsum("btm,btd->md", dd_n, states))
     d_states = dd_t[:, :, None] * u_tgt + np.einsum("btm,md->btd", dd_n, u_noise)
-    dx = _lstm_backward(d_states, mask, cache, params, grads)
-    np.add.at(grads["emb"], ids, dx * mask[:, :, None])
+    encode_backward(d_states, cache, params, grads)
     return float(loss / positions), grads
 
 
 def _softmax_batch_step(ids, targets, mask, params):
     positions = mask.sum()
-    x = embed(ids, params.emb) * mask[:, :, None]
-    states, cache = _lstm_forward(x, params)
+    states, cache = encode(ids, mask, params)
     logits = states @ params.lm_u.T
     logp = log_softmax_rows(logits)
     picked = np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
@@ -172,8 +161,7 @@ def _softmax_batch_step(ids, targets, mask, params):
     grads = {name: np.zeros_like(getattr(params, name)) for name in PRETRAIN_TENSORS}
     grads["lm_u"] += np.einsum("btv,btd->vd", dlogits, states)
     d_states = dlogits @ params.lm_u
-    dx = _lstm_backward(d_states, mask, cache, params, grads)
-    np.add.at(grads["emb"], ids, dx * mask[:, :, None])
+    encode_backward(d_states, cache, params, grads)
     return loss / positions, grads
 
 
@@ -214,15 +202,11 @@ def pretrain(sequences: list[list[int]], vocab_size: int, model_config: ModelCon
         params=params.copy(),
         best_perplexity=perplexity(params, valid_seqs),
     )
-    order = np.arange(len(train_seqs))
     bad_epochs = 0
     for epoch in range(1, config.epochs + 1):
-        rng.shuffle(order)
         epoch_loss = 0.0
         batches = 0
-        for ids, targets, mask in _prediction_batches(
-            [train_seqs[i] for i in order], config.batch_size
-        ):
+        for ids, targets, mask in _prediction_batches(train_seqs, config.batch_size, rng):
             if config.objective == "nce":
                 loss, grads = _nce_batch_step(
                     ids, targets, mask, params, noise_dist, config.nce_samples, rng

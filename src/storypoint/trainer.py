@@ -18,6 +18,7 @@ from .model import (
     batch_forward,
     batch_loss_and_grads,
     init_params,
+    length_batches,
     pad_batch,
 )
 from .numerics import NumericError, RmsPropState, clip_by_global_norm, make_rng
@@ -51,13 +52,15 @@ def encode_issue(issue: IssueRecord, vocab: Vocabulary) -> list[int]:
 
 def predict_points(params: ModelParams, config: ModelConfig,
                    sequences: list[list[int]], batch_size: int = 256) -> np.ndarray:
-    """Deterministic inference over token-id sequences, clamped at zero."""
+    """Deterministic inference over token-id sequences, clamped at zero.
+
+    Batches are length-bucketed; results come back in input order.
+    """
     out = np.empty(len(sequences))
-    for start in range(0, len(sequences), batch_size):
-        chunk = sequences[start : start + batch_size]
-        ids, mask = pad_batch(chunk)
+    for idx in length_batches([len(s) for s in sequences], batch_size):
+        ids, mask = pad_batch([sequences[i] for i in idx])
         yhat, _ = batch_forward(ids, mask, params, config, masks=None)
-        out[start : start + len(chunk)] = yhat
+        out[idx] = yhat
     return np.maximum(out, 0.0)
 
 
@@ -69,21 +72,6 @@ class TrainResult:
     best_epoch: int = 0
     best_valid_mae: float = float("inf")
     aborted: str | None = None
-
-
-def _length_bucketed_batches(lengths: np.ndarray, batch_size: int,
-                             rng: np.random.Generator) -> list[np.ndarray]:
-    """Shuffle, then group indices of similar length into batches.
-
-    The stable sort keeps the shuffled order within equal lengths, and the
-    batch order itself is reshuffled, so epochs differ while padding waste
-    stays low.
-    """
-    perm = rng.permutation(len(lengths))
-    perm = perm[np.argsort(lengths[perm], kind="stable")]
-    batches = [perm[i : i + batch_size] for i in range(0, len(perm), batch_size)]
-    order = rng.permutation(len(batches))
-    return [batches[i] for i in order]
 
 
 def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
@@ -137,7 +125,7 @@ def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
         epoch_loss = 0.0
         n_batches = 0
         try:
-            for batch_idx in _length_bucketed_batches(lengths, config.batch_size, rng):
+            for batch_idx in length_batches(lengths, config.batch_size, rng):
                 loss, _, grads = batch_loss_and_grads(
                     [train_seqs[i] for i in batch_idx], train_y[batch_idx],
                     params, model_config, rng=rng,

@@ -10,6 +10,7 @@ from storypoint.evaluation import (
     a12,
     cluster_word_embeddings,
     compare_pair,
+    compare_pairs,
     compare_report,
     kmeans,
     mae,
@@ -287,7 +288,8 @@ class TestReports:
 
     def test_pairwise_lines(self):
         sharp, blunt = self.make_two_reports()
-        table = compare_report([sharp, blunt], pairs=[("sharp", "blunt")])
+        comparisons = compare_pairs([sharp, blunt], [("sharp", "blunt")])
+        table = compare_report([sharp, blunt], comparisons)
         assert "sharp vs blunt: p=" in table
         assert "[" in table.splitlines()[-1]
 
@@ -312,7 +314,7 @@ class TestReports:
     def test_unknown_pair_name(self):
         sharp, blunt = self.make_two_reports()
         with pytest.raises(EvaluationError, match="unknown model"):
-            compare_report([sharp, blunt], pairs=[("sharp", "nope")])
+            compare_pairs([sharp, blunt], [("sharp", "nope")])
 
 
 class TestKmeans:

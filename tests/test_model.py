@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,12 @@ from storypoint.model import (
     forward_issue,
     highway_forward,
     init_params,
+    length_batches,
     load_checkpoint,
     lstm_encode,
     make_dropout_masks,
-    mean_pool,
     pad_batch,
     save_checkpoint,
-    squared_error,
     zero_params,
 )
 from storypoint.model import _lstm_backward, _lstm_forward
@@ -98,21 +99,13 @@ class TestLstmEncode:
 
 class TestMeanPool:
     def test_singleton(self):
-        v = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(mean_pool(v[None, :]), v)
-
-    def test_length_invariance(self):
-        v = np.array([0.5, -1.5])
-        np.testing.assert_allclose(mean_pool(np.tile(v, (3, 1))), v)
-
-    def test_two_basis_vectors(self):
-        np.testing.assert_allclose(
-            mean_pool(np.array([[1.0, 0.0], [0.0, 1.0]])), [0.5, 0.5]
-        )
+        params = small_params(seed=22)
+        (vec,) = document_vectors([[3]], params)
+        np.testing.assert_array_equal(vec, lstm_encode(embed([3], params.emb), params)[0])
 
     def test_empty_rejected(self):
         with pytest.raises(ModelError):
-            mean_pool(np.zeros((0, 3)))
+            document_vectors([[1, 2], []], small_params())
 
 
 class TestHighway:
@@ -183,11 +176,19 @@ class TestForward:
 
 class TestLoss:
     def test_zero_at_match(self):
-        assert squared_error(3.0, 3.0) == (0.0, 0.0)
+        config = ModelConfig(embedding_dim=4, highway_depth=1)
+        params = zero_params(9, config)
+        params.reg_b[0] = 3.0
+        loss, _, grads = batch_loss_and_grads([[1, 2]], [3.0], params, config)
+        assert loss == 0.0 and grads["reg_b"][0] == 0.0
 
     def test_hand_example(self):
-        loss, grad = squared_error(5.0, 3.0)
-        assert loss == 4.0 and grad == 4.0
+        # zero weights make the estimate the bias: loss (5-3)^2, gradient 2*(5-3)
+        config = ModelConfig(embedding_dim=4, highway_depth=1)
+        params = zero_params(9, config)
+        params.reg_b[0] = 5.0
+        loss, _, grads = batch_loss_and_grads([[1, 2]], [3.0], params, config)
+        assert loss == 4.0 and grads["reg_b"][0] == 4.0
 
     def test_batch_loss_is_mean_of_per_issue_losses(self):
         params = small_params(seed=13)
@@ -195,10 +196,7 @@ class TestLoss:
         seqs = [[1, 2], [3], [4, 5, 6]]
         targets = [2.0, 3.0, 4.0]
         loss, yhat, _ = batch_loss_and_grads(seqs, targets, params, config)
-        per_issue = [
-            squared_error(forward_issue(s, params, config), t)[0]
-            for s, t in zip(seqs, targets)
-        ]
+        per_issue = [(forward_issue(s, params, config) - t) ** 2 for s, t in zip(seqs, targets)]
         assert loss == pytest.approx(sum(per_issue) / len(per_issue), rel=1e-12)
 
 
@@ -240,8 +238,40 @@ class TestDocumentVectors:
         seqs = [[1, 2, 3], [4, 5], [1]]
         vecs = document_vectors(seqs, params)
         for seq, vec in zip(seqs, vecs):
-            expected = mean_pool(lstm_encode(embed(seq, params.emb), params))
+            expected = lstm_encode(embed(seq, params.emb), params).mean(axis=0)
             np.testing.assert_allclose(vec, expected, atol=1e-12)
+
+    def test_order_preserved_across_buckets(self):
+        params = small_params(seed=23)
+        seqs = [[1, 2, 3, 4, 5, 6], [7], [2, 3, 4], [5, 6], [1, 7, 2, 6, 3, 5, 4], [4, 4, 4]]
+        vecs = document_vectors(seqs, params, batch_size=2)
+        for seq, vec in zip(seqs, vecs):
+            expected = lstm_encode(embed(seq, params.emb), params).mean(axis=0)
+            np.testing.assert_allclose(vec, expected, atol=1e-12)
+
+
+class TestLengthBatches:
+    def test_without_rng_every_index_once_in_ascending_length(self):
+        lengths = [5, 1, 3, 3, 8, 2, 1]
+        batches = length_batches(lengths, 2)
+        flat = np.concatenate(batches).tolist()
+        assert sorted(flat) == list(range(len(lengths)))
+        assert [lengths[i] for i in flat] == sorted(lengths)
+        assert [len(b) for b in batches] == [2, 2, 2, 1]
+
+    def test_with_rng_shuffles_sorts_then_shuffles_batches(self):
+        # the draw sequence seeded training runs depend on
+        lengths = np.array([4, 9, 1, 4, 7, 2, 2, 9, 5, 3])
+        got = length_batches(lengths, 3, make_rng(5))
+        rng = make_rng(5)
+        perm = rng.permutation(len(lengths))
+        perm = perm[np.argsort(lengths[perm], kind="stable")]
+        chunks = [perm[i : i + 3] for i in range(0, len(perm), 3)]
+        want = [chunks[i] for i in rng.permutation(len(chunks))]
+        assert [b.tolist() for b in got] == [c.tolist() for c in want]
+
+    def test_empty(self):
+        assert length_batches([], 4) == []
 
 
 class TestCheckpoints:
@@ -293,6 +323,42 @@ class TestCheckpoints:
         restored = loaded.to_params(rng=make_rng(0))
         np.testing.assert_array_equal(restored.emb, params.emb)
         assert restored.reg_w.shape == (params.dim,)
+
+    def _saved(self, tmp_path):
+        params = small_params(seed=24)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, "model", ModelConfig(embedding_dim=params.dim), "h",
+                        params.tensors())
+        data = path.read_bytes()
+        return path, data, int.from_bytes(data[8:16], "big")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, data, _ = self._saved(tmp_path)
+        path.write_bytes(data + b"\0" * 8)
+        with pytest.raises(ModelError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_header_length_beyond_file_rejected(self, tmp_path):
+        path, data, _ = self._saved(tmp_path)
+        path.write_bytes(data[:8] + (len(data) + 1).to_bytes(8, "big") + data[16:])
+        with pytest.raises(ModelError, match="header length"):
+            load_checkpoint(path)
+
+    def test_header_length_into_payload_rejected(self, tmp_path):
+        path, data, header_len = self._saved(tmp_path)
+        # the header now swallows float64 payload bytes, which are not UTF-8 JSON
+        path.write_bytes(data[:8] + (header_len + 64).to_bytes(8, "big") + data[16:])
+        with pytest.raises(ModelError, match="corrupt header"):
+            load_checkpoint(path)
+
+    def test_header_missing_field_rejected(self, tmp_path):
+        path, data, header_len = self._saved(tmp_path)
+        header = json.loads(data[16 : 16 + header_len])
+        del header["vocab_hash"]
+        blob = json.dumps(header).encode()
+        path.write_bytes(data[:8] + len(blob).to_bytes(8, "big") + blob + data[16 + header_len :])
+        with pytest.raises(ModelError, match="corrupt header"):
+            load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"

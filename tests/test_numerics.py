@@ -4,40 +4,35 @@ import pytest
 from storypoint.numerics import (
     NumericError,
     RmsPropState,
-    activations,
     clip_by_global_norm,
     dropout_mask,
     grad_check,
     log_sigmoid,
+    log_softmax_rows,
     make_rng,
-    rmsprop_step,
     sigmoid,
-    softmax_rows,
 )
 
 
 class TestActivations:
     def test_sigmoid_at_zero(self):
-        assert activations(np.array([0.0]), "sigmoid")[0] == pytest.approx(0.5)
-
-    def test_tanh_at_zero(self):
-        assert activations(np.array([0.0]), "tanh")[0] == 0.0
+        assert sigmoid(np.array([0.0]))[0] == pytest.approx(0.5)
 
     def test_softmax_uniform(self):
-        out = activations(np.array([[0.0, 0.0]]), "softmax_rows")
+        out = np.exp(log_softmax_rows(np.array([[0.0, 0.0]])))
         np.testing.assert_allclose(out, [[0.5, 0.5]])
 
     def test_softmax_rows_sum_to_one_and_positive(self):
         rng = make_rng(1)
         x = rng.normal(scale=50, size=(30, 7))
-        out = softmax_rows(x)
+        out = np.exp(log_softmax_rows(x))
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(out > 0)
 
     def test_softmax_extreme_inputs_stay_finite(self):
-        out = softmax_rows(np.array([[1000.0, -1000.0, 0.0]]))
+        out = log_softmax_rows(np.array([[1000.0, -1000.0, 0.0]]))
         assert np.all(np.isfinite(out))
-        assert out[0, 0] == pytest.approx(1.0)
+        assert out[0, 0] == pytest.approx(0.0)
 
     def test_sigmoid_saturates_without_overflow(self):
         out = sigmoid(np.array([-800.0, 800.0]))
@@ -47,22 +42,20 @@ class TestActivations:
         x = np.linspace(-30, 30, 101)
         np.testing.assert_allclose(log_sigmoid(x), np.log(sigmoid(x)), atol=1e-12)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            activations(np.zeros(1), "relu")
-
 
 class TestRmsProp:
     def test_zero_gradient_is_identity(self):
         state = RmsPropState(0.01, 0.9, 1e-6)
         params = np.array([1.0, -2.0, 3.0])
-        out = rmsprop_step(params, np.zeros(3), state)
+        out = params.copy()
+        state.step("param", out, np.zeros(3))
         np.testing.assert_array_equal(out, params)
 
     def test_single_step_hand_oracle(self):
         # ms = 0.9*0 + 0.1*1 = 0.1; delta = -0.01/sqrt(0.1 + 1e-6)
         state = RmsPropState(0.01, 0.9, 1e-6)
-        out = rmsprop_step(np.array([0.0]), np.array([1.0]), state)
+        out = np.array([0.0])
+        state.step("param", out, np.array([1.0]))
         expected = -0.01 / np.sqrt(0.1 + 1e-6)
         assert out[0] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(-0.0316, abs=5e-4)
@@ -71,7 +64,7 @@ class TestRmsProp:
         state = RmsPropState(0.01, 0.9, 1e-6)
         p = np.array([0.0])
         for _ in range(3):
-            p = rmsprop_step(p, np.array([2.0]), state)
+            state.step("param", p, np.array([2.0]))
         ms = state.mean_square["param"][0]
         expected = 4.0 * (0.1 + 0.9 * 0.1 + 0.81 * 0.1)
         assert ms == pytest.approx(expected)
@@ -79,7 +72,7 @@ class TestRmsProp:
     def test_nonfinite_gradient_rejected(self):
         state = RmsPropState(0.01, 0.9, 1e-6)
         with pytest.raises(NumericError, match="gradient blow-up"):
-            rmsprop_step(np.array([0.0]), np.array([np.nan]), state)
+            state.step("param", np.array([0.0]), np.array([np.nan]))
 
     def test_bad_hyperparameters_rejected(self):
         with pytest.raises(ValueError):

@@ -139,6 +139,15 @@ class TestPerplexity:
         expected = np.exp(nll / (len(seq) - 1))
         assert perplexity(params, [seq]) == pytest.approx(expected, rel=1e-10)
 
+    def test_token_weighted_across_buckets(self):
+        params = init_params(9, ModelConfig(embedding_dim=4), make_rng(17))
+        seqs = [[1, 2, 3, 4, 5, 6], [7, 8], [2, 2, 3], [8, 1, 5, 6, 7, 3, 4, 2], [4, 6, 1, 3],
+                [5], [3, 7, 7]]
+        usable = [s for s in seqs if len(s) >= 2]  # one token makes no prediction
+        nll = sum((len(s) - 1) * np.log(perplexity(params, [s])) for s in usable)
+        expected = np.exp(nll / sum(len(s) - 1 for s in usable))
+        assert perplexity(params, seqs, batch_size=2) == pytest.approx(expected, abs=1e-12)
+
     def test_at_least_one(self):
         params = init_params(8, ModelConfig(embedding_dim=5), make_rng(13))
         assert perplexity(params, [[1, 2, 3]]) >= 1.0

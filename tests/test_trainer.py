@@ -7,7 +7,9 @@ from storypoint.corpus import (
     split_chronological,
     tokenize,
 )
-from storypoint.model import ModelConfig, load_checkpoint, save_checkpoint, zero_params
+from storypoint.model import (ModelConfig, forward_issue, init_params, load_checkpoint,
+                              save_checkpoint, zero_params)
+from storypoint.numerics import make_rng
 from storypoint.trainer import (
     TrainConfig,
     TrainerError,
@@ -140,6 +142,20 @@ class TestEstimate:
         ests = estimate(trained.checkpoint, trained.vocab, split64.test)
         assert [k for k, _ in ests] == [r.issue_key for r in split64.test]
         assert all(v >= 0 for _, v in ests)
+
+    def test_predict_points_matches_forward_issue_across_buckets(self):
+        rng = make_rng(3)
+        params = init_params(12, MC, rng)
+        for t in params.tensors().values():
+            t[...] = rng.uniform(-0.5, 0.5, t.shape)
+        seqs = [[1, 2, 3, 4, 5, 6, 7], [8], [2, 9, 11, 3], [5, 5], [10, 1, 4, 7, 2, 6, 8, 9],
+                [3, 11, 0]]
+        # shifting the bias puts half the raw estimates below zero
+        params.reg_b[0] -= np.median([forward_issue(s, params, MC) for s in seqs])
+        expected = [max(forward_issue(s, params, MC), 0.0) for s in seqs]
+        assert 0 < expected.count(0.0) < len(seqs)
+        np.testing.assert_allclose(predict_points(params, MC, seqs, batch_size=2), expected,
+                                   atol=1e-12)
 
     def test_zero_checkpoint_gives_bias_everywhere(self, split64, trained):
         params = zero_params(len(trained.vocab), MC)
