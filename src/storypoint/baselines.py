@@ -88,32 +88,49 @@ def _best_split(x: np.ndarray, y: np.ndarray, rows: np.ndarray, feat_ids,
                 min_leaf_size: int):
     """Lowest-SSE split over the candidate features; None if no legal split.
 
-    Ties keep the first candidate in (feature, threshold) order so the tree
-    is deterministic.
+    One pass covers every candidate column of the node: the columns are
+    sorted together and the SSE of every threshold comes from prefix sums of
+    the sorted targets. A threshold is legal when it leaves at least
+    min_leaf_size rows on each side and falls between two distinct values.
+    Legal candidates are ranked in (feature, threshold) order, and a later
+    one replaces the best only when its SSE is lower by more than 1e-12, so
+    near-ties keep the first candidate and the tree is deterministic.
     """
-    best = None
-    best_sse = None
-    for j in feat_ids:
-        xs = x[rows, j]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        ys_sorted = y[rows][order]
-        csum = np.cumsum(ys_sorted)
-        csq = np.cumsum(ys_sorted**2)
-        total_sum, total_sq = csum[-1], csq[-1]
-        n = len(rows)
-        for i in range(min_leaf_size - 1, n - min_leaf_size):
-            if xs_sorted[i] == xs_sorted[i + 1]:
-                continue
-            nl = i + 1
-            nr = n - nl
-            sse = (total_sq - csq[i] - (total_sum - csum[i]) ** 2 / nr) + (
-                csq[i] - csum[i] ** 2 / nl
-            )
-            if best_sse is None or sse < best_sse - 1e-12:
-                best_sse = sse
-                best = (j, (xs_sorted[i] + xs_sorted[i + 1]) / 2.0)
-    return best
+    feats = np.asarray(feat_ids, dtype=np.intp)
+    xs = x[np.ix_(rows, feats)]
+    varying = (xs != xs[:1]).any(axis=0)  # a constant column has no legal split
+    feats, xs = feats[varying], xs[:, varying]
+    n = len(rows)
+    last_left = np.arange(min_leaf_size - 1, n - min_leaf_size)  # one per threshold
+    order = np.argsort(xs, axis=0, kind="stable")
+    xs_sorted = np.take_along_axis(xs, order, axis=0)
+    # legal candidates as (column, last left row) pairs in (feature, threshold) order
+    col, t = np.nonzero((xs_sorted[last_left] != xs_sorted[last_left + 1]).T)
+    if not col.size:
+        return None
+    last = last_left[t]
+    ys_sorted = y[rows][order]
+    csum = np.cumsum(ys_sorted, axis=0)
+    csq = np.cumsum(ys_sorted**2, axis=0)
+    total_sum, total_sq = csum[-1, col], csq[-1, col]
+    cs, cq = csum[last, col], csq[last, col]
+    nl = last + 1.0
+    nr = n - nl
+    # float_power squares with libm pow, as a scalar `v ** 2` does; an array
+    # `** 2` multiplies, which differs in the last bit for about one value in
+    # 1000 and can change which of two equal partitions wins
+    sse = (total_sq - cq - np.float_power(total_sum - cs, 2) / nr) + (
+        cq - np.float_power(cs, 2) / nl
+    )
+    # Only a strict prefix minimum can beat every earlier candidate by 1e-12;
+    # fmin skips a NaN SSE (an overflow) the way the `<` below does.
+    prefix_min = np.fmin.accumulate(sse)
+    best = 0
+    for k in np.flatnonzero(sse[1:] < prefix_min[:-1]) + 1:
+        if sse[k] < sse[best] - 1e-12:
+            best = k
+    j, i = col[best], last[best]
+    return int(feats[j]), float((xs_sorted[i, j] + xs_sorted[i + 1, j]) / 2.0)
 
 
 def _grow_tree(x, y, rows, min_leaf_size, n_features, rng):
@@ -161,20 +178,37 @@ def prune_tree(root: TreeNode, levels: int) -> TreeNode:
     return root
 
 
-def cart_fit(features, targets, min_leaf_size: int = 5, prune_level: int = 5,
-             n_features: int | None = None,
-             rng: np.random.Generator | None = None) -> TreeNode:
-    """Grow a variance-reduction regression tree, then prune its deepest
-    levels. Splits never create a leaf smaller than min_leaf_size."""
+def _training_arrays(features, targets):
+    """The training set as float64 arrays (float64 input is not copied);
+    raises BaselineError if it is unusable."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise BaselineError("features and targets must have matching rows")
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
+        raise BaselineError("features must be a 2-D matrix with one row per target")
     if x.shape[0] < 1:
         raise BaselineError("need at least one training row")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise BaselineError("features and targets must be finite")
+    return x, y
+
+
+def cart_fit(features, targets, min_leaf_size: int = 5, prune_level: int = 5,
+             n_features: int | None = None,
+             rng: np.random.Generator | None = None, rows=None) -> TreeNode:
+    """Grow a variance-reduction regression tree, then prune its deepest
+    levels. Splits never create a leaf smaller than min_leaf_size.
+
+    `rows` picks the training rows by index (repeats allowed, as in a
+    bootstrap sample) without copying them out of `features`; by default
+    every row is used once.
+    """
+    x, y = _training_arrays(features, targets)
     if min_leaf_size < 1:
         raise BaselineError("min_leaf_size must be >= 1")
-    root = _grow_tree(x, y, np.arange(x.shape[0]), min_leaf_size, n_features, rng)
+    rows = np.arange(x.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 1 or rows.size < 1 or rows.min() < 0 or rows.max() >= x.shape[0]:
+        raise BaselineError("rows must be a non-empty list of training row indices")
+    root = _grow_tree(x, y, rows, min_leaf_size, n_features, rng)
     return prune_tree(root, prune_level)
 
 
@@ -198,12 +232,12 @@ def rf_fit(features, targets, n_trees: int = 100,
 
     Each tree sees a bootstrap resample and considers sqrt(p) features per
     split by default; per-tree seeds derive from rng so the forest is
-    reproducible regardless of training order.
+    reproducible regardless of training order. Every tree indexes its
+    resample into the shared training arrays instead of copying it.
     """
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if x.shape[0] < 1:
-        raise BaselineError("need at least one training row")
+    x, y = _training_arrays(features, targets)
+    if n_trees < 1:
+        raise BaselineError("n_trees must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
     if n_features == "sqrt":
@@ -218,8 +252,8 @@ def rf_fit(features, targets, n_trees: int = 100,
             else np.arange(x.shape[0])
         )
         forest.trees.append(
-            cart_fit(x[rows], y[rows], min_leaf_size=min_leaf_size, prune_level=0,
-                     n_features=n_features, rng=tree_rng)
+            cart_fit(x, y, min_leaf_size=min_leaf_size, prune_level=0,
+                     n_features=n_features, rng=tree_rng, rows=rows)
         )
     return forest
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from storypoint import baselines
 from storypoint.baselines import (
     BaselineError,
     IssueFeatureInput,
@@ -184,8 +185,167 @@ class TestCart:
         with pytest.raises(BaselineError):
             cart_fit([[1.0], [2.0]], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        x = np.arange(12.0).reshape(6, 2)
+        y = np.arange(6.0)
+        x_bad, y_bad = x.copy(), y.copy()
+        x_bad[3, 1] = bad
+        y_bad[2] = bad
+        with pytest.raises(BaselineError, match="finite"):
+            cart_fit(x_bad, y, min_leaf_size=1)
+        with pytest.raises(BaselineError, match="finite"):
+            cart_fit(x, y_bad, min_leaf_size=1)
+
+    def test_rows_index_shared_matrix(self):
+        rng = make_rng(34)
+        x = rng.normal(size=(10, 3))
+        y = rng.normal(size=10)
+        rows = np.array([4, 4, 0, 9, 2, 2, 7])
+        assert cart_fit(x, y, min_leaf_size=1, prune_level=0, rows=rows) == cart_fit(
+            x[rows], y[rows], min_leaf_size=1, prune_level=0
+        )
+        for bad_rows in ([], [0, 10], [-1, 2]):
+            with pytest.raises(BaselineError, match="rows"):
+                cart_fit(x, y, rows=bad_rows)
+
+
+def reference_best_split(x, y, rows, feat_ids, min_leaf_size):
+    """Sequential threshold scan, one feature and one threshold at a time.
+
+    This is the reference for baselines._best_split: same sorts, same prefix
+    sums, same per-candidate arithmetic, so the two must agree exactly.
+    """
+    best = None
+    best_sse = None
+    for j in feat_ids:
+        xs = x[rows, j]
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        ys_sorted = y[rows][order]
+        csum = np.cumsum(ys_sorted)
+        csq = np.cumsum(ys_sorted**2)
+        total_sum, total_sq = csum[-1], csq[-1]
+        n = len(rows)
+        for i in range(min_leaf_size - 1, n - min_leaf_size):
+            if xs_sorted[i] == xs_sorted[i + 1]:
+                continue
+            nl = i + 1
+            nr = n - nl
+            sse = (total_sq - csq[i] - (total_sum - csum[i]) ** 2 / nr) + (
+                csq[i] - csum[i] ** 2 / nl
+            )
+            if best_sse is None or sse < best_sse - 1e-12:
+                best_sse = sse
+                best = (j, (xs_sorted[i] + xs_sorted[i + 1]) / 2.0)
+    return best
+
+
+def split_cases(seed):
+    """Seeded (x, y) pairs: tied integer, 0/1 sparse, constant and dense
+    columns, each with tied story-point and continuous targets."""
+    rng = make_rng(seed)
+    for n, p in ((6, 3), (15, 8), (40, 25)):
+        columns = {
+            "tied": rng.integers(0, 3, size=(n, p)).astype(float),
+            "sparse": (rng.random((n, p)) < 0.15).astype(float),
+            "constant": np.repeat(rng.integers(0, 3, size=(1, p)), n, axis=0).astype(float),
+            "dense": rng.normal(size=(n, p)),
+        }
+        mixed = np.hstack([columns["tied"][:, :2], columns["constant"][:, :2],
+                           columns["sparse"], columns["dense"][:, :2]])
+        for x in (*columns.values(), mixed):
+            yield x, rng.choice([1.0, 2.0, 3.0, 5.0, 8.0], size=n)
+            yield x, rng.normal(loc=3.0, scale=2.0, size=n)
+
+
+class TestBestSplit:
+    def test_matches_sequential_reference(self):
+        rng = make_rng(30)
+        checked = splits = 0
+        for x, y in split_cases(31):
+            n, p = x.shape
+            for rows in (np.arange(n), rng.integers(0, n, size=n)):
+                subset = sorted(rng.choice(p, size=max(1, p // 2), replace=False))
+                for feat_ids in (range(p), subset):
+                    for min_leaf in range(1, 6):
+                        got = baselines._best_split(x, y, rows, feat_ids, min_leaf)
+                        want = reference_best_split(x, y, rows, feat_ids, min_leaf)
+                        assert got == want, (x.shape, min_leaf, got, want)
+                        checked += 1
+                        splits += want is not None
+        assert splits > checked // 3  # the legal and the no-split cases both occur
+
+    def test_constant_columns_have_no_split(self):
+        x = np.repeat([[1.0, 0.0, 4.0]], 8, axis=0)
+        y = np.arange(8.0)
+        assert baselines._best_split(x, y, np.arange(8), range(3), 1) is None
+
+    def test_near_tie_keeps_first_candidate(self):
+        # Both columns split rows {0,1,2} from row 3, but column 0 sums the
+        # left targets in another order, so its SSE ends up a few ulps higher.
+        y = np.array([0.1, 0.2, 0.3, 5.0])
+        x = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 2.0], [3.0, 3.0]])
+
+        def sse(order):
+            ys = y[order]
+            left, right = ys[:3], ys[3:]
+            total_sum, total_sq = np.cumsum(ys)[-1], np.cumsum(ys**2)[-1]
+            lsum, lsq = np.cumsum(left)[-1], np.cumsum(left**2)[-1]
+            return (total_sq - lsq - (total_sum - lsum) ** 2 / 1) + (lsq - lsum**2 / 3)
+
+        first, later = sse([1, 2, 0, 3]), sse([0, 1, 2, 3])
+        assert 0 < first - later < 1e-12
+        rows = np.arange(4)
+        assert reference_best_split(x, y, rows, range(2), 1) == (0, 2.5)
+        assert baselines._best_split(x, y, rows, range(2), 1) == (0, 2.5)
+        assert baselines._best_split(x, y, rows, [1], 1) == (1, 2.5)
+
+    def test_equal_partitions_rank_by_scalar_pow_rounding(self):
+        # Every column splits rows 0-3 from rows 4-7 but sums the targets in
+        # its own order. Which SSE is lowest then depends on the last bit of
+        # each square, which must round like the reference's scalar `** 2`.
+        rng = make_rng(3738)
+        y = rng.normal(size=8) * 1e4
+        x = np.stack([np.concatenate([rng.permutation(4), 10 + rng.permutation(4)])
+                      for _ in range(4)], axis=1).astype(float)
+        want = reference_best_split(x, y, np.arange(8), range(4), 4)
+        assert want == (1, 6.5)
+        assert baselines._best_split(x, y, np.arange(8), range(4), 4) == want
+
+    def test_forest_equals_reference_forest(self, monkeypatch):
+        rng = make_rng(32)
+        x = rng.poisson(0.08, size=(60, 400)).astype(float)
+        y = rng.choice([1.0, 2.0, 3.0, 5.0, 8.0, 13.0], size=60)
+        fast = rf_fit(x, y, n_trees=20, rng=make_rng(33))
+        monkeypatch.setattr(baselines, "_best_split", reference_best_split)
+        slow = rf_fit(x, y, n_trees=20, rng=make_rng(33))
+        assert sum(not t.is_leaf for t in fast.trees) == 20
+        assert fast.trees == slow.trees
+
 
 class TestRandomForest:
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(BaselineError, match="one row per target"):
+            rf_fit(np.ones((3, 2)), np.arange(5.0), n_trees=2)
+
+    def test_one_dimensional_features_rejected(self):
+        with pytest.raises(BaselineError, match="2-D"):
+            rf_fit(np.arange(5.0), np.arange(5.0), n_trees=2)
+
+    @pytest.mark.parametrize("n_trees", [0, -1])
+    def test_empty_forest_rejected(self, n_trees):
+        with pytest.raises(BaselineError, match="n_trees"):
+            rf_fit(np.ones((4, 2)), np.arange(4.0), n_trees=n_trees)
+
+    def test_non_finite_rejected(self):
+        x = np.arange(8.0).reshape(4, 2)
+        y = np.arange(4.0)
+        with pytest.raises(BaselineError, match="finite"):
+            rf_fit(np.where(x == 5.0, np.nan, x), y, n_trees=2)
+        with pytest.raises(BaselineError, match="finite"):
+            rf_fit(x, np.where(y == 1.0, np.nan, y), n_trees=2)
+
     def test_identical_rows_exact_prediction(self):
         x = np.ones((6, 3))
         y = np.full(6, 4.5)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from datetime import datetime, timedelta, timezone
 
@@ -215,6 +216,37 @@ class TestBaselineCli:
                        "--features", features) == 0
             with out.open() as fh:
                 assert len(list(csv.DictReader(fh))) == 13
+
+
+class TestTreeBaselineBytes:
+    # sha256 of the estimates CSVs. Tree fits make no BLAS calls, so these
+    # bytes are the same on every machine; they change only if a split does.
+    # On the 38-row training split cart grows one split, which its five
+    # pruned levels remove, so the cart pin covers the fit-prune-predict
+    # path; the oracle tests in test_baselines.py cover its splits.
+    PINS = {
+        "bow-rf": "9074682dfb006511c679ba1c6ae6c8b9159c495b80bc8838431e2029447c89a8",
+        "cart": "a5ca11e5cce99928aea7ac5f3e6278f90c3a550c146ff350047a9aed9280a604",
+    }
+
+    def test_estimates_match_pinned_bytes(self, prepared, tmp_path):
+        features = tmp_path / "features.csv"
+        with features.open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["issue_key", "issue_type", "n_subtasks", "n_issue_links",
+                             "assignee_tested"])
+            for name in ("train", "valid", "test"):
+                for r in read_corpus(prepared / f"{name}.jsonl"):
+                    words = len(r.title.split()) + len(r.description.split())
+                    writer.writerow([r.issue_key, "Bug" if "easy" in r.title else "Task",
+                                     words % 7, len(r.description.split()),
+                                     "" if words % 3 else words % 5])
+        for model, digest in self.PINS.items():
+            out = tmp_path / f"{model}.csv"
+            assert run("baseline", "--model", model, "--split-dir", prepared,
+                       "--in", prepared / "test.jsonl", "--out", out,
+                       "--features", features) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, model
 
 
 class TestEvaluateCli:
