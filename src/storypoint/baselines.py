@@ -233,11 +233,14 @@ def rf_fit(features, targets, n_trees: int = 100,
     Each tree sees a bootstrap resample and considers sqrt(p) features per
     split by default; per-tree seeds derive from rng so the forest is
     reproducible regardless of training order. Every tree indexes its
-    resample into the shared training arrays instead of copying it.
+    resample into the shared training arrays instead of copying it, and
+    the arrays are validated once for the whole forest.
     """
     x, y = _training_arrays(features, targets)
     if n_trees < 1:
         raise BaselineError("n_trees must be >= 1")
+    if min_leaf_size < 1:
+        raise BaselineError("min_leaf_size must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
     if n_features == "sqrt":
@@ -251,10 +254,7 @@ def rf_fit(features, targets, n_trees: int = 100,
             if bootstrap
             else np.arange(x.shape[0])
         )
-        forest.trees.append(
-            cart_fit(x, y, min_leaf_size=min_leaf_size, prune_level=0,
-                     n_features=n_features, rng=tree_rng, rows=rows)
-        )
+        forest.trees.append(_grow_tree(x, y, rows, min_leaf_size, n_features, tree_rng))
     return forest
 
 

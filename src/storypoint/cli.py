@@ -252,8 +252,9 @@ def cmd_pretrain(args) -> int:
         for row in result.curve:
             writer.writerow([row["epoch"], repr(row["train_loss"]),
                              repr(row["valid_perplexity"]), repr(row["best_perplexity"])])
+    note = f" (aborted: {result.aborted})" if result.aborted else ""
     print(f"pretrain: best perplexity {result.best_perplexity:.4f} at epoch "
-          f"{result.best_epoch}; checkpoint {ckpt_path}")
+          f"{result.best_epoch}; checkpoint {ckpt_path}{note}")
     return 0
 
 

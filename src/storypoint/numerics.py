@@ -34,12 +34,6 @@ def log_sigmoid(x):
     return -np.logaddexp(0.0, -x)
 
 
-def log_softmax_rows(x):
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 class RmsPropState:
     """Per-tensor running mean of squared gradients plus step sizes."""
 
@@ -94,26 +88,3 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
 
-
-def grad_check(f, x: np.ndarray, analytic_grad: np.ndarray, h: float = 1e-5) -> float:
-    """Max relative error between analytic_grad and central differences of f.
-
-    f must be a scalar function of x; x is perturbed in place and restored,
-    so f may close over the same array.
-    """
-    if not 1e-6 <= h <= 1e-3:
-        raise ValueError("h must lie in [1e-6, 1e-3]")
-    flat = x.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x)
-        flat[i] = orig - h
-        fm = f(x)
-        flat[i] = orig
-        numeric = (fp - fm) / (2.0 * h)
-        analytic = analytic_grad.reshape(-1)[i]
-        denom = max(abs(analytic), abs(numeric), 1e-8)
-        worst = max(worst, abs(analytic - numeric) / denom)
-    return worst

@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import (ModelConfig, ModelParams, encode, encode_backward, init_params, length_batches,
                     pad_batch)
-from .numerics import NumericError, RmsPropState, log_sigmoid, log_softmax_rows, make_rng, sigmoid
+from .numerics import NumericError, RmsPropState, log_sigmoid, make_rng, sigmoid
 
 
 class PretrainError(ValueError):
@@ -63,42 +63,6 @@ def unigram_noise_distribution(sequences: list[list[int]], vocab_size: int,
     return weights / weights.sum()
 
 
-def next_token_logprob(h: np.ndarray, u: np.ndarray, k: int) -> float:
-    """Exact log P(next token = k | state h) under the softmax output layer."""
-    if not 0 <= k < u.shape[0]:
-        raise PretrainError("token id out of range")
-    logits = u @ np.asarray(h, dtype=np.float64)
-    return float(log_softmax_rows(logits[None])[0, k])
-
-
-def nce_loss(h: np.ndarray, u: np.ndarray, target: int, noise_ids,
-             noise_dist: np.ndarray):
-    """Noise-contrastive loss for one prediction and its sparse gradients.
-
-    Classifies the target against len(noise_ids) sampled noise tokens.
-    Returns (loss, d_loss/d_h, {row_id: d_loss/d_u_row}); rows of u outside
-    the target and noise sample get no gradient at all.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    noise_ids = np.asarray(noise_ids, dtype=np.int64)
-    m = len(noise_ids)
-    delta_t = float(u[target] @ h) - float(np.log(m * noise_dist[target]))
-    delta_n = u[noise_ids] @ h - np.log(m * noise_dist[noise_ids])
-    loss = -float(log_sigmoid(delta_t)) - float(np.sum(log_sigmoid(-delta_n)))
-    dd_t = float(sigmoid(delta_t)) - 1.0
-    dd_n = sigmoid(delta_n)
-    dh = dd_t * u[target] + dd_n @ u[noise_ids]
-    du_rows: dict[int, np.ndarray] = {int(target): dd_t * h}
-    for j, row in enumerate(noise_ids):
-        row = int(row)
-        contrib = dd_n[j] * h
-        if row in du_rows:
-            du_rows[row] = du_rows[row] + contrib
-        else:
-            du_rows[row] = contrib
-    return loss, dh, du_rows
-
-
 def _prediction_batches(sequences: list[list[int]], batch_size: int,
                         rng: np.random.Generator | None = None):
     """Yield length-bucketed (inputs, targets, mask) arrays, in the batch
@@ -110,17 +74,46 @@ def _prediction_batches(sequences: list[list[int]], batch_size: int,
         yield ids, targets, mask
 
 
+# Byte budget of one chunk of float64 logits in the exact softmax: peak memory
+# of `perplexity` and of the softmax objective is a few chunks, whatever B and T.
+SOFTMAX_CHUNK_BYTES = 16 * 2**20
+
+
+def _softmax_chunks(h: np.ndarray, tgt: np.ndarray, lm_u: np.ndarray):
+    """Exact full softmax of the rows of h, a bounded number of rows at a time.
+
+    Yields (rows, shifted, lse, target_logp) per chunk: `rows` slices h and
+    tgt, `shifted` is h[rows] @ lm_u.T minus its row max (a fresh buffer the
+    caller may overwrite), `lse` is log(sum(exp(shifted))) per row and
+    `target_logp` is log P(tgt[rows]). Every reduction over V is per row, so
+    the values do not depend on the chunk size.
+    """
+    step = max(1, SOFTMAX_CHUNK_BYTES // (8 * lm_u.shape[0]))
+    for start in range(0, len(h), step):
+        rows = slice(start, start + step)
+        shifted = h[rows] @ lm_u.T
+        shifted -= shifted.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(shifted).sum(axis=1))
+        yield rows, shifted, lse, shifted[np.arange(len(lse)), tgt[rows]] - lse
+
+
 def perplexity(params: ModelParams, sequences: list[list[int]],
                batch_size: int = 64) -> float:
-    """exp(mean negative log-likelihood per predicted token), full softmax."""
+    """exp(mean negative log-likelihood per predicted token), full softmax
+    over the live (unpadded) positions only."""
     total_nll = 0.0
     total_count = 0
     for ids, targets, mask in _prediction_batches(sequences, batch_size):
         states, _ = encode(ids, mask, params)
-        logp = log_softmax_rows(states @ params.lm_u.T)
-        picked = np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
-        total_nll -= float((picked * mask).sum())
-        total_count += int(mask.sum())
+        live = mask > 0
+        # Summed on the padded (B, T) grid, zeros at padding, so the total
+        # rounds exactly as a sum over the dense (B, T, V) form would.
+        picked = np.zeros(mask.shape)
+        picked[live] = np.concatenate(
+            [logp for *_, logp in _softmax_chunks(states[live], targets[live], params.lm_u)]
+        )
+        total_nll -= float(picked.sum())
+        total_count += int(live.sum())
     if total_count == 0:
         raise PretrainError("empty corpus")
     return float(np.exp(total_nll / total_count))
@@ -151,16 +144,21 @@ def _nce_batch_step(ids, targets, mask, params, noise_dist, n_samples, rng):
 def _softmax_batch_step(ids, targets, mask, params):
     positions = mask.sum()
     states, cache = encode(ids, mask, params)
-    logits = states @ params.lm_u.T
-    logp = log_softmax_rows(logits)
-    picked = np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
-    loss = -float((picked * mask).sum())
-    dlogits = np.exp(logp)
-    np.add.at(dlogits, (*np.indices(targets.shape), targets), -1.0)
-    dlogits *= (mask / positions)[:, :, None]
+    live = mask > 0
+    h, tgt = states[live], targets[live]
     grads = {name: np.zeros_like(getattr(params, name)) for name in PRETRAIN_TENSORS}
-    grads["lm_u"] += np.einsum("btv,btd->vd", dlogits, states)
-    d_states = dlogits @ params.lm_u
+    d_h = np.empty_like(h)
+    loss = 0.0
+    for rows, dlogits, lse, logp in _softmax_chunks(h, tgt, params.lm_u):
+        loss -= float(logp.sum())
+        dlogits -= lse[:, None]                       # log-probabilities
+        np.exp(dlogits, out=dlogits)                  # probabilities
+        dlogits[np.arange(len(lse)), tgt[rows]] -= 1.0
+        dlogits *= 1.0 / positions
+        grads["lm_u"] += dlogits.T @ h[rows]
+        d_h[rows] = dlogits @ params.lm_u
+    d_states = np.zeros_like(states)
+    d_states[live] = d_h
     encode_backward(d_states, cache, params, grads)
     return loss / positions, grads
 
@@ -171,6 +169,7 @@ class PretrainResult:
     curve: list[dict] = field(default_factory=list)
     best_epoch: int = 0
     best_perplexity: float = float("inf")
+    aborted: str | None = None
 
 
 def pretrain(sequences: list[list[int]], vocab_size: int, model_config: ModelConfig,
@@ -178,6 +177,8 @@ def pretrain(sequences: list[list[int]], vocab_size: int, model_config: ModelCon
              initial: ModelParams | None = None) -> PretrainResult:
     """Train the language model and return the best weights by validation
     perplexity, stopping early after `patience` epochs without improvement.
+    A non-finite loss or gradient stops training too: the result keeps the
+    best weights so far and says why in `aborted`.
 
     Story-point labels never enter here: the input is token-id sequences
     only. The last validation_fraction of the sequences (file order) are
@@ -206,19 +207,23 @@ def pretrain(sequences: list[list[int]], vocab_size: int, model_config: ModelCon
     for epoch in range(1, config.epochs + 1):
         epoch_loss = 0.0
         batches = 0
-        for ids, targets, mask in _prediction_batches(train_seqs, config.batch_size, rng):
-            if config.objective == "nce":
-                loss, grads = _nce_batch_step(
-                    ids, targets, mask, params, noise_dist, config.nce_samples, rng
-                )
-            else:
-                loss, grads = _softmax_batch_step(ids, targets, mask, params)
-            if not np.isfinite(loss):
-                raise NumericError("numeric overflow in pre-training")
-            for name, grad in grads.items():
-                opt.step(name, getattr(params, name), grad)
-            epoch_loss += loss
-            batches += 1
+        try:
+            for ids, targets, mask in _prediction_batches(train_seqs, config.batch_size, rng):
+                if config.objective == "nce":
+                    loss, grads = _nce_batch_step(
+                        ids, targets, mask, params, noise_dist, config.nce_samples, rng
+                    )
+                else:
+                    loss, grads = _softmax_batch_step(ids, targets, mask, params)
+                if not np.isfinite(loss):
+                    raise NumericError("numeric overflow in pre-training")
+                for name, grad in grads.items():
+                    opt.step(name, getattr(params, name), grad)
+                epoch_loss += loss
+                batches += 1
+        except NumericError as exc:
+            best.aborted = f"epoch {epoch}: {exc}"
+            break
         valid_ppl = perplexity(params, valid_seqs)
         improved = valid_ppl < best.best_perplexity
         if improved:

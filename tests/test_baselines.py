@@ -338,6 +338,10 @@ class TestRandomForest:
         with pytest.raises(BaselineError, match="n_trees"):
             rf_fit(np.ones((4, 2)), np.arange(4.0), n_trees=n_trees)
 
+    def test_min_leaf_size_below_one_rejected(self):
+        with pytest.raises(BaselineError, match="min_leaf_size"):
+            rf_fit(np.arange(8.0).reshape(4, 2), np.arange(4.0), n_trees=2, min_leaf_size=0)
+
     def test_non_finite_rejected(self):
         x = np.arange(8.0).reshape(4, 2)
         y = np.arange(4.0)

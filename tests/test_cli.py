@@ -1,11 +1,14 @@
 import csv
+import functools
 import hashlib
 import json
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from conftest import jira_issue
 
+from storypoint import cli
 from storypoint.cli import main
 from storypoint.corpus import (
     IssueRecord,
@@ -14,6 +17,8 @@ from storypoint.corpus import (
     read_corpus,
     write_corpus,
 )
+from storypoint.model import load_checkpoint
+from storypoint.pretrain import PretrainConfig
 
 
 def run(*argv):
@@ -150,6 +155,24 @@ class TestTrainCli:
         assert run("train", "--split-dir", prepared, "--out-dir", model_dir,
                    "--dim", 8, "--depth", 2, "--epochs", 2, "--batch-size", 16,
                    "--pretrained", pre_dir / "pretrain.ckpt") == 0
+
+    def test_pretrain_blow_up_keeps_checkpoint_and_log(self, prepared, tmp_path, capsys,
+                                                       monkeypatch):
+        # a step size this large overflows the weights on the first update
+        monkeypatch.setattr(cli, "PretrainConfig",
+                            functools.partial(PretrainConfig, learning_rate=1e308))
+        pre_dir = tmp_path / "pre"
+        with np.errstate(all="ignore"):
+            assert run("pretrain", "--corpus", prepared / "train.jsonl",
+                       "--vocab", prepared / "vocab.txt", "--out-dir", pre_dir,
+                       "--dim", 8, "--depth", 2, "--epochs", 3, "--batch-size", 16,
+                       "--nce-samples", 5) == 0
+        assert "(aborted: epoch " in capsys.readouterr().out
+        log = (pre_dir / "pretrain_log.csv").read_text().splitlines()
+        assert log[0] == "epoch,train_loss,valid_perplexity,best_perplexity"
+        assert len(log) < 4
+        checkpoint = load_checkpoint(pre_dir / "pretrain.ckpt")
+        assert all(np.all(np.isfinite(t)) for t in checkpoint.tensors.values())
 
     def test_pretrained_dim_mismatch_fails(self, prepared, tmp_path, capsys):
         pre_dir = tmp_path / "pre"

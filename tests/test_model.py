@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import grad_check
 from storypoint.model import (
     ModelConfig,
     ModelError,
@@ -22,7 +23,7 @@ from storypoint.model import (
     zero_params,
 )
 from storypoint.model import _lstm_backward, _lstm_forward
-from storypoint.numerics import grad_check, make_rng, sigmoid
+from storypoint.numerics import make_rng, sigmoid
 
 
 def small_params(seed=0, v=8, d=5, scale=0.3):

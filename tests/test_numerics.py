@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import grad_check, log_softmax_rows
 from storypoint.numerics import (
     NumericError,
     RmsPropState,
     clip_by_global_norm,
     dropout_mask,
-    grad_check,
     log_sigmoid,
-    log_softmax_rows,
     make_rng,
     sigmoid,
 )

@@ -1,15 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oracles import grad_check, log_softmax_rows, nce_loss, next_token_logprob
+from storypoint import pretrain as pretrain_module
 from storypoint.corpus import build_vocabulary, tokenize
-from storypoint.model import ModelConfig, init_params
-from storypoint.numerics import grad_check, make_rng
+from storypoint.model import (ModelConfig, embed, encode, encode_backward, init_params,
+                              lstm_encode, pad_batch)
+from storypoint.numerics import make_rng
 from storypoint.pretrain import (
+    PRETRAIN_TENSORS,
     PretrainConfig,
     PretrainError,
     _nce_batch_step,
-    nce_loss,
-    next_token_logprob,
+    _softmax_batch_step,
     perplexity,
     pretrain,
     unigram_noise_distribution,
@@ -113,6 +118,20 @@ class TestNceLoss:
                 np.testing.assert_array_equal(grads["lm_u"][row], 0.0)
 
 
+def hand_perplexity(params, seqs):
+    """Token-weighted perplexity of seqs, one softmax per position."""
+    nll, count = 0.0, 0
+    for seq in seqs:
+        states = lstm_encode(embed(seq[:-1], params.emb), params)
+        for t, target in enumerate(seq[1:]):
+            logits = params.lm_u @ states[t]
+            probs = np.exp(logits - logits.max())
+            probs /= probs.sum()
+            nll -= np.log(probs[target])
+            count += 1
+    return np.exp(nll / count)
+
+
 class TestPerplexity:
     def test_uniform_model_equals_vocab_size(self):
         v = 70
@@ -123,21 +142,10 @@ class TestPerplexity:
         assert perplexity(params, [[1, 2, 3, 4], [5, 6]]) == pytest.approx(v, rel=1e-12)
 
     def test_matches_hand_summation_oracle(self):
-        rng = make_rng(12)
-        v, d = 6, 4
-        params = init_params(v, ModelConfig(embedding_dim=d), rng)
+        params = init_params(6, ModelConfig(embedding_dim=4), make_rng(12))
         seq = [3, 1, 4, 2, 5]
-        from storypoint.model import embed, lstm_encode
-
-        states = lstm_encode(embed(seq[:-1], params.emb), params)
-        nll = 0.0
-        for t, target in enumerate(seq[1:]):
-            logits = params.lm_u @ states[t]
-            probs = np.exp(logits - logits.max())
-            probs /= probs.sum()
-            nll -= np.log(probs[target])
-        expected = np.exp(nll / (len(seq) - 1))
-        assert perplexity(params, [seq]) == pytest.approx(expected, rel=1e-10)
+        assert perplexity(params, [seq]) == pytest.approx(hand_perplexity(params, [seq]),
+                                                         rel=1e-10)
 
     def test_token_weighted_across_buckets(self):
         params = init_params(9, ModelConfig(embedding_dim=4), make_rng(17))
@@ -158,6 +166,78 @@ class TestPerplexity:
             perplexity(params, [])
         with pytest.raises(PretrainError, match="empty"):
             perplexity(params, [[1]])  # one token makes no prediction
+
+
+def dense_softmax_step(ids, targets, mask, params):
+    """The softmax objective over the whole padded (B, T, V) logits array."""
+    positions = mask.sum()
+    states, cache = encode(ids, mask, params)
+    logp = log_softmax_rows(states @ params.lm_u.T)
+    picked = np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
+    loss = -float((picked * mask).sum())
+    dlogits = np.exp(logp)
+    np.add.at(dlogits, (*np.indices(targets.shape), targets), -1.0)
+    dlogits *= (mask / positions)[:, :, None]
+    grads = {name: np.zeros_like(getattr(params, name)) for name in PRETRAIN_TENSORS}
+    grads["lm_u"] += np.einsum("btv,btd->vd", dlogits, states)
+    encode_backward(dlogits @ params.lm_u, cache, params, grads)
+    return loss / positions, grads
+
+
+def prediction_batch(seqs):
+    ids, mask = pad_batch([s[:-1] for s in seqs])
+    targets, _ = pad_batch([s[1:] for s in seqs])
+    return ids, targets, mask
+
+
+class TestChunkedSoftmax:
+    V, D = 6, 4
+    # 9 live positions on a padded (3, 4) grid
+    SEQS = [[3, 1, 4, 2, 5], [0, 2, 5], [1, 5, 3, 3]]
+
+    def params(self, seed):
+        params = init_params(self.V, ModelConfig(embedding_dim=self.D, highway_depth=1),
+                             make_rng(seed))
+        for t in params.tensors().values():
+            t += make_rng(seed + 1).normal(scale=0.5, size=t.shape)
+        return params
+
+    @pytest.mark.parametrize("rows", [1, 2, 4, 8, 9])
+    def test_perplexity_matches_hand_summation_across_chunks(self, monkeypatch, rows):
+        # 4 rows per chunk gives 4 + 4 + 1, 8 gives 8 + 1: a one-row last chunk
+        monkeypatch.setattr(pretrain_module, "SOFTMAX_CHUNK_BYTES", 8 * self.V * rows)
+        params = self.params(20)
+        expected = hand_perplexity(params, self.SEQS)
+        assert perplexity(params, self.SEQS) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 2, 4, 8, 9])
+    def test_softmax_step_matches_dense_reference(self, monkeypatch, rows):
+        monkeypatch.setattr(pretrain_module, "SOFTMAX_CHUNK_BYTES", 8 * self.V * rows)
+        params = self.params(21)
+        batch = prediction_batch(self.SEQS)
+        loss, grads = _softmax_batch_step(*batch, params)
+        ref_loss, ref_grads = dense_softmax_step(*batch, params)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert set(grads) == set(ref_grads)
+        for name, ref in ref_grads.items():
+            np.testing.assert_allclose(grads[name], ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max(), err_msg=name)
+
+    def test_peak_memory_bounded_at_large_vocabulary(self):
+        # A dense (4, 60, 50k) float64 logits array alone is 96 MB.
+        v, bound = 50_000, 64 * 2**20
+        params = init_params(v, ModelConfig(embedding_dim=8), make_rng(22))
+        seqs = [list(make_rng(23 + i).integers(0, v, size=61)) for i in range(4)]
+        batch = prediction_batch(seqs)
+        for call in (lambda: perplexity(params, seqs),
+                     lambda: _softmax_batch_step(*batch, params)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, f"peak {peak / 2**20:.0f} MB"
 
 
 class TestPretrain:
@@ -217,3 +297,19 @@ class TestPretrain:
         assert q.sum() == pytest.approx(1.0)
         assert np.all(q > 0)
         assert q[2] > q[3]
+
+    def test_numeric_blow_up_aborts_with_best_weights(self):
+        vocab, seqs = periodic_corpus(copies=10, periods=2)
+        config = ModelConfig(embedding_dim=5)
+        initial = init_params(len(vocab), config, make_rng(18))
+        for objective in ("nce", "softmax"):
+            cfg = PretrainConfig(epochs=5, batch_size=4, nce_samples=2,
+                                 learning_rate=1e200, objective=objective)
+            with np.errstate(all="ignore"):
+                result = pretrain(seqs, len(vocab), config, cfg, seed=1, initial=initial)
+            assert result.aborted is not None and result.aborted.startswith("epoch ")
+            assert len(result.curve) < cfg.epochs  # stopped by the abort, not patience
+            # no epoch beat the initial weights, so those are what comes back
+            assert result.best_epoch == 0
+            for name, tensor in initial.tensors().items():
+                np.testing.assert_array_equal(result.params.tensors()[name], tensor)
