@@ -49,11 +49,6 @@ class ModelConfig:
         return cls(**obj)
 
 
-# Gate slices within the stacked (d, 4d) LSTM weight matrices.
-def _gate_slices(d):
-    return slice(0, d), slice(d, 2 * d), slice(2 * d, 3 * d), slice(3 * d, 4 * d)
-
-
 @dataclass
 class ModelParams:
     """All learnable tensors. Hidden widths equal the embedding width."""
@@ -96,8 +91,10 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(**{k: v.copy() for k, v in self.tensors().items()})
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.tensors().items()}
+
+# The tensors the supervised loss reaches: all but the pre-training head lm_u.
+SUPERVISED_TENSORS = ("emb", "lstm_wx", "lstm_wh", "lstm_b", "hw_gate_w", "hw_gate_b",
+                      "hw_trans_w", "hw_trans_b", "reg_w", "reg_b")
 
 
 def expected_shapes(vocab_size: int, d: int) -> dict[str, tuple]:
@@ -190,57 +187,80 @@ def length_batches(lengths, batch_size: int,
 
 
 def _lstm_forward(x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, dict]:
-    """Run the LSTM over x (B, T, d); returns output states and a cache."""
+    """Run the LSTM over x (B, T, d); returns output states and a cache.
+
+    The work is time-major. One stacked matmul writes the input projection
+    of every step into a (T, B, 4d) gate buffer. Each step adds its
+    recurrent term and bias to its slot, rounding exactly as
+    x_t @ W_x + h @ W_h + b, and then refills the slot with the gate
+    activations as four contiguous (B, d) blocks, input/forget/output/
+    candidate, so the elementwise work runs on contiguous memory. Cell
+    states, their tanh and the outputs go to (T, B, d) arrays; the states
+    come back as a (B, T, d) view of the outputs.
+    """
     batch, steps, d = x.shape
-    gi, gf, go, gc = _gate_slices(d)
+    gates = np.matmul(x.transpose(1, 0, 2), params.lstm_wx)
+    cells = np.empty((steps, batch, d))
+    tanh_cells = np.empty((steps, batch, d))
+    hidden = np.empty((steps, batch, d))
+    pre = np.empty((4, batch, d))
     h = np.zeros((batch, d))
     c = np.zeros((batch, d))
-    states = np.empty((batch, steps, d))
-    cache = {"x": x, "i": [], "f": [], "o": [], "g": [], "c": [], "tc": [], "h_prev": []}
     for t in range(steps):
-        pre = x[:, t] @ params.lstm_wx + h @ params.lstm_wh + params.lstm_b
-        i_t = sigmoid(pre[:, gi])
-        f_t = sigmoid(pre[:, gf])
-        o_t = sigmoid(pre[:, go])
-        g_t = np.tanh(pre[:, gc])
-        cache["h_prev"].append(h)
-        c = f_t * c + i_t * g_t
-        tc = np.tanh(c)
-        h = o_t * tc
-        states[:, t] = h
-        for key, val in (("i", i_t), ("f", f_t), ("o", o_t), ("g", g_t), ("c", c), ("tc", tc)):
-            cache[key].append(val)
-    return states, cache
+        g = gates[t]
+        g += h @ params.lstm_wh
+        g += params.lstm_b
+        pre[...] = g.reshape(batch, 4, d).transpose(1, 0, 2)
+        act = g.reshape(4, batch, d)
+        act[:3] = sigmoid(pre[:3])
+        np.tanh(pre[3], out=act[3])
+        c = np.multiply(act[1], c, out=cells[t])
+        c += act[0] * act[3]
+        h = np.multiply(act[2], np.tanh(c, out=tanh_cells[t]), out=hidden[t])
+    cache = {"x": x, "gates": gates, "c": cells, "tc": tanh_cells, "h": hidden}
+    return hidden.transpose(1, 0, 2), cache
 
 
 def _lstm_backward(d_states: np.ndarray, mask: np.ndarray, cache: dict,
                    params: ModelParams, grads: dict[str, np.ndarray]) -> np.ndarray:
-    """Backprop through time; returns the gradient w.r.t. the inputs."""
-    x = cache["x"]
+    """Backprop through time; returns the gradient w.r.t. the inputs.
+
+    Each step overwrites its slot of the gate buffer with the (B, 4d)
+    gradient of the gate pre-activations, so the input gradient of all
+    steps is one stacked matmul after the loop. The weight gradients stay
+    one GEMM per step in descending t: summed over all B*T rows at once,
+    BLAS splits the reduction by thread count and the bits would follow it.
+    """
+    x, gates, cells, tanh_cells, hidden = (
+        cache[k] for k in ("x", "gates", "c", "tc", "h"))
     batch, steps, d = x.shape
-    gi, gf, go, gc = _gate_slices(d)
-    dx = np.zeros_like(x)
-    dh_next = np.zeros((batch, d))
-    dc_next = np.zeros((batch, d))
+    zeros = np.zeros((batch, d))
+    dh_next = zeros
+    dc_next = zeros
+    dpre = np.empty((4, batch, d))
     for t in range(steps - 1, -1, -1):
-        i_t, f_t, o_t, g_t = cache["i"][t], cache["f"][t], cache["o"][t], cache["g"][t]
-        tc = cache["tc"][t]
-        c_prev = cache["c"][t - 1] if t > 0 else np.zeros((batch, d))
+        g = gates[t]
+        act = g.reshape(4, batch, d)
+        i_t, f_t, o_t, g_t = act
+        tc = tanh_cells[t]
         dh = d_states[:, t] + dh_next
         dc = dc_next + dh * o_t * (1.0 - tc * tc)
-        dpre = np.empty((batch, 4 * d))
-        dpre[:, gi] = dc * g_t * i_t * (1.0 - i_t)
-        dpre[:, gf] = dc * c_prev * f_t * (1.0 - f_t)
-        dpre[:, go] = dh * tc * o_t * (1.0 - o_t)
-        dpre[:, gc] = dc * i_t * (1.0 - g_t * g_t)
-        dpre *= mask[:, t : t + 1]  # padded steps contribute nothing
-        grads["lstm_wx"] += x[:, t].T @ dpre
-        grads["lstm_wh"] += cache["h_prev"][t].T @ dpre
-        grads["lstm_b"] += dpre.sum(axis=0)
-        dx[:, t] = dpre @ params.lstm_wx.T
-        dh_next = dpre @ params.lstm_wh.T
-        dc_next = dc * f_t
-    return dx
+        # sigmoid gates: (upstream * gate) * (1 - gate), one block for all three
+        np.multiply(dc, g_t, out=dpre[0])
+        np.multiply(dc, cells[t - 1] if t > 0 else zeros, out=dpre[1])
+        np.multiply(dh, tc, out=dpre[2])
+        dpre[:3] *= act[:3]
+        dpre[:3] *= 1.0 - act[:3]
+        np.multiply(dc, i_t, out=dpre[3])
+        dpre[3] *= 1.0 - g_t * g_t
+        dpre *= mask[:, t][:, None]  # padded steps contribute nothing
+        dc_next = dc * f_t  # f_t is a view into g: read it before g is overwritten
+        g.reshape(batch, 4, d)[...] = dpre.transpose(1, 0, 2)
+        grads["lstm_wx"] += x[:, t].T @ g
+        grads["lstm_wh"] += (hidden[t - 1] if t > 0 else zeros).T @ g
+        grads["lstm_b"] += g.sum(axis=0)
+        dh_next = g @ params.lstm_wh.T
+    return np.matmul(gates, params.lstm_wx.T).transpose(1, 0, 2)
 
 
 def _highway_forward(v: np.ndarray, params: ModelParams, depth: int) -> tuple[np.ndarray, dict]:
@@ -313,8 +333,9 @@ def batch_forward(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
 
 
 def batch_backward(dyhat: np.ndarray, cache: dict, params: ModelParams) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss given d(loss)/d(yhat) for the cached batch."""
-    grads = params.zero_grads()
+    """Gradients of a scalar loss given d(loss)/d(yhat) for the cached batch,
+    one per tensor in SUPERVISED_TENSORS."""
+    grads = {name: np.zeros_like(getattr(params, name)) for name in SUPERVISED_TENSORS}
     mask, lengths, masks = cache["mask"], cache["lengths"], cache["masks"]
     grads["reg_w"] += cache["deep_out"].T @ dyhat
     grads["reg_b"] += dyhat.sum(keepdims=True)

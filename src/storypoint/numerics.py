@@ -19,12 +19,15 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def sigmoid(x):
+    """Logistic function, branch-free and without overflow: with
+    e = exp(-|x|) it is 1/(1+e) where x >= 0 and e/(1+e) elsewhere, the two
+    stable halves with their own operations, so every value is bit for bit
+    the one they give, both saturated tails included."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

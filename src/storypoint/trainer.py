@@ -79,6 +79,8 @@ def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
           pretrained: Checkpoint | None = None) -> TrainResult:
     """Fit the regressor on split.train, selecting the epoch with the best
     validation MAE and stopping after `patience` epochs without improvement.
+    A non-finite loss, gradient or validation MAE stops training too: the
+    result keeps the best weights so far and says why in `aborted`.
 
     The vocabulary comes from train+valid text only; pass one explicitly to
     reuse the vocabulary a pre-training run was built on (the hashes must
@@ -130,19 +132,20 @@ def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
                     [train_seqs[i] for i in batch_idx], train_y[batch_idx],
                     params, model_config, rng=rng,
                 )
-                grads.pop("lm_u", None)  # no gradient path in supervised training
                 if config.clip_norm is not None:
                     clip_by_global_norm(grads, config.clip_norm)
                 for name, grad in grads.items():
                     opt.step(name, getattr(params, name), grad)
                 epoch_loss += loss
                 n_batches += 1
+            valid_mae = float(np.mean(np.abs(
+                predict_points(params, model_config, valid_seqs) - valid_y
+            )))
+            if not np.isfinite(valid_mae):
+                raise NumericError(f"validation MAE is {valid_mae}")
         except NumericError as exc:
             result.aborted = f"epoch {epoch}: {exc}"
             break
-        valid_mae = float(np.mean(np.abs(
-            predict_points(params, model_config, valid_seqs) - valid_y
-        )))
         if valid_mae < result.best_valid_mae:
             result.best_valid_mae = valid_mae
             result.best_epoch = epoch

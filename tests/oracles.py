@@ -8,6 +8,73 @@ from storypoint.numerics import log_sigmoid, sigmoid
 from storypoint.pretrain import PretrainError
 
 
+def masked_sigmoid(x):
+    """The logistic function evaluated as two masked halves: 1/(1+exp(-x))
+    where x >= 0 and exp(x)/(1+exp(x)) elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def lstm_forward_steps(x, params):
+    """The LSTM over x (B, T, d) one step at a time, each gate on its own
+    slice, keeping per-step lists of every intermediate."""
+    batch, steps, d = x.shape
+    gi, gf, go, gc = (slice(k * d, (k + 1) * d) for k in range(4))
+    h = np.zeros((batch, d))
+    c = np.zeros((batch, d))
+    states = np.empty((batch, steps, d))
+    cache = {"x": x, "i": [], "f": [], "o": [], "g": [], "c": [], "tc": [], "h_prev": []}
+    for t in range(steps):
+        pre = x[:, t] @ params.lstm_wx + h @ params.lstm_wh + params.lstm_b
+        i_t = masked_sigmoid(pre[:, gi])
+        f_t = masked_sigmoid(pre[:, gf])
+        o_t = masked_sigmoid(pre[:, go])
+        g_t = np.tanh(pre[:, gc])
+        cache["h_prev"].append(h)
+        c = f_t * c + i_t * g_t
+        tc = np.tanh(c)
+        h = o_t * tc
+        states[:, t] = h
+        for key, val in (("i", i_t), ("f", f_t), ("o", o_t), ("g", g_t), ("c", c), ("tc", tc)):
+            cache[key].append(val)
+    return states, cache
+
+
+def lstm_backward_steps(d_states, mask, cache, params, grads):
+    """Backprop through time for lstm_forward_steps, one step at a time;
+    returns the gradient w.r.t. the inputs."""
+    x = cache["x"]
+    batch, steps, d = x.shape
+    gi, gf, go, gc = (slice(k * d, (k + 1) * d) for k in range(4))
+    dx = np.zeros_like(x)
+    dh_next = np.zeros((batch, d))
+    dc_next = np.zeros((batch, d))
+    for t in range(steps - 1, -1, -1):
+        i_t, f_t, o_t, g_t = cache["i"][t], cache["f"][t], cache["o"][t], cache["g"][t]
+        tc = cache["tc"][t]
+        c_prev = cache["c"][t - 1] if t > 0 else np.zeros((batch, d))
+        dh = d_states[:, t] + dh_next
+        dc = dc_next + dh * o_t * (1.0 - tc * tc)
+        dpre = np.empty((batch, 4 * d))
+        dpre[:, gi] = dc * g_t * i_t * (1.0 - i_t)
+        dpre[:, gf] = dc * c_prev * f_t * (1.0 - f_t)
+        dpre[:, go] = dh * tc * o_t * (1.0 - o_t)
+        dpre[:, gc] = dc * i_t * (1.0 - g_t * g_t)
+        dpre *= mask[:, t : t + 1]
+        grads["lstm_wx"] += x[:, t].T @ dpre
+        grads["lstm_wh"] += cache["h_prev"][t].T @ dpre
+        grads["lstm_b"] += dpre.sum(axis=0)
+        dx[:, t] = dpre @ params.lstm_wx.T
+        dh_next = dpre @ params.lstm_wh.T
+        dc_next = dc * f_t
+    return dx
+
+
 def log_softmax_rows(x):
     x = np.asarray(x, dtype=np.float64)
     shifted = x - x.max(axis=-1, keepdims=True)

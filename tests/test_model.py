@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import grad_check
+from oracles import grad_check, lstm_backward_steps, lstm_forward_steps, masked_sigmoid
+from storypoint import model as model_module
 from storypoint.model import (
     ModelConfig,
     ModelError,
@@ -24,6 +29,8 @@ from storypoint.model import (
 )
 from storypoint.model import _lstm_backward, _lstm_forward
 from storypoint.numerics import make_rng, sigmoid
+
+LSTM_TENSORS = ("lstm_wx", "lstm_wh", "lstm_b")
 
 
 def small_params(seed=0, v=8, d=5, scale=0.3):
@@ -84,9 +91,9 @@ class TestLstmEncode:
         mask = np.ones((1, 6))
 
         states, cache = _lstm_forward(x, params)
-        grads = params.zero_grads()
+        grads = {name: np.zeros_like(getattr(params, name)) for name in LSTM_TENSORS}
         _lstm_backward(np.ones_like(states), mask, cache, params, grads)
-        for name in ("lstm_wx", "lstm_wh", "lstm_b"):
+        for name in LSTM_TENSORS:
             def f(_):
                 s, _c = _lstm_forward(x, params)
                 return float(s.sum())
@@ -96,6 +103,111 @@ class TestLstmEncode:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ModelError):
             lstm_encode(np.zeros((0, 5)), small_params())
+
+
+def ragged_batch(lengths, d, seed, dropout):
+    """Random weights, LSTM inputs and upstream state gradients for a padded
+    batch of the given lengths, masked as encode and batch_backward mask them."""
+    rng = make_rng(seed)
+    config = ModelConfig(embedding_dim=d, highway_depth=1)
+    params = init_params(60, config, rng)
+    for t in params.tensors().values():
+        t[...] = rng.uniform(-0.5, 0.5, t.shape)
+    ids, mask = pad_batch([list(rng.integers(0, 60, size=n)) for n in lengths])
+    x = embed(ids, params.emb) * mask[:, :, None]
+    d_states = rng.normal(size=x.shape) * mask[:, :, None]
+    if dropout:
+        masks = make_dropout_masks(len(lengths), ids.shape[1], config, rng)
+        x = x * masks.lstm_in
+        d_states = d_states * masks.lstm_out
+    return params, x, mask, d_states
+
+
+LENGTHS = {
+    "ascending": [1, 2, 3, 5, 8],
+    "descending": [8, 5, 3, 2, 1],
+    "shuffled": [3, 8, 1, 5, 2],
+    "one-row": [7],
+    "one-step": [1, 1, 1],
+    "one-row-one-step": [1],
+    # large enough for OpenBLAS to thread the GEMMs
+    "B100-d50": list(make_rng(99).permutation(np.arange(100) % 60 + 1)),
+}
+
+
+class TestLstmCoreMatchesPerStepOracle:
+    """The time-major core does the per-step arithmetic of the oracle in
+    tests/oracles.py bit for bit: states, weight gradients and dx."""
+
+    @pytest.mark.parametrize("dropout", [False, True], ids=["plain", "dropout"])
+    @pytest.mark.parametrize("case", list(LENGTHS))
+    def test_bit_identical(self, case, dropout):
+        d = 50 if case == "B100-d50" else 6
+        params, x, mask, d_states = ragged_batch(LENGTHS[case], d, 31, dropout)
+        states, cache = _lstm_forward(x, params)
+        ref_states, ref_cache = lstm_forward_steps(x, params)
+        grads = {name: np.zeros_like(getattr(params, name)) for name in LSTM_TENSORS}
+        ref_grads = {name: np.zeros_like(getattr(params, name)) for name in LSTM_TENSORS}
+        dx = _lstm_backward(d_states, mask, cache, params, grads)
+        ref_dx = lstm_backward_steps(d_states, mask, ref_cache, params, ref_grads)
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(dx, ref_dx)
+        for name in LSTM_TENSORS:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+    @pytest.mark.parametrize("dropout", [False, True], ids=["plain", "dropout"])
+    def test_full_stack_bit_identical(self, dropout, monkeypatch):
+        rng = make_rng(32)
+        config = ModelConfig(embedding_dim=50, highway_depth=3)
+        params = init_params(300, config, rng)
+        seqs = [list(rng.integers(0, 300, size=n)) for n in LENGTHS["B100-d50"]]
+        targets = rng.uniform(1.0, 13.0, size=len(seqs))
+        ids, _ = pad_batch(seqs)
+        masks = make_dropout_masks(len(seqs), ids.shape[1], config, rng) if dropout else None
+        loss, yhat, grads = batch_loss_and_grads(seqs, targets, params, config, masks=masks)
+        monkeypatch.setattr(model_module, "_lstm_forward", lstm_forward_steps)
+        monkeypatch.setattr(model_module, "_lstm_backward", lstm_backward_steps)
+        monkeypatch.setattr(model_module, "sigmoid", masked_sigmoid)
+        ref_loss, ref_yhat, ref_grads = batch_loss_and_grads(seqs, targets, params, config,
+                                                             masks=masks)
+        assert loss == ref_loss and np.array_equal(yhat, ref_yhat)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+# Runs in a child process, whose BLAS thread count is fixed at start-up. The
+# lengths are those of one length bucket: with mostly padding, a GEMM summed
+# over all B*T rows happens to round the same on 1 and 2 threads here.
+THREAD_PROBE = """
+import hashlib
+from storypoint.model import ModelConfig, batch_loss_and_grads, init_params
+from storypoint.numerics import make_rng
+rng = make_rng(5)
+config = ModelConfig(embedding_dim=50, highway_depth=10)
+params = init_params(2000, config, rng)
+lengths = rng.integers(50, 61, size=100)
+lengths[0] = 60
+seqs = [list(rng.integers(0, 2000, size=n)) for n in lengths]
+_, _, grads = batch_loss_and_grads(seqs, rng.uniform(1, 13, size=100), params, config, rng=rng)
+digest = hashlib.sha256()
+for name in sorted(grads):
+    digest.update(grads[name].tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_gradients_do_not_depend_on_blas_thread_count():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 class TestMeanPool:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import grad_check, log_softmax_rows
+from oracles import grad_check, log_softmax_rows, masked_sigmoid
 from storypoint.numerics import (
     NumericError,
     RmsPropState,
@@ -36,6 +36,14 @@ class TestActivations:
     def test_sigmoid_saturates_without_overflow(self):
         out = sigmoid(np.array([-800.0, 800.0]))
         assert out[0] == 0.0 and out[1] == 1.0
+
+    def test_sigmoid_matches_masked_halves_bit_for_bit(self):
+        x = np.concatenate([np.linspace(-745.0, 745.0, 2_000_001),
+                            [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, np.nan]])
+        out, ref = sigmoid(x), masked_sigmoid(x)
+        nan = np.isnan(ref)
+        np.testing.assert_array_equal(np.isnan(out), nan)
+        assert out[~nan].tobytes() == ref[~nan].tobytes()
 
     def test_log_sigmoid_matches_log_of_sigmoid(self):
         x = np.linspace(-30, 30, 101)

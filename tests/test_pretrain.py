@@ -313,3 +313,20 @@ class TestPretrain:
             assert result.best_epoch == 0
             for name, tensor in initial.tensors().items():
                 np.testing.assert_array_equal(result.params.tensors()[name], tensor)
+
+    def test_infinite_validation_perplexity_aborts_with_best_weights(self):
+        # a step this large saturates the weights without overflowing them:
+        # every loss stays finite, but the held-out perplexity reads inf
+        vocab, seqs = periodic_corpus(copies=10, periods=2)
+        config = ModelConfig(embedding_dim=5)
+        initial = init_params(len(vocab), config, make_rng(18))
+        for objective in ("nce", "softmax"):
+            cfg = PretrainConfig(epochs=5, batch_size=4, nce_samples=2,
+                                 learning_rate=1e6, objective=objective)
+            with np.errstate(all="ignore"):
+                result = pretrain(seqs, len(vocab), config, cfg, seed=1, initial=initial)
+            assert result.aborted is not None
+            assert result.aborted.startswith("epoch 1: validation perplexity")
+            assert result.curve == [] and result.best_epoch == 0
+            for name, tensor in initial.tensors().items():
+                np.testing.assert_array_equal(result.params.tensors()[name], tensor)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from storypoint import trainer as trainer_module
 from storypoint.corpus import (
     Vocabulary,
     load_bundled_corpus,
@@ -116,6 +117,18 @@ class TestTrain:
         assert result.aborted is not None
         for tensor in result.checkpoint.tensors.values():
             assert np.all(np.isfinite(tensor))
+
+    def test_non_finite_validation_mae_aborts_with_best_weights(self, split64, monkeypatch):
+        monkeypatch.setattr(trainer_module, "predict_points",
+                            lambda params, config, seqs: np.full(len(seqs), np.nan))
+        cfg = TrainConfig(epochs=5, batch_size=16, seed=2)
+        result = train(split64, MC, cfg)
+        assert result.aborted == "epoch 1: validation MAE is nan"
+        assert result.curve == [] and result.best_epoch == 0
+        # the initial weights come back, drawn as train draws them
+        initial = init_params(len(result.vocab), MC, make_rng(cfg.seed))
+        for name, tensor in initial.tensors().items():
+            np.testing.assert_array_equal(result.checkpoint.tensors[name], tensor)
 
     def test_curve_rows_have_log_fields(self, trained):
         row = trained.curve[0]
