@@ -297,7 +297,8 @@ def encode(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
            masks: DropoutMasks | None = None) -> tuple[np.ndarray, dict]:
     """Embed a padded batch and run the LSTM over it: the encoder shared by
     the regressor and the language model. Returns the output states
-    (B, T, d) and the cache encode_backward needs."""
+    (B, T, d), a view of time-major memory, and the cache encode_backward
+    needs."""
     x = embed(ids, params.emb) * mask[:, :, None]
     if masks is not None:
         x = x * masks.lstm_in
