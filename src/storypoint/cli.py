@@ -43,6 +43,7 @@ from .model import (
     save_checkpoint,
 )
 from .numerics import NumericError, make_rng
+from .parallel import WorkerError
 from .pretrain import PRETRAIN_TENSORS, PretrainConfig, PretrainError, pretrain
 from .trainer import TrainConfig, TrainerError, cross_project_train, encode_issue, estimate, train
 
@@ -214,6 +215,10 @@ def cmd_prepare(args) -> int:
         write_corpus(records, out / f"{name}.jsonl")
     docs = [tokenize(compose_document(r), args.mode) for r in split.train + split.valid]
     vocab = build_vocabulary(docs, args.vocab_min_count, args.vocab_max_size, mode=args.mode)
+    lengths = None  # word counts; the vocabulary pass has those of train and valid
+    if args.mode == "word":
+        lengths = [len(doc) - 1 for doc in docs] + [
+            len(tokenize(compose_document(r), "word")) - 1 for r in split.test]
     save_vocabulary(vocab, out / "vocab.txt")
     report = {
         "input": stats.input_count,
@@ -225,7 +230,7 @@ def cmd_prepare(args) -> int:
         "unlabeled": len(unlabeled),
         "split": {"train": len(split.train), "valid": len(split.valid), "test": len(split.test)},
         "vocabulary": len(vocab),
-        "story_points": dataset_stats(labeled),
+        "story_points": dataset_stats(split.train + split.valid + split.test, lengths),
     }
     (out / "stats.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -530,7 +535,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CliError, CorpusError, ModelError, TrainerError, PretrainError,
-            NumericError, evaluation.EvaluationError, baselines.BaselineError,
+            NumericError, WorkerError, evaluation.EvaluationError, baselines.BaselineError,
             OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

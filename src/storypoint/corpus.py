@@ -239,16 +239,29 @@ def _unescape_token(line: str) -> str:
     return "".join(out)
 
 
+# First line of a vocabulary file. No token can start a line with it: word
+# tokens lose edge punctuation, character tokens are one character long.
+MODE_HEADER = "#mode="
+
+
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """Write one token per line, index order; the reserved entries lead."""
-    lines = [_escape_token(tok) + "\n" for tok in vocab.tokens]
+    """Write the tokenizer-mode header, then one token per line in index
+    order; the reserved entries lead."""
+    lines = [MODE_HEADER + vocab.mode + "\n"] + [_escape_token(tok) + "\n" for tok in vocab.tokens]
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def load_vocabulary(path: str | Path, mode: str = "word") -> Vocabulary:
-    """Read a token-per-line vocabulary. The tokenizer mode is not part of
-    the file; callers supply it (checkpoints record theirs)."""
+    """Read a vocabulary file for a caller that tokenizes in `mode`.
+
+    Raises CorpusError when the file's mode header names another mode; a
+    file without the header is read as `mode`.
+    """
     lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines[0].startswith(MODE_HEADER):
+        header = lines.pop(0)[len(MODE_HEADER):]
+        if header != mode:
+            raise CorpusError(f"vocabulary file {path} is for {header!r} tokens, not {mode!r}")
     tokens = [_unescape_token(line) for line in lines if line != ""]
     if len(tokens) < 2 or tokens[0] != UNK_TOKEN or tokens[1] != EOS_TOKEN:
         raise CorpusError(f"vocabulary file {path} lacks reserved tokens")
@@ -288,12 +301,13 @@ def split_chronological(issues: list[IssueRecord]) -> SplitDataset:
     )
 
 
-def dataset_stats(issues: list[IssueRecord]) -> dict:
+def dataset_stats(issues: list[IssueRecord], lengths: list[int] | None = None) -> dict:
     """Summary statistics of story points plus mean text length in words.
 
     Variance and standard deviation are population (divide by N); the mode
     resolves ties to the smallest value. Token counts exclude the
-    end-of-sequence sentinel.
+    end-of-sequence sentinel; a caller that has tokenized the issues in word
+    mode already passes those counts as `lengths`, in issue order.
     """
     if not issues:
         raise CorpusError("no issues to summarize")
@@ -310,7 +324,10 @@ def dataset_stats(issues: list[IssueRecord]) -> dict:
     top = max(counts.values())
     mode = min(v for v, c in counts.items() if c == top)
     var = sum((p - mean) ** 2 for p in points) / n
-    lengths = [len(tokenize(compose_document(r), "word")) - 1 for r in issues]
+    if lengths is None:
+        lengths = [len(tokenize(compose_document(r), "word")) - 1 for r in issues]
+    elif len(lengths) != n:
+        raise CorpusError(f"{len(lengths)} lengths for {n} issues")
     return {
         "count": n,
         "min_sp": points[0],

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import NumericError, dropout_mask, sigmoid
+from .numerics import NumericError, dropout_keep, dropout_scale, sigmoid
+from .parallel import Pool, run, shard_bounds
 
 CHECKPOINT_MAGIC = b"SPCKPT01"
 
@@ -136,21 +137,43 @@ def embed(token_ids, emb: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DropoutMasks:
-    """Fixed dropout masks so forward and backward see the same pattern."""
+    """Fixed dropout masks so forward and backward see the same pattern:
+    float masks, or the bool keep bits they are made from (see
+    draw_dropout_keep), an eighth of the bytes to send to a worker."""
 
     lstm_in: np.ndarray   # (B, T, d)
     lstm_out: np.ndarray  # (B, T, d)
     highway: np.ndarray   # (B, d)
 
+    def rows(self, start: int, stop: int) -> "DropoutMasks":
+        return DropoutMasks(self.lstm_in[start:stop], self.lstm_out[start:stop],
+                            self.highway[start:stop])
+
+    def for_steps(self, steps: int, config: ModelConfig) -> "DropoutMasks":
+        """Float masks over the first `steps` steps; keep bits are scaled
+        with the operation make_dropout_masks uses, so the bits agree."""
+        lstm_in, lstm_out = self.lstm_in[:, :steps], self.lstm_out[:, :steps]
+        if self.highway.dtype != bool:
+            return DropoutMasks(lstm_in, lstm_out, self.highway)
+        return DropoutMasks(dropout_scale(lstm_in, config.dropout_lstm),
+                            dropout_scale(lstm_out, config.dropout_lstm),
+                            dropout_scale(self.highway, config.dropout_highway))
+
+
+def draw_dropout_keep(batch: int, steps: int, config: ModelConfig,
+                      rng: np.random.Generator) -> DropoutMasks:
+    """Keep bits of a batch's three dropout masks, drawn in a fixed order."""
+    d = config.embedding_dim
+    return DropoutMasks(
+        lstm_in=dropout_keep((batch, steps, d), config.dropout_lstm, rng),
+        lstm_out=dropout_keep((batch, steps, d), config.dropout_lstm, rng),
+        highway=dropout_keep((batch, d), config.dropout_highway, rng),
+    )
+
 
 def make_dropout_masks(batch: int, steps: int, config: ModelConfig,
                        rng: np.random.Generator) -> DropoutMasks:
-    d = config.embedding_dim
-    return DropoutMasks(
-        lstm_in=dropout_mask((batch, steps, d), config.dropout_lstm, rng),
-        lstm_out=dropout_mask((batch, steps, d), config.dropout_lstm, rng),
-        highway=dropout_mask((batch, d), config.dropout_highway, rng),
-    )
+    return draw_dropout_keep(batch, steps, config, rng).for_steps(steps, config)
 
 
 def pad_batch(sequences: list[list[int]], pad_id: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -307,13 +330,20 @@ def encode(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
 
 
 def encode_backward(d_states: np.ndarray, cache: dict, params: ModelParams,
-                    grads: dict[str, np.ndarray]) -> None:
-    """Accumulate the LSTM and embedding gradients of d(loss)/d(states)."""
+                    grads: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulate the LSTM gradients of d(loss)/d(states) into grads and
+    return the embedding gradient row-sparse: the batch's unique ids and a
+    (U, d) array of their rows. Each row adds its positions' terms in
+    position order from zero, as a scatter into a zero (V, d) array would."""
     mask, masks = cache["mask"], cache["masks"]
     dx = _lstm_backward(d_states, mask, cache["lstm"], params, grads)
     if masks is not None:
         dx = dx * masks.lstm_in
-    np.add.at(grads["emb"], cache["ids"], dx * mask[:, :, None])
+    dx *= mask[:, :, None]
+    ids, inverse = np.unique(cache["ids"], return_inverse=True)
+    rows = np.zeros((len(ids), dx.shape[2]))
+    np.add.at(rows, inverse.reshape(-1), dx.reshape(-1, dx.shape[2]))
+    return ids, rows
 
 
 def batch_forward(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
@@ -333,10 +363,12 @@ def batch_forward(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
     return yhat, cache
 
 
-def batch_backward(dyhat: np.ndarray, cache: dict, params: ModelParams) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss given d(loss)/d(yhat) for the cached batch,
-    one per tensor in SUPERVISED_TENSORS."""
-    grads = {name: np.zeros_like(getattr(params, name)) for name in SUPERVISED_TENSORS}
+def batch_backward(dyhat: np.ndarray, cache: dict, params: ModelParams):
+    """Gradients of a scalar loss given d(loss)/d(yhat) for the cached batch:
+    a dict with every tensor in SUPERVISED_TENSORS but emb, and the
+    row-sparse embedding gradient (ids, rows) of encode_backward."""
+    grads = {name: np.zeros_like(getattr(params, name))
+             for name in SUPERVISED_TENSORS if name != "emb"}
     mask, lengths, masks = cache["mask"], cache["lengths"], cache["masks"]
     grads["reg_w"] += cache["deep_out"].T @ dyhat
     grads["reg_b"] += dyhat.sum(keepdims=True)
@@ -347,30 +379,77 @@ def batch_backward(dyhat: np.ndarray, cache: dict, params: ModelParams) -> dict[
     d_states = d_pooled[:, None, :] * (mask / lengths[:, None])[:, :, None]
     if masks is not None:
         d_states = d_states * masks.lstm_out
-    encode_backward(d_states, cache["encoder"], params, grads)
-    return grads
+    return grads, encode_backward(d_states, cache["encoder"], params, grads)
+
+
+def shard_loss_and_grads(sequences: list[list[int]], targets, params: ModelParams,
+                         config: ModelConfig, batch_size: int,
+                         masks: DropoutMasks | None = None):
+    """Summed squared error, estimates and gradients of one row shard of a
+    batch of batch_size rows: the gradients are those of the batch's mean
+    squared error through this shard's rows.
+
+    masks holds the shard's rows of the batch's masks (float masks or keep
+    bits), over at least as many steps as the shard's longest sequence.
+    Returns (sse, yhat, grads, (ids, rows)): grads has every tensor in
+    SUPERVISED_TENSORS but emb, whose gradient comes row-sparse.
+    """
+    ids, mask = pad_batch(sequences)
+    if masks is not None:
+        masks = masks.for_steps(ids.shape[1], config)
+    yhat, cache = batch_forward(ids, mask, params, config, masks)
+    diff = yhat - np.asarray(targets, dtype=np.float64)
+    with np.errstate(over="ignore"):  # overflow is detected, not a bug
+        sse = float(np.sum(diff * diff))
+    if not np.isfinite(sse):
+        raise NumericError("numeric overflow in forward pass")
+    grads, emb_grad = batch_backward(2.0 * diff / batch_size, cache, params)
+    return sse, yhat, grads, emb_grad
+
+
+def _shard_task(params, config, sequences, targets, batch_size, masks):
+    return shard_loss_and_grads(sequences, targets, params, config, batch_size, masks)
 
 
 def batch_loss_and_grads(sequences: list[list[int]], targets, params: ModelParams,
                          config: ModelConfig, masks: DropoutMasks | None = None,
-                         rng: np.random.Generator | None = None):
-    """Mean squared-error loss and gradients over a batch of token sequences.
+                         rng: np.random.Generator | None = None, pool: Pool | None = None):
+    """Mean squared-error loss, estimates and gradients over a batch of
+    token sequences.
 
     Pass rng to draw fresh dropout masks (training); pass masks to reuse a
     fixed pattern (gradient checking); pass neither for inference-mode loss.
+    The batch runs as the row shards of shard_bounds, and their losses and
+    gradients are summed in shard order, so the bits are the same in this
+    process and on a pool created with (params, config), whatever its size.
     """
-    ids, mask = pad_batch(sequences)
+    if not sequences:
+        raise ModelError("empty batch")
+    batch = len(sequences)
+    lengths = [len(s) for s in sequences]
     if rng is not None and masks is None:
-        masks = make_dropout_masks(ids.shape[0], ids.shape[1], config, rng)
-    yhat, cache = batch_forward(ids, mask, params, config, masks)
+        masks = draw_dropout_keep(batch, max(lengths), config, rng)
     y = np.asarray(targets, dtype=np.float64)
-    diff = yhat - y
-    with np.errstate(over="ignore"):  # overflow is detected, not a bug
-        loss = float(np.mean(diff * diff))
+    tasks = [(sequences[a:b], y[a:b], batch, None if masks is None else masks.rows(a, b))
+             for a, b in shard_bounds(lengths)]
+    if pool is None:
+        results = [_shard_task(params, config, *task) for task in tasks]
+    else:
+        results = pool.map(_shard_task, tasks, params, config)
+    loss = 0.0
+    grads = {"emb": np.zeros_like(params.emb)}
+    for sse, _, shard_grads, (ids, rows) in results:
+        loss += sse
+        grads["emb"][ids] += rows
+        for name, grad in shard_grads.items():
+            if name in grads:
+                grads[name] += grad
+            else:
+                grads[name] = grad
     if not np.isfinite(loss):
         raise NumericError("numeric overflow in forward pass")
-    grads = batch_backward(2.0 * diff / len(sequences), cache, params)
-    return loss, yhat, grads
+    yhat = np.concatenate([result[1] for result in results])
+    return loss / batch, yhat, grads
 
 
 # Single-sequence views of the layers, matching how the network is described
@@ -395,12 +474,18 @@ def document_vectors(sequences: list[list[int]], params: ModelParams,
                      batch_size: int = 256) -> np.ndarray:
     """Mean-pooled LSTM output states per sequence: the frozen text features
     consumed by external regressors instead of the highway/regressor head."""
+    batches = length_batches([len(s) for s in sequences], batch_size)
+    vectors = run(_vector_batch, [([sequences[i] for i in idx],) for idx in batches], params)
     out = np.empty((len(sequences), params.dim))
-    for idx in length_batches([len(s) for s in sequences], batch_size):
-        ids, mask = pad_batch([sequences[i] for i in idx])
-        states, _ = encode(ids, mask, params)
-        out[idx] = (states * mask[:, :, None]).sum(axis=1) / mask.sum(axis=1)[:, None]
+    for idx, rows in zip(batches, vectors):
+        out[idx] = rows
     return out
+
+
+def _vector_batch(params: ModelParams, sequences: list[list[int]]) -> np.ndarray:
+    ids, mask = pad_batch(sequences)
+    states, _ = encode(ids, mask, params)
+    return (states * mask[:, :, None]).sum(axis=1) / mask.sum(axis=1)[:, None]
 
 
 def highway_forward(h: np.ndarray, params: ModelParams, depth: int,

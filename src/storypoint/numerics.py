@@ -79,15 +79,24 @@ def clip_by_global_norm(grads: dict[str, np.ndarray], threshold: float) -> float
     return norm
 
 
+def dropout_keep(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Keep bits of an inverted-dropout mask: each entry True with
+    probability 1 - rate. Rate 0 keeps everything and draws nothing."""
+    if not 0 <= rate < 1:
+        raise ValueError("dropout rate must lie in [0, 1)")
+    if rate == 0:
+        return np.ones(shape, dtype=bool)
+    return rng.random(shape) >= rate
+
+
+def dropout_scale(keep: np.ndarray, rate: float) -> np.ndarray:
+    """The mask of some keep bits: 1/(1-rate) where kept, else 0."""
+    return keep.astype(np.float64) / (1.0 - rate)
+
+
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted dropout mask: entries are 0 with probability rate, else 1/(1-rate).
 
     Scaling at train time means inference uses the weights unchanged.
     """
-    if not 0 <= rate < 1:
-        raise ValueError("dropout rate must lie in [0, 1)")
-    if rate == 0:
-        return np.ones(shape, dtype=np.float64)
-    keep = rng.random(shape) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
-
+    return dropout_scale(dropout_keep(shape, rate, rng), rate)

@@ -17,6 +17,7 @@ import numpy as np
 from .model import (ModelConfig, ModelParams, encode, encode_backward, init_params, length_batches,
                     pad_batch)
 from .numerics import NumericError, RmsPropState, log_sigmoid, make_rng, sigmoid
+from .parallel import run
 
 
 class PretrainError(ValueError):
@@ -100,24 +101,32 @@ def _softmax_chunks(h: np.ndarray, tgt: np.ndarray, lm_u: np.ndarray):
 def perplexity(params: ModelParams, sequences: list[list[int]],
                batch_size: int = 64) -> float:
     """exp(mean negative log-likelihood per predicted token), full softmax
-    over the live (unpadded) positions only."""
+    over the live (unpadded) positions only. Two or more length batches
+    are dealt to a pool forked for the call (parallel.run); the total adds
+    them in batch order."""
     total_nll = 0.0
     total_count = 0
-    for ids, targets, mask in _prediction_batches(sequences, batch_size):
-        states, _ = encode(ids, mask, params)
-        live = mask > 0
-        # Summed on the padded (B, T) grid, zeros at padding, so the total
-        # rounds exactly as a sum over the dense (B, T, V) form would.
-        picked = np.zeros(mask.shape)
-        picked[live] = np.concatenate(
-            [logp for *_, logp in _softmax_chunks(states[live], targets[live], params.lm_u)]
-        )
-        total_nll -= float(picked.sum())
-        total_count += int(live.sum())
+    tasks = list(_prediction_batches(sequences, batch_size))
+    for logp_sum, count in run(_batch_log_likelihood, tasks, params):
+        total_nll -= logp_sum
+        total_count += count
     if total_count == 0:
         raise PretrainError("empty corpus")
     with np.errstate(over="ignore"):  # a mean NLL above ~709 reads as inf
         return float(np.exp(total_nll / total_count))
+
+
+def _batch_log_likelihood(params, ids, targets, mask) -> tuple[float, int]:
+    """Summed target log-probability and live position count of one batch."""
+    states, _ = encode(ids, mask, params)
+    live = mask > 0
+    # Summed on the padded (B, T) grid, zeros at padding, so the total
+    # rounds exactly as a sum over the dense (B, T, V) form would.
+    picked = np.zeros(mask.shape)
+    picked[live] = np.concatenate(
+        [logp for *_, logp in _softmax_chunks(states[live], targets[live], params.lm_u)]
+    )
+    return float(picked.sum()), int(live.sum())
 
 
 def _nce_batch_step(ids, targets, mask, params, noise_dist, n_samples, rng):
@@ -140,8 +149,9 @@ def _nce_batch_step(ids, targets, mask, params, noise_dist, n_samples, rng):
     grads = {name: np.zeros_like(getattr(params, name)) for name in PRETRAIN_TENSORS}
     np.add.at(grads["lm_u"], targets, dd_t[:, :, None] * states)
     np.add.at(grads["lm_u"], noise, np.einsum("btm,btd->md", dd_n, states))
-    d_states = dd_t[:, :, None] * u_tgt + np.einsum("btm,md->btd", dd_n, u_noise)
-    encode_backward(d_states, cache, params, grads)
+    d_states = dd_t[:, :, None] * u_tgt + dd_n @ u_noise
+    emb_ids, emb_rows = encode_backward(d_states, cache, params, grads)
+    grads["emb"][emb_ids] = emb_rows
     return float(loss / positions), grads
 
 
@@ -163,7 +173,8 @@ def _softmax_batch_step(ids, targets, mask, params):
         d_h[rows] = dlogits @ params.lm_u
     d_states = np.zeros_like(states)
     d_states[live] = d_h
-    encode_backward(d_states, cache, params, grads)
+    emb_ids, emb_rows = encode_backward(d_states, cache, params, grads)
+    grads["emb"][emb_ids] = emb_rows
     return loss / positions, grads
 
 

@@ -22,6 +22,7 @@ from .model import (
     pad_batch,
 )
 from .numerics import NumericError, RmsPropState, clip_by_global_norm, make_rng
+from .parallel import Pool, run, share
 
 
 class TrainerError(ValueError):
@@ -51,17 +52,28 @@ def encode_issue(issue: IssueRecord, vocab: Vocabulary) -> list[int]:
 
 
 def predict_points(params: ModelParams, config: ModelConfig,
-                   sequences: list[list[int]], batch_size: int = 256) -> np.ndarray:
+                   sequences: list[list[int]], batch_size: int = 256,
+                   pool: Pool | None = None) -> np.ndarray:
     """Deterministic inference over token-id sequences, clamped at zero.
 
-    Batches are length-bucketed; results come back in input order.
+    Batches are length-bucketed and dealt to the processes of `pool` (one
+    created with (params, config)), or of a pool forked for the call;
+    each batch is computed whole, so the bits do not depend on the process
+    count. Results come back in input order.
     """
+    batches = length_batches([len(s) for s in sequences], batch_size)
+    tasks = [([sequences[i] for i in idx],) for idx in batches]
     out = np.empty(len(sequences))
-    for idx in length_batches([len(s) for s in sequences], batch_size):
-        ids, mask = pad_batch([sequences[i] for i in idx])
-        yhat, _ = batch_forward(ids, mask, params, config, masks=None)
+    for idx, yhat in zip(batches, run(_predict_batch, tasks, params, config, pool=pool)):
         out[idx] = yhat
     return np.maximum(out, 0.0)
+
+
+def _predict_batch(params: ModelParams, config: ModelConfig,
+                   sequences: list[list[int]]) -> np.ndarray:
+    ids, mask = pad_batch(sequences)
+    yhat, _ = batch_forward(ids, mask, params, config, masks=None)
+    return yhat
 
 
 @dataclass
@@ -123,46 +135,50 @@ def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     result = TrainResult(checkpoint=None, vocab=vocab)  # checkpoint filled below
     best_params = params.copy()
     bad_epochs = 0
-    for epoch in range(1, config.epochs + 1):
-        epoch_loss = 0.0
-        n_batches = 0
-        try:
-            for batch_idx in length_batches(lengths, config.batch_size, rng):
-                loss, _, grads = batch_loss_and_grads(
-                    [train_seqs[i] for i in batch_idx], train_y[batch_idx],
-                    params, model_config, rng=rng,
-                )
-                if config.clip_norm is not None:
-                    clip_by_global_norm(grads, config.clip_norm)
-                for name, grad in grads.items():
-                    opt.step(name, getattr(params, name), grad)
-                epoch_loss += loss
-                n_batches += 1
-            valid_mae = float(np.mean(np.abs(
-                predict_points(params, model_config, valid_seqs) - valid_y
-            )))
-            if not np.isfinite(valid_mae):
-                raise NumericError(f"validation MAE is {valid_mae}")
-        except NumericError as exc:
-            result.aborted = f"epoch {epoch}: {exc}"
-            break
-        if valid_mae < result.best_valid_mae:
-            result.best_valid_mae = valid_mae
-            result.best_epoch = epoch
-            best_params = params.copy()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-        result.curve.append(
-            {
-                "epoch": epoch,
-                "train_loss": epoch_loss / max(n_batches, 1),
-                "valid_mae": valid_mae,
-                "best_valid_mae": result.best_valid_mae,
-            }
-        )
-        if bad_epochs > config.patience:
-            break
+    # Workers fork once and read the parameters from shared memory, which
+    # the optimizer updates in place.
+    share(params)
+    with Pool(params, model_config) as pool:
+        for epoch in range(1, config.epochs + 1):
+            epoch_loss = 0.0
+            n_batches = 0
+            try:
+                for batch_idx in length_batches(lengths, config.batch_size, rng):
+                    loss, _, grads = batch_loss_and_grads(
+                        [train_seqs[i] for i in batch_idx], train_y[batch_idx],
+                        params, model_config, rng=rng, pool=pool,
+                    )
+                    if config.clip_norm is not None:
+                        clip_by_global_norm(grads, config.clip_norm)
+                    for name, grad in grads.items():
+                        opt.step(name, getattr(params, name), grad)
+                    epoch_loss += loss
+                    n_batches += 1
+                valid_mae = float(np.mean(np.abs(
+                    predict_points(params, model_config, valid_seqs, pool=pool) - valid_y
+                )))
+                if not np.isfinite(valid_mae):
+                    raise NumericError(f"validation MAE is {valid_mae}")
+            except NumericError as exc:
+                result.aborted = f"epoch {epoch}: {exc}"
+                break
+            if valid_mae < result.best_valid_mae:
+                result.best_valid_mae = valid_mae
+                result.best_epoch = epoch
+                best_params = params.copy()
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+            result.curve.append(
+                {
+                    "epoch": epoch,
+                    "train_loss": epoch_loss / max(n_batches, 1),
+                    "valid_mae": valid_mae,
+                    "best_valid_mae": result.best_valid_mae,
+                }
+            )
+            if bad_epochs > config.patience:
+                break
     result.checkpoint = Checkpoint(
         kind="model", config=model_config, vocab_hash=vocab_hash,
         tensors=best_params.tensors(),

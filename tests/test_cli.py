@@ -79,6 +79,40 @@ class TestPrepare:
         report = json.loads((tmp_path / "o" / "stats.json").read_text())
         assert report["story_points"] == dataset_stats(records)
 
+    # sha256 of stats.json for the bundled corpus, as written before the
+    # word counts of train and valid were taken from the vocabulary pass
+    STATS_PINS = {
+        "word": "9e53cb637f2481a7725c1ae38beaec5dd7e2b09ba23bbf4953e232a4c98ee7c0",
+        "character": "dd3230a05f50a6544c2e1cb812ad072bb9b1f8dbb12fb870d97c3c5f5231b8f0",
+    }
+
+    @pytest.mark.parametrize("mode", ["word", "character"])
+    def test_stats_json_bytes_pinned(self, tmp_path, mode):
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(load_bundled_corpus(), corpus_path)
+        assert run("prepare", "--in", corpus_path, "--out-dir", tmp_path / "o",
+                   "--min-project-size", 0, "--mode", mode) == 0
+        digest = hashlib.sha256((tmp_path / "o" / "stats.json").read_bytes()).hexdigest()
+        assert digest == self.STATS_PINS[mode]
+
+    def test_word_mode_tokenizes_each_issue_once(self, tmp_path, monkeypatch):
+        import storypoint.corpus as corpus_module
+
+        calls = []
+        real = corpus_module.tokenize
+
+        def counting(text, mode="word"):
+            calls.append(mode)
+            return real(text, mode)
+
+        monkeypatch.setattr(cli, "tokenize", counting)
+        monkeypatch.setattr(corpus_module, "tokenize", counting)
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(load_bundled_corpus(), corpus_path)
+        assert run("prepare", "--in", corpus_path, "--out-dir", tmp_path / "o",
+                   "--min-project-size", 0) == 0
+        assert len(calls) == len(load_bundled_corpus())
+
     def test_vocab_is_reusable(self, prepared):
         from storypoint.corpus import load_vocabulary
 
@@ -173,6 +207,12 @@ class TestTrainCli:
         assert len(log) < 4
         checkpoint = load_checkpoint(pre_dir / "pretrain.ckpt")
         assert all(np.all(np.isfinite(t)) for t in checkpoint.tensors.values())
+
+    def test_character_mode_on_word_vocabulary_fails(self, prepared, tmp_path, capsys):
+        assert run("train", "--split-dir", prepared, "--out-dir", tmp_path / "m",
+                   "--dim", 6, "--depth", 2, "--epochs", 1, "--mode", "character") == 1
+        assert "'word' tokens, not 'character'" in capsys.readouterr().err
+        assert not (tmp_path / "m" / "model.ckpt").exists()
 
     def test_pretrained_dim_mismatch_fails(self, prepared, tmp_path, capsys):
         pre_dir = tmp_path / "pre"

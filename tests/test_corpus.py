@@ -224,6 +224,13 @@ class TestDatasetStats:
         issues = [make_issue(title="three word title", description="")]
         assert dataset_stats(issues)["mean_length"] == 3
 
+    def test_given_word_counts_replace_tokenizing(self):
+        issues = [make_issue(f"K-{i}", title="w " * (i + 1)) for i in range(4)]
+        counted = [len(tokenize(r.title, "word")) - 1 for r in issues]
+        assert dataset_stats(issues, counted) == dataset_stats(issues)
+        with pytest.raises(CorpusError):
+            dataset_stats(issues, counted[:3])
+
     def test_empty_rejected(self):
         with pytest.raises(CorpusError):
             dataset_stats([])
@@ -315,8 +322,9 @@ class TestVocabularyFiles:
         path = tmp_path / "vocab.txt"
         save_vocabulary(vocab, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "<unk>" and lines[1] == "<eos>"
-        assert lines[2:] == ["beta", "alpha"]
+        assert lines[0] == "#mode=word"  # the tokenizer-mode header leads
+        assert lines[1] == "<unk>" and lines[2] == "<eos>"
+        assert lines[3:] == ["beta", "alpha"]
 
     def test_roundtrip_character_mode_with_newline_token(self, tmp_path):
         docs = [tokenize("a\nb\tc \\d", "character")]
@@ -331,6 +339,24 @@ class TestVocabularyFiles:
         v1 = build_vocabulary([["a"]], min_count=1)
         v2 = build_vocabulary([["b"]], min_count=1)
         assert v1.content_hash() != v2.content_hash()
+
+    def test_mode_header_must_match_the_callers_mode(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(build_vocabulary([["alpha"]], min_count=1), path)
+        with pytest.raises(CorpusError, match="'word' tokens, not 'character'"):
+            load_vocabulary(path, mode="character")
+        chars = build_vocabulary([tokenize("ab", "character")], min_count=1, mode="character")
+        save_vocabulary(chars, path)
+        with pytest.raises(CorpusError):
+            load_vocabulary(path)
+        assert load_vocabulary(path, mode="character").tokens == chars.tokens
+
+    def test_file_without_header_takes_the_callers_mode(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("<unk>\n<eos>\na\nb\n", encoding="utf-8")
+        for mode in ("word", "character"):
+            loaded = load_vocabulary(path, mode=mode)
+            assert loaded.tokens == ["<unk>", "<eos>", "a", "b"] and loaded.mode == mode
 
 
 class TestBundledCorpus:

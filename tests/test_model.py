@@ -178,7 +178,8 @@ class TestLstmCoreMatchesPerStepOracle:
 
 # Runs in a child process, whose BLAS thread count is fixed at start-up. The
 # lengths are those of one length bucket: with mostly padding, a GEMM summed
-# over all B*T rows happens to round the same on 1 and 2 threads here.
+# over all B*T rows happens to round the same on 1 and 2 threads here. The
+# second digest covers the NCE step's own GEMMs and einsums.
 THREAD_PROBE = """
 import hashlib
 from storypoint.model import ModelConfig, batch_loss_and_grads, init_params
@@ -191,6 +192,16 @@ lengths[0] = 60
 seqs = [list(rng.integers(0, 2000, size=n)) for n in lengths]
 _, _, grads = batch_loss_and_grads(seqs, rng.uniform(1, 13, size=100), params, config, rng=rng)
 digest = hashlib.sha256()
+for name in sorted(grads):
+    digest.update(grads[name].tobytes())
+print(digest.hexdigest())
+
+# one NCE pre-training step on a batch of the same shape, M = 100 noise rows
+from storypoint.pretrain import _nce_batch_step, _prediction_batches, unigram_noise_distribution
+noise = unigram_noise_distribution(seqs, 2000)
+(batch,) = list(_prediction_batches(seqs[:50], 50))
+loss, grads = _nce_batch_step(*batch, params, noise, 100, rng)
+digest = hashlib.sha256(repr(loss).encode())
 for name in sorted(grads):
     digest.update(grads[name].tobytes())
 print(digest.hexdigest())

@@ -1,0 +1,294 @@
+"""The fork pool and the sharded, dealt computations that run on it.
+
+Process counts are set by monkeypatching parallel.process_count, so the
+two-process paths run whatever the CPU count of the host.
+"""
+
+import hashlib
+import os
+import signal
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+from storypoint import model as model_module
+from storypoint import parallel
+from storypoint.cli import main
+from storypoint.corpus import load_bundled_corpus, split_chronological, write_corpus
+from storypoint.model import (ModelConfig, batch_forward, batch_loss_and_grads, document_vectors,
+                              encode, init_params, length_batches, pad_batch)
+from storypoint.numerics import NumericError, make_rng
+from storypoint.pretrain import _prediction_batches, _softmax_chunks, perplexity
+from storypoint.trainer import TrainConfig, predict_points, train
+
+MC = ModelConfig(embedding_dim=10, highway_depth=2)
+
+
+def processes(monkeypatch, count):
+    monkeypatch.setattr(parallel, "process_count", lambda: count)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the test instead of hanging when a wait never returns."""
+    def expire(*_):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def add(offset, x):
+    return offset + x, os.getpid()
+
+
+def fail_on(bad, x):
+    if x in bad:
+        raise NumericError(f"task {x}")
+    return x
+
+
+def read_shared(params, _):
+    return params.emb.copy()
+
+
+def pid_of(_):
+    return os.getpid()
+
+
+class TestPool:
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_results_in_task_order(self, monkeypatch, count):
+        # 3 processes: more than SHARDS and more workers than this host may
+        # have cores; the worker pipes must still close cleanly
+        processes(monkeypatch, count)
+        with deadline(60), parallel.Pool(100) as pool:
+            results = pool.map(add, [(x,) for x in range(7)], 100)
+            again = pool.map(add, [(x,) for x in range(3)], 100)
+            workers = [process for process, _ in pool._workers]
+        assert [r for r, _ in results] == list(range(100, 107))
+        assert [r for r, _ in again] == [100, 101, 102]
+        assert len(workers) == count - 1
+        assert all(not process.is_alive() for process in workers)
+        if count > 1:  # this process and a worker both ran tasks
+            assert len({pid for _, pid in results}) > 1
+
+    def test_one_process_forks_nothing(self, monkeypatch):
+        processes(monkeypatch, 1)
+        with parallel.Pool() as pool:
+            pids = pool.map(pid_of, [(x,) for x in range(4)])
+        assert pids == [os.getpid()] * 4
+
+    @pytest.mark.parametrize("bad,raised", [({1}, "task 1"), ({0, 1}, "task 0")])
+    def test_worker_exception_is_raised_here_and_pool_stays_usable(self, monkeypatch,
+                                                                   bad, raised):
+        processes(monkeypatch, 2)
+        with deadline(60), parallel.Pool(bad) as pool:
+            # of two tasks the worker runs the last and this process the
+            # first; when both fail, the first in task order is raised
+            with pytest.raises(NumericError, match=raised):
+                pool.map(fail_on, [(0,), (1,)], bad)
+            assert pool.map(fail_on, [(2,), (3,)], bad) == [2, 3]
+
+    def test_other_shared_objects_rejected(self, monkeypatch):
+        processes(monkeypatch, 1)
+        with parallel.Pool([1]) as pool:
+            with pytest.raises(ValueError):
+                pool.map(add, [(1,)], [1])
+
+    def test_shared_params_updates_reach_workers(self, monkeypatch):
+        processes(monkeypatch, 2)
+        params = init_params(20, MC, make_rng(0))
+        before = params.emb.copy()
+        parallel.share(params)
+        assert np.array_equal(params.emb, before)
+        with deadline(60), parallel.Pool(params) as pool:
+            first = pool.map(read_shared, [(0,), (1,)], params)[1]
+            params.emb += 1.0  # in place, as the optimizer step updates
+            second = pool.map(read_shared, [(0,), (1,)], params)[1]
+        assert np.array_equal(first, before)
+        assert np.array_equal(second, before + 1.0)
+
+    def test_killed_worker_raises_instead_of_hanging(self, monkeypatch):
+        processes(monkeypatch, 2)
+        with deadline(60), parallel.Pool() as pool:
+            victim = pool._workers[0][0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(10)
+            with pytest.raises(parallel.WorkerError):
+                pool.map(pid_of, [(0,), (1,)])
+
+
+def sequences(seed, n, vocab=40, longest=30):
+    rng = make_rng(seed)
+    return [list(rng.integers(1, vocab, size=k)) for k in rng.integers(2, longest, size=n)]
+
+
+class TestDealtInferenceBytes:
+    """Dealt batches are computed whole: the same bytes as the in-process
+    loop over length_batches, at one process and at two."""
+
+    @pytest.fixture
+    def params(self):
+        return init_params(40, MC, make_rng(3))
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_predict_points(self, monkeypatch, params, count):
+        seqs = sequences(4, 37)
+        expected = np.empty(len(seqs))
+        for idx in length_batches([len(s) for s in seqs], 8):
+            ids, mask = pad_batch([seqs[i] for i in idx])
+            expected[idx] = batch_forward(ids, mask, params, MC)[0]
+        processes(monkeypatch, count)
+        with deadline(60):
+            got = predict_points(params, MC, seqs, batch_size=8)
+        assert got.tobytes() == np.maximum(expected, 0.0).tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_document_vectors(self, monkeypatch, params, count):
+        seqs = sequences(5, 29)
+        expected = np.empty((len(seqs), MC.embedding_dim))
+        for idx in length_batches([len(s) for s in seqs], 6):
+            ids, mask = pad_batch([seqs[i] for i in idx])
+            states, _ = encode(ids, mask, params)
+            expected[idx] = (states * mask[:, :, None]).sum(axis=1) / mask.sum(axis=1)[:, None]
+        processes(monkeypatch, count)
+        with deadline(60):
+            got = document_vectors(seqs, params, batch_size=6)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_perplexity(self, monkeypatch, params, count):
+        seqs = sequences(6, 23)
+        total_nll, total_count = 0.0, 0
+        for ids, targets, mask in _prediction_batches(seqs, 5):
+            states, _ = encode(ids, mask, params)
+            live = mask > 0
+            picked = np.zeros(mask.shape)
+            picked[live] = np.concatenate(
+                [logp for *_, logp in _softmax_chunks(states[live], targets[live], params.lm_u)])
+            total_nll -= float(picked.sum())
+            total_count += int(live.sum())
+        processes(monkeypatch, count)
+        with deadline(60):
+            got = perplexity(params, seqs, batch_size=5)
+        assert got == float(np.exp(total_nll / total_count))
+
+
+class TestShards:
+    def test_bounds_split_the_padded_area_evenly(self):
+        assert parallel.shard_bounds([5] * 100) == [(0, 50), (50, 100)]
+        assert parallel.shard_bounds([5] * 99) == [(0, 49), (49, 99)]
+        assert parallel.shard_bounds([3]) == [(0, 1)]
+        # a long tail: 30 rows up to 400 long go alone, 70 rows up to 160 together
+        tail = list(range(91, 161)) + list(range(371, 401))
+        assert parallel.shard_bounds(tail) == [(0, 70), (70, 100)]
+
+    def batch(self):
+        rng = make_rng(8)
+        config = ModelConfig(embedding_dim=6, highway_depth=2)
+        params = init_params(50, config, rng)
+        seqs = sorted(sequences(9, 37, vocab=50), key=len)
+        return params, config, seqs, rng.uniform(1, 13, size=len(seqs))
+
+    def test_pool_gives_the_in_process_bytes(self, monkeypatch):
+        params, config, seqs, y = self.batch()
+        expected = batch_loss_and_grads(seqs, y, params, config, rng=make_rng(1))
+        processes(monkeypatch, 2)
+        with deadline(60), parallel.Pool(params, config) as pool:
+            got = batch_loss_and_grads(seqs, y, params, config, rng=make_rng(1), pool=pool)
+        assert got[0] == expected[0] and got[1].tobytes() == expected[1].tobytes()
+        assert list(got[2]) == list(expected[2])
+        for name in expected[2]:
+            assert got[2][name].tobytes() == expected[2][name].tobytes(), name
+
+    def test_shards_sum_to_the_whole_batch(self, monkeypatch):
+        params, config, seqs, y = self.batch()
+        sharded = batch_loss_and_grads(seqs, y, params, config, rng=make_rng(2))
+        monkeypatch.setattr(model_module, "shard_bounds", lambda lengths: [(0, len(lengths))])
+        whole = batch_loss_and_grads(seqs, y, params, config, rng=make_rng(2))
+        assert sharded[0] == pytest.approx(whole[0], rel=1e-13)
+        np.testing.assert_allclose(sharded[1], whole[1], rtol=1e-13)
+        for name, grad in whole[2].items():
+            np.testing.assert_allclose(sharded[2][name], grad, rtol=1e-10, atol=1e-15,
+                                       err_msg=name)
+
+
+@pytest.fixture(scope="module")
+def split64():
+    return split_chronological(load_bundled_corpus())
+
+
+def in_worker(parent_pid):
+    return os.getpid() != parent_pid
+
+
+class TestShardedTraining:
+    def test_worker_numeric_error_aborts_with_best_weights(self, monkeypatch, split64):
+        # 38 training issues in batches of 16: three batches an epoch, and
+        # the worker computes the second shard of each
+        cfg = TrainConfig(epochs=4, batch_size=16, seed=5)
+        processes(monkeypatch, 2)
+        one_epoch = train(split64, MC, TrainConfig(epochs=1, batch_size=16, seed=5))
+        shard = model_module.shard_loss_and_grads
+        parent, calls = os.getpid(), []
+
+        def failing_in_second_epoch(*args, **kwargs):
+            if in_worker(parent):
+                calls.append(1)  # counts in the worker's memory
+                if len(calls) > 3:
+                    raise NumericError("overflow in a worker")
+            return shard(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "shard_loss_and_grads", failing_in_second_epoch)
+        with deadline(120):
+            result = train(split64, MC, cfg)
+        assert result.aborted == "epoch 2: overflow in a worker"
+        assert result.best_epoch == 1 and len(result.curve) == 1
+        assert result.curve == one_epoch.curve
+        for name, tensor in one_epoch.checkpoint.tensors.items():
+            assert np.array_equal(result.checkpoint.tensors[name], tensor), name
+
+    def test_killed_worker_makes_train_raise(self, monkeypatch, split64):
+        processes(monkeypatch, 2)
+        shard = model_module.shard_loss_and_grads
+        parent = os.getpid()
+
+        def killed(*args, **kwargs):
+            if in_worker(parent):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return shard(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "shard_loss_and_grads", killed)
+        with deadline(60), pytest.raises(parallel.WorkerError, match="exited with code -9"):
+            train(split64, MC, TrainConfig(epochs=3, batch_size=16, seed=5))
+
+
+def run_cli(*argv):
+    return main([str(a) for a in argv])
+
+
+def test_cli_artifacts_identical_at_one_and_two_processes(monkeypatch, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(load_bundled_corpus(), corpus)
+    split = tmp_path / "split"
+    assert run_cli("prepare", "--in", corpus, "--out-dir", split, "--min-project-size", 0) == 0
+    digests = []
+    for count in (1, 2):
+        processes(monkeypatch, count)
+        out = tmp_path / f"p{count}"
+        with deadline(120):
+            assert run_cli("train", "--split-dir", split, "--out-dir", out, "--dim", 8,
+                           "--depth", 2, "--epochs", 4, "--batch-size", 16, "--seed", 3) == 0
+            assert run_cli("estimate", "--checkpoint", out / "model.ckpt", "--vocab",
+                           out / "vocab.txt", "--in", split / "test.jsonl",
+                           "--out", out / "estimates.csv") == 0
+        digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("model.ckpt", "train_log.csv", "estimates.csv")})
+    assert digests[0] == digests[1]

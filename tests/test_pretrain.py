@@ -180,7 +180,8 @@ def dense_softmax_step(ids, targets, mask, params):
     dlogits *= (mask / positions)[:, :, None]
     grads = {name: np.zeros_like(getattr(params, name)) for name in PRETRAIN_TENSORS}
     grads["lm_u"] += np.einsum("btv,btd->vd", dlogits, states)
-    encode_backward(dlogits @ params.lm_u, cache, params, grads)
+    emb_ids, emb_rows = encode_backward(dlogits @ params.lm_u, cache, params, grads)
+    grads["emb"][emb_ids] = emb_rows
     return loss / positions, grads
 
 

@@ -120,7 +120,7 @@ class TestTrain:
 
     def test_non_finite_validation_mae_aborts_with_best_weights(self, split64, monkeypatch):
         monkeypatch.setattr(trainer_module, "predict_points",
-                            lambda params, config, seqs: np.full(len(seqs), np.nan))
+                            lambda params, config, seqs, pool=None: np.full(len(seqs), np.nan))
         cfg = TrainConfig(epochs=5, batch_size=16, seed=2)
         result = train(split64, MC, cfg)
         assert result.aborted == "epoch 1: validation MAE is nan"
