@@ -187,6 +187,16 @@ def _read_estimates(path: Path) -> list[tuple[str, float]]:
         return [(row["issue_key"], float(row["estimate"])) for row in reader]
 
 
+def _write_curve(path: Path, header: list[str], curve: list[dict]) -> None:
+    """One CSV row per epoch: the epoch, then the row's other values as repr."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in curve:
+            epoch, *values = row.values()
+            writer.writerow([epoch, *map(repr, values)])
+
+
 def cmd_ingest(args) -> int:
     cfg = IngestConfig(
         base_url=args.base_url, jql=args.jql, story_point_field=args.sp_field,
@@ -251,12 +261,8 @@ def cmd_pretrain(args) -> int:
     ckpt_path = args.out_dir / "pretrain.ckpt"
     tensors = {name: getattr(result.params, name) for name in PRETRAIN_TENSORS}
     save_checkpoint(ckpt_path, "pretrain", _model_config(args), vocab.content_hash(), tensors)
-    with (args.out_dir / "pretrain_log.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_loss", "valid_perplexity", "best_perplexity"])
-        for row in result.curve:
-            writer.writerow([row["epoch"], repr(row["train_loss"]),
-                             repr(row["valid_perplexity"]), repr(row["best_perplexity"])])
+    _write_curve(args.out_dir / "pretrain_log.csv",
+                 ["epoch", "train_loss", "valid_perplexity", "best_perplexity"], result.curve)
     note = f" (aborted: {result.aborted})" if result.aborted else ""
     print(f"pretrain: best perplexity {result.best_perplexity:.4f} at epoch "
           f"{result.best_epoch}; checkpoint {ckpt_path}{note}")
@@ -265,8 +271,10 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     split = _load_split(args.split_dir, with_test=False)
+    # only the default vocabulary may be absent; train then builds one
     vocab_path = args.vocab or (args.split_dir / "vocab.txt")
-    vocab = load_vocabulary(vocab_path, mode=args.mode) if vocab_path.exists() else None
+    vocab = (load_vocabulary(vocab_path, mode=args.mode)
+             if args.vocab or vocab_path.exists() else None)
     pretrained = load_checkpoint(args.pretrained) if args.pretrained else None
     config = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, patience=args.patience,
@@ -278,12 +286,8 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt_path, "model", result.checkpoint.config,
                     result.checkpoint.vocab_hash, result.checkpoint.tensors)
     save_vocabulary(result.vocab, args.out_dir / "vocab.txt")
-    with (args.out_dir / "train_log.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_loss", "valid_mae", "best_so_far"])
-        for row in result.curve:
-            writer.writerow([row["epoch"], repr(row["train_loss"]),
-                             repr(row["valid_mae"]), repr(row["best_valid_mae"])])
+    _write_curve(args.out_dir / "train_log.csv",
+                 ["epoch", "train_loss", "valid_mae", "best_so_far"], result.curve)
     note = f" (aborted: {result.aborted})" if result.aborted else ""
     print(f"train: best validation MAE {result.best_valid_mae:.4f} at epoch "
           f"{result.best_epoch}; checkpoint {ckpt_path}{note}")
@@ -428,6 +432,8 @@ def cmd_evaluate(args) -> int:
         if "=" not in spec_item:
             raise CliError(f"--estimates entries look like NAME=PATH, got {spec_item!r}")
         name, _, path = spec_item.partition("=")
+        if any(r.model_name == name for r in reports):
+            raise CliError(f"--estimates names {name!r} twice")
         pairs = _read_estimates(Path(path))
         by_key = dict(pairs)
         missing = [k for k in actual_by_key if k not in by_key]
@@ -515,6 +521,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    subcommands = parser._subparsers._group_actions[0].choices
     # apply config-file values as defaults before the real parse
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", type=Path, default=None)
@@ -524,11 +531,23 @@ def main(argv=None) -> int:
             overrides = json.loads(Path(pre.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config file: {exc}")
+        if not isinstance(overrides, dict):
+            parser.error(f"config file must hold a JSON object, not {type(overrides).__name__}")
         renamed = {key.replace("-", "_"): value for key, value in overrides.items()}
-        for action in parser._subparsers._group_actions[0].choices.values():
-            known = {a.dest for a in action._actions}
-            action.set_defaults(**{k: v for k, v in renamed.items() if k in known})
+        for sub in subcommands.values():
+            typed = {a.dest: a.type for a in sub._actions}
+            # argparse converts string defaults with the flag's type, so a
+            # value of the wrong type fails as a bad flag would
+            sub.set_defaults(**{
+                k: str(v) if typed[k] is not None and v is not None else v
+                for k, v in renamed.items() if k in typed
+            })
     args = parser.parse_args(argv)
+    sub = subcommands[args.command]
+    for action in sub._actions:  # argparse checks the choices of given flags only
+        value = getattr(args, action.dest, None)
+        if action.choices is not None and value is not None and value not in action.choices:
+            sub.error(f"argument {action.option_strings[0]}: invalid choice: {value!r}")
     try:
         return COMMANDS[args.command](args)
     except IngestError as exc:

@@ -63,20 +63,45 @@ class RmsPropState:
         params -= self.learning_rate * grads / np.sqrt(ms + self.smoothing)
 
 
-def clip_by_global_norm(grads: dict[str, np.ndarray], threshold: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most threshold.
+def _run_epochs(params, config, batches, step, validate, label: str,
+                best_score: float = float("inf")):
+    """The early-stopping loop of `train` and `pretrain`, RMSprop included.
 
-    Returns the pre-clip norm. Off by default in the trainers.
+    `config` gives epochs, patience, learning_rate, decay and smoothing. Each
+    epoch steps the weights with `loss, grads = step(batch)` for every batch
+    of `batches()`, then scores `validate()`, lower being better. The weights
+    are copied whenever the score beats the best so far (`best_score` at
+    first) strictly; more than `patience` epochs without that end the run,
+    and so does a non-finite loss, gradient or score, keeping the best weights.
+    Returns (best weights, curve rows (epoch, mean train loss, score, best
+    score), best epoch, best score, abort reason "epoch N: ..." or None).
     """
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    norm = total**0.5
-    if norm > threshold and norm > 0:
-        scale = threshold / norm
-        for g in grads.values():
-            g *= scale
-    return norm
+    opt = RmsPropState(config.learning_rate, config.decay, config.smoothing)
+    best_params, best_epoch, bad_epochs, curve = params.copy(), 0, 0, []
+    for epoch in range(1, config.epochs + 1):
+        total, count = 0.0, 0
+        try:
+            for batch in batches():
+                loss, grads = step(batch)
+                if not np.isfinite(loss):
+                    raise NumericError(f"training loss is {loss}")
+                for name, grad in grads.items():
+                    opt.step(name, getattr(params, name), grad)
+                total += loss
+                count += 1
+            score = validate()
+            if not np.isfinite(score):
+                raise NumericError(f"validation {label} is {score}")
+        except NumericError as exc:
+            return best_params, curve, best_epoch, best_score, f"epoch {epoch}: {exc}"
+        if score < best_score:
+            best_params, best_epoch, best_score, bad_epochs = params.copy(), epoch, score, 0
+        else:
+            bad_epochs += 1
+        curve.append((epoch, total / max(count, 1), score, best_score))
+        if bad_epochs > config.patience:
+            break
+    return best_params, curve, best_epoch, best_score, None
 
 
 def dropout_keep(shape, rate: float, rng: np.random.Generator) -> np.ndarray:

@@ -10,13 +10,13 @@ objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (ModelConfig, ModelParams, encode, encode_backward, init_params, length_batches,
                     pad_batch)
-from .numerics import NumericError, RmsPropState, log_sigmoid, make_rng, sigmoid
+from .numerics import _run_epochs, log_sigmoid, make_rng, sigmoid
 from .parallel import run
 
 
@@ -181,19 +181,17 @@ def _softmax_batch_step(ids, targets, mask, params):
 @dataclass
 class PretrainResult:
     params: ModelParams
-    curve: list[dict] = field(default_factory=list)
-    best_epoch: int = 0
-    best_perplexity: float = float("inf")
-    aborted: str | None = None
+    curve: list[dict]
+    best_epoch: int
+    best_perplexity: float
+    aborted: str | None
 
 
 def pretrain(sequences: list[list[int]], vocab_size: int, model_config: ModelConfig,
              config: PretrainConfig, seed: int = 42,
              initial: ModelParams | None = None) -> PretrainResult:
     """Train the language model and return the best weights by validation
-    perplexity, stopping early after `patience` epochs without improvement.
-    A non-finite loss, gradient or validation perplexity stops training too:
-    the result keeps the best weights so far and says why in `aborted`.
+    perplexity (early stopping and aborts: `numerics._run_epochs`).
 
     Story-point labels never enter here: the input is token-id sequences
     only. The last validation_fraction of the sequences (file order) are
@@ -212,52 +210,20 @@ def pretrain(sequences: list[list[int]], vocab_size: int, model_config: ModelCon
     rng = make_rng(seed)
     params = initial.copy() if initial is not None else init_params(vocab_size, model_config, rng)
     noise_dist = unigram_noise_distribution(train_seqs, vocab_size, config.noise_power)
-    opt = RmsPropState(config.learning_rate, config.decay, config.smoothing)
 
-    best = PretrainResult(
-        params=params.copy(),
-        best_perplexity=perplexity(params, valid_seqs),
+    def step(batch):
+        if config.objective == "nce":
+            return _nce_batch_step(*batch, params, noise_dist, config.nce_samples, rng)
+        return _softmax_batch_step(*batch, params)
+
+    best_params, curve, best_epoch, best_ppl, aborted = _run_epochs(
+        params, config, lambda: _prediction_batches(train_seqs, config.batch_size, rng), step,
+        lambda: perplexity(params, valid_seqs), "perplexity",
+        best_score=perplexity(params, valid_seqs),
     )
-    bad_epochs = 0
-    for epoch in range(1, config.epochs + 1):
-        epoch_loss = 0.0
-        batches = 0
-        try:
-            for ids, targets, mask in _prediction_batches(train_seqs, config.batch_size, rng):
-                if config.objective == "nce":
-                    loss, grads = _nce_batch_step(
-                        ids, targets, mask, params, noise_dist, config.nce_samples, rng
-                    )
-                else:
-                    loss, grads = _softmax_batch_step(ids, targets, mask, params)
-                if not np.isfinite(loss):
-                    raise NumericError("numeric overflow in pre-training")
-                for name, grad in grads.items():
-                    opt.step(name, getattr(params, name), grad)
-                epoch_loss += loss
-                batches += 1
-            valid_ppl = perplexity(params, valid_seqs)
-            if not np.isfinite(valid_ppl):
-                raise NumericError(f"validation perplexity is {valid_ppl}")
-        except NumericError as exc:
-            best.aborted = f"epoch {epoch}: {exc}"
-            break
-        improved = valid_ppl < best.best_perplexity
-        if improved:
-            best.params = params.copy()
-            best.best_perplexity = valid_ppl
-            best.best_epoch = epoch
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-        best.curve.append(
-            {
-                "epoch": epoch,
-                "train_loss": epoch_loss / max(batches, 1),
-                "valid_perplexity": valid_ppl,
-                "best_perplexity": best.best_perplexity,
-            }
-        )
-        if bad_epochs > config.patience:
-            break
-    return best
+    return PretrainResult(
+        params=best_params,
+        curve=[dict(zip(("epoch", "train_loss", "valid_perplexity", "best_perplexity"), row))
+               for row in curve],
+        best_epoch=best_epoch, best_perplexity=best_ppl, aborted=aborted,
+    )

@@ -6,7 +6,7 @@ test set happens through `estimate` after training is done.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .model import (
     length_batches,
     pad_batch,
 )
-from .numerics import NumericError, RmsPropState, clip_by_global_norm, make_rng
+from .numerics import _run_epochs, make_rng
 from .parallel import Pool, run, share
 
 
@@ -38,7 +38,6 @@ class TrainConfig:
     smoothing: float = 1e-6
     patience: int = 50
     seed: int = 42
-    clip_norm: float | None = None  # global-norm gradient clip, off by default
     vocab_min_count: int = 1
     vocab_max_size: int = 50000
 
@@ -80,19 +79,17 @@ def _predict_batch(params: ModelParams, config: ModelConfig,
 class TrainResult:
     checkpoint: Checkpoint
     vocab: Vocabulary
-    curve: list[dict] = field(default_factory=list)
-    best_epoch: int = 0
-    best_valid_mae: float = float("inf")
-    aborted: str | None = None
+    curve: list[dict]
+    best_epoch: int
+    best_valid_mae: float
+    aborted: str | None
 
 
 def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
           vocab: Vocabulary | None = None,
           pretrained: Checkpoint | None = None) -> TrainResult:
-    """Fit the regressor on split.train, selecting the epoch with the best
-    validation MAE and stopping after `patience` epochs without improvement.
-    A non-finite loss, gradient or validation MAE stops training too: the
-    result keeps the best weights so far and says why in `aborted`.
+    """Fit the regressor on split.train, keeping the weights of the epoch
+    with the best validation MAE (early stopping and aborts: `numerics._run_epochs`).
 
     The vocabulary comes from train+valid text only; pass one explicitly to
     reuse the vocabulary a pre-training run was built on (the hashes must
@@ -131,67 +128,44 @@ def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     valid_y = np.array([r.story_points for r in split.valid])
     lengths = np.array([len(s) for s in train_seqs])
 
-    opt = RmsPropState(config.learning_rate, config.decay, config.smoothing)
-    result = TrainResult(checkpoint=None, vocab=vocab)  # checkpoint filled below
-    best_params = params.copy()
-    bad_epochs = 0
     # Workers fork once and read the parameters from shared memory, which
     # the optimizer updates in place.
     share(params)
     with Pool(params, model_config) as pool:
-        for epoch in range(1, config.epochs + 1):
-            epoch_loss = 0.0
-            n_batches = 0
-            try:
-                for batch_idx in length_batches(lengths, config.batch_size, rng):
-                    loss, _, grads = batch_loss_and_grads(
-                        [train_seqs[i] for i in batch_idx], train_y[batch_idx],
-                        params, model_config, rng=rng, pool=pool,
-                    )
-                    if config.clip_norm is not None:
-                        clip_by_global_norm(grads, config.clip_norm)
-                    for name, grad in grads.items():
-                        opt.step(name, getattr(params, name), grad)
-                    epoch_loss += loss
-                    n_batches += 1
-                valid_mae = float(np.mean(np.abs(
-                    predict_points(params, model_config, valid_seqs, pool=pool) - valid_y
-                )))
-                if not np.isfinite(valid_mae):
-                    raise NumericError(f"validation MAE is {valid_mae}")
-            except NumericError as exc:
-                result.aborted = f"epoch {epoch}: {exc}"
-                break
-            if valid_mae < result.best_valid_mae:
-                result.best_valid_mae = valid_mae
-                result.best_epoch = epoch
-                best_params = params.copy()
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-            result.curve.append(
-                {
-                    "epoch": epoch,
-                    "train_loss": epoch_loss / max(n_batches, 1),
-                    "valid_mae": valid_mae,
-                    "best_valid_mae": result.best_valid_mae,
-                }
+        def step(batch_idx):
+            loss, _, grads = batch_loss_and_grads(
+                [train_seqs[i] for i in batch_idx], train_y[batch_idx],
+                params, model_config, rng=rng, pool=pool,
             )
-            if bad_epochs > config.patience:
-                break
-    result.checkpoint = Checkpoint(
-        kind="model", config=model_config, vocab_hash=vocab_hash,
-        tensors=best_params.tensors(),
+            return loss, grads
+
+        best_params, curve, best_epoch, best_mae, aborted = _run_epochs(
+            params, config, lambda: length_batches(lengths, config.batch_size, rng), step,
+            lambda: float(np.mean(np.abs(
+                predict_points(params, model_config, valid_seqs, pool=pool) - valid_y))),
+            "MAE",
+        )
+    return TrainResult(
+        checkpoint=Checkpoint(kind="model", config=model_config, vocab_hash=vocab_hash,
+                              tensors=best_params.tensors()),
+        vocab=vocab,
+        curve=[dict(zip(("epoch", "train_loss", "valid_mae", "best_valid_mae"), row))
+               for row in curve],
+        best_epoch=best_epoch, best_valid_mae=best_mae, aborted=aborted,
     )
-    return result
 
 
 def estimate(checkpoint: Checkpoint, vocab: Vocabulary,
              issues: list[IssueRecord]) -> list[tuple[str, float]]:
     """Score issues with a trained checkpoint; order is preserved.
 
-    The vocabulary must be the one the checkpoint was trained against.
+    The vocabulary must be the one the checkpoint was trained against, and
+    the checkpoint a trained model: a pre-training checkpoint has no
+    highway or regressor weights to score with.
     """
+    if checkpoint.kind != "model":
+        raise TrainerError(f"estimate needs a trained model checkpoint, "
+                           f"not a {checkpoint.kind!r} one")
     if vocab.content_hash() != checkpoint.vocab_hash:
         raise TrainerError("vocabulary does not match the checkpoint")
     if vocab.mode != checkpoint.config.tokenizer_mode:

@@ -208,6 +208,27 @@ class TestTrainCli:
         checkpoint = load_checkpoint(pre_dir / "pretrain.ckpt")
         assert all(np.all(np.isfinite(t)) for t in checkpoint.tensors.values())
 
+    def test_estimate_refuses_a_pretraining_checkpoint(self, prepared, tmp_path, capsys):
+        # it lacks the highway and regressor weights an estimate needs
+        pre_dir = tmp_path / "pre"
+        assert run("pretrain", "--corpus", prepared / "train.jsonl",
+                   "--vocab", prepared / "vocab.txt", "--out-dir", pre_dir,
+                   "--dim", 8, "--depth", 2, "--epochs", 1,
+                   "--batch-size", 16, "--nce-samples", 5) == 0
+        out = tmp_path / "est.csv"
+        assert run("estimate", "--checkpoint", pre_dir / "pretrain.ckpt",
+                   "--vocab", prepared / "vocab.txt",
+                   "--in", prepared / "test.jsonl", "--out", out) == 1
+        assert "'pretrain'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_vocab_file_fails(self, prepared, tmp_path, capsys):
+        missing = tmp_path / "no-such-vocab.txt"
+        assert run("train", "--split-dir", prepared, "--out-dir", tmp_path / "m",
+                   "--dim", 6, "--depth", 2, "--epochs", 1, "--vocab", missing) == 1
+        assert str(missing) in capsys.readouterr().err
+        assert not (tmp_path / "m" / "model.ckpt").exists()
+
     def test_character_mode_on_word_vocabulary_fails(self, prepared, tmp_path, capsys):
         assert run("train", "--split-dir", prepared, "--out-dir", tmp_path / "m",
                    "--dim", 6, "--depth", 2, "--epochs", 1, "--mode", "character") == 1
@@ -338,6 +359,14 @@ class TestEvaluateCli:
                    "--estimates", f"bad={bad}") == 1
         assert "lacks estimates" in capsys.readouterr().err
 
+    def test_duplicate_names_fail(self, prepared, tmp_path, capsys):
+        est = tmp_path / "mean.csv"
+        run("baseline", "--model", "mean", "--split-dir", prepared,
+            "--in", prepared / "test.jsonl", "--out", est)
+        assert run("evaluate", "--split-dir", prepared,
+                   "--estimates", f"a={est}", f"a={est}", "--pairs", "a:a") == 1
+        assert "'a' twice" in capsys.readouterr().err
+
 
 class TestCrossProjectCli:
     def test_writes_errors_and_estimates(self, tmp_path):
@@ -453,3 +482,17 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             run("--config", config, "prepare", "--in", "x", "--out-dir", "y")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("content, message", [
+        ("[1, 2]", "must hold a JSON object, not list"),
+        ('{"epochs": 1.5}', "argument --epochs: invalid int value: '1.5'"),
+        ('{"mode": "bogus"}', "argument --mode: invalid choice: 'bogus'"),
+    ])
+    def test_malformed_config_exits_2(self, prepared, tmp_path, capsys, content, message):
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            run("--config", config, "train", "--split-dir", prepared,
+                "--out-dir", tmp_path / "m")
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from oracles import grad_check, log_softmax_rows, masked_sigmoid
 from storypoint.numerics import (
     NumericError,
     RmsPropState,
-    clip_by_global_norm,
+    _run_epochs,
     dropout_mask,
     log_sigmoid,
     make_rng,
@@ -88,6 +90,65 @@ class TestRmsProp:
             RmsPropState(-0.01, 0.9, 1e-6)
 
 
+class _OneWeight:
+    """The least params object the epoch loop drives: one tensor, `w`."""
+
+    def __init__(self, w):
+        self.w = np.array([w])
+
+    def copy(self):
+        return _OneWeight(self.w[0])
+
+
+class TestRunEpochs:
+    """The early-stopping policy `train` and `pretrain` share."""
+
+    def run(self, scores, patience=1, best_score=float("inf"), loss=1.0):
+        """Two unit-gradient batches an epoch, then the next of `scores`;
+        also returns the weight each epoch was scored at."""
+        params = _OneWeight(0.0)
+        scores, scored_at = iter(scores), []
+
+        def validate():
+            scored_at.append(params.w[0])
+            return next(scores)
+
+        config = SimpleNamespace(epochs=10, patience=patience, learning_rate=0.01,
+                                 decay=0.9, smoothing=1e-6)
+        result = _run_epochs(
+            params, config, lambda: [None, None], lambda _: (loss, {"w": np.array([1.0])}),
+            validate, "score", best_score=best_score,
+        )
+        return params, scored_at, result
+
+    def test_keeps_the_strictly_best_epoch_and_stops_after_patience(self):
+        _, scored_at, (best, curve, epoch, score, aborted) = self.run(
+            [3.0, 2.0, 2.0, 2.5, 1.0])
+        # epoch 3 ties epoch 2's 2.0, which is no improvement; epoch 4 is the
+        # second epoch without one, one more than the patience
+        assert curve == [(1, 1.0, 3.0, 3.0), (2, 1.0, 2.0, 2.0), (3, 1.0, 2.0, 2.0),
+                         (4, 1.0, 2.5, 2.0)]
+        assert (epoch, score, aborted) == (2, 2.0, None)
+        assert best.w[0] == scored_at[1] != scored_at[3]
+
+    def test_initial_best_score_must_be_beaten(self):
+        _, _, (best, curve, epoch, score, _) = self.run([5.0, 5.0], best_score=4.0)
+        assert epoch == 0 and score == 4.0 and len(curve) == 2
+        assert best.w[0] == 0.0
+
+    def test_non_finite_score_aborts_with_the_best_weights(self):
+        _, scored_at, (best, curve, epoch, score, aborted) = self.run([3.0, np.nan])
+        assert aborted == "epoch 2: validation score is nan"
+        assert len(curve) == 1 and (epoch, score) == (1, 3.0)
+        assert best.w[0] == scored_at[0]
+
+    def test_non_finite_loss_aborts_before_stepping(self):
+        params, _, (best, curve, epoch, _, aborted) = self.run([3.0], loss=np.inf)
+        assert aborted == "epoch 1: training loss is inf"
+        assert curve == [] and epoch == 0
+        assert params.w[0] == 0.0 and best.w[0] == 0.0
+
+
 class TestDropout:
     def test_rate_zero_gives_ones(self):
         mask = dropout_mask((4, 5), 0.0, make_rng(0))
@@ -148,15 +209,3 @@ class TestRngAndClipping:
         a = make_rng(99).random(1000)
         b = make_rng(99).random(1000)
         np.testing.assert_array_equal(a, b)
-
-    def test_clip_scales_to_threshold(self):
-        grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}
-        norm = clip_by_global_norm(grads, 1.0)
-        assert norm == pytest.approx(5.0)
-        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-        assert total == pytest.approx(1.0)
-
-    def test_clip_noop_under_threshold(self):
-        grads = {"a": np.array([0.3])}
-        clip_by_global_norm(grads, 5.0)
-        assert grads["a"][0] == pytest.approx(0.3)
