@@ -542,6 +542,9 @@ def main(argv=None) -> int:
                 k: str(v) if typed[k] is not None and v is not None else v
                 for k, v in renamed.items() if k in typed
             })
+            for action in sub._actions:  # a required flag the file gives is optional
+                if action.dest in renamed:
+                    action.required = False
     args = parser.parse_args(argv)
     sub = subcommands[args.command]
     for action in sub._actions:  # argparse checks the choices of given flags only

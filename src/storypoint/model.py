@@ -365,8 +365,8 @@ def batch_forward(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
 
 def batch_backward(dyhat: np.ndarray, cache: dict, params: ModelParams):
     """Gradients of a scalar loss given d(loss)/d(yhat) for the cached batch:
-    a dict with every tensor in SUPERVISED_TENSORS but emb, and the
-    row-sparse embedding gradient (ids, rows) of encode_backward."""
+    a dict with every tensor in SUPERVISED_TENSORS, emb row-sparse as the
+    (ids, rows) of encode_backward."""
     grads = {name: np.zeros_like(getattr(params, name))
              for name in SUPERVISED_TENSORS if name != "emb"}
     mask, lengths, masks = cache["mask"], cache["lengths"], cache["masks"]
@@ -379,7 +379,7 @@ def batch_backward(dyhat: np.ndarray, cache: dict, params: ModelParams):
     d_states = d_pooled[:, None, :] * (mask / lengths[:, None])[:, :, None]
     if masks is not None:
         d_states = d_states * masks.lstm_out
-    return grads, encode_backward(d_states, cache["encoder"], params, grads)
+    return {"emb": encode_backward(d_states, cache["encoder"], params, grads), **grads}
 
 
 def shard_loss_and_grads(sequences: list[list[int]], targets, params: ModelParams,
@@ -391,8 +391,7 @@ def shard_loss_and_grads(sequences: list[list[int]], targets, params: ModelParam
 
     masks holds the shard's rows of the batch's masks (float masks or keep
     bits), over at least as many steps as the shard's longest sequence.
-    Returns (sse, yhat, grads, (ids, rows)): grads has every tensor in
-    SUPERVISED_TENSORS but emb, whose gradient comes row-sparse.
+    Returns (sse, yhat, grads), grads as batch_backward gives them.
     """
     ids, mask = pad_batch(sequences)
     if masks is not None:
@@ -403,17 +402,43 @@ def shard_loss_and_grads(sequences: list[list[int]], targets, params: ModelParam
         sse = float(np.sum(diff * diff))
     if not np.isfinite(sse):
         raise NumericError("numeric overflow in forward pass")
-    grads, emb_grad = batch_backward(2.0 * diff / batch_size, cache, params)
-    return sse, yhat, grads, emb_grad
+    return sse, yhat, batch_backward(2.0 * diff / batch_size, cache, params)
 
 
 def _shard_task(params, config, sequences, targets, batch_size, masks):
     return shard_loss_and_grads(sequences, targets, params, config, batch_size, masks)
 
 
+def _sum_rows(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sum row-sparse gradients (ids, rows), each with unique ids, in the
+    given order: the sorted union of the ids and their rows, each row
+    adding its parts from zero as scatters into a zero (V, d) array would."""
+    ids = np.unique(np.concatenate([part_ids for part_ids, _ in parts]))
+    rows = np.zeros((len(ids), parts[0][1].shape[1]))
+    for part_ids, part_rows in parts:
+        rows[np.searchsorted(ids, part_ids)] += part_rows
+    return ids, rows
+
+
+def sum_shards(parts: list[dict]) -> dict:
+    """Sum the gradient dicts of a batch's row shards in shard order: dense
+    arrays are added (into the first shard's), row-sparse (ids, rows)
+    pairs merged by _sum_rows."""
+    grads = {}
+    for name, first in parts[0].items():
+        if isinstance(first, tuple):
+            grads[name] = _sum_rows([part[name] for part in parts])
+        else:
+            grads[name] = first
+            for part in parts[1:]:
+                grads[name] += part[name]
+    return grads
+
+
 def batch_loss_and_grads(sequences: list[list[int]], targets, params: ModelParams,
                          config: ModelConfig, masks: DropoutMasks | None = None,
-                         rng: np.random.Generator | None = None, pool: Pool | None = None):
+                         rng: np.random.Generator | None = None, pool: Pool | None = None,
+                         emb_rows: bool = False):
     """Mean squared-error loss, estimates and gradients over a batch of
     token sequences.
 
@@ -422,6 +447,8 @@ def batch_loss_and_grads(sequences: list[list[int]], targets, params: ModelParam
     The batch runs as the row shards of shard_bounds, and their losses and
     gradients are summed in shard order, so the bits are the same in this
     process and on a pool created with (params, config), whatever its size.
+    grads["emb"] is a dense (V, d) array, or with emb_rows row-sparse, the
+    (ids, rows) that RmsPropState.step_rows takes.
     """
     if not sequences:
         raise ModelError("empty batch")
@@ -437,17 +464,15 @@ def batch_loss_and_grads(sequences: list[list[int]], targets, params: ModelParam
     else:
         results = pool.map(_shard_task, tasks, params, config)
     loss = 0.0
-    grads = {"emb": np.zeros_like(params.emb)}
-    for sse, _, shard_grads, (ids, rows) in results:
+    for sse, _, _ in results:
         loss += sse
-        grads["emb"][ids] += rows
-        for name, grad in shard_grads.items():
-            if name in grads:
-                grads[name] += grad
-            else:
-                grads[name] = grad
+    grads = sum_shards([shard_grads for *_, shard_grads in results])
     if not np.isfinite(loss):
         raise NumericError("numeric overflow in forward pass")
+    if not emb_rows:
+        ids, rows = grads["emb"]
+        grads["emb"] = np.zeros_like(params.emb)
+        grads["emb"][ids] = rows
     yhat = np.concatenate([result[1] for result in results])
     return loss / batch, yhat, grads
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ModelConfig, ModelParams, encode, encode_backward, init_params, length_batches,
-                    pad_batch)
+                    pad_batch, sum_shards)
 from .numerics import _run_epochs, log_sigmoid, make_rng, sigmoid
-from .parallel import run
+from .parallel import SHARDS, Pool, shard_bounds, share
 
 
 class PretrainError(ValueError):
@@ -48,6 +48,7 @@ class PretrainConfig:
 
 # Only these tensors learn during pre-training.
 PRETRAIN_TENSORS = ("emb", "lstm_wx", "lstm_wh", "lstm_b", "lm_u")
+LSTM_TENSORS = ("lstm_wx", "lstm_wh", "lstm_b")
 
 
 def unigram_noise_distribution(sequences: list[list[int]], vocab_size: int,
@@ -80,87 +81,143 @@ def _prediction_batches(sequences: list[list[int]], batch_size: int,
 SOFTMAX_CHUNK_BYTES = 16 * 2**20
 
 
+def _chunk_step(vocab_size: int) -> int:
+    """Rows per chunk of an exact softmax over vocab_size logits."""
+    return max(1, SOFTMAX_CHUNK_BYTES // (8 * vocab_size))
+
+
+def _softmax_rows(h: np.ndarray, tgt: np.ndarray, lm_u: np.ndarray):
+    """(shifted, lse, target_logp) of the exact softmax of the rows of h:
+    `shifted` is h @ lm_u.T minus its row max (a fresh buffer the caller may
+    overwrite), `lse` is log(sum(exp(shifted))) per row and `target_logp`
+    is log P(tgt). Every reduction over V is per row."""
+    shifted = h @ lm_u.T
+    shifted -= shifted.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    return shifted, lse, shifted[np.arange(len(lse)), tgt] - lse
+
+
 def _softmax_chunks(h: np.ndarray, tgt: np.ndarray, lm_u: np.ndarray):
     """Exact full softmax of the rows of h, a bounded number of rows at a time.
 
-    Yields (rows, shifted, lse, target_logp) per chunk: `rows` slices h and
-    tgt, `shifted` is h[rows] @ lm_u.T minus its row max (a fresh buffer the
-    caller may overwrite), `lse` is log(sum(exp(shifted))) per row and
-    `target_logp` is log P(tgt[rows]). Every reduction over V is per row, so
+    Yields (rows, shifted, lse, target_logp) per chunk of _chunk_step rows:
+    `rows` slices h and tgt, the rest is _softmax_rows of those rows, so
     the values do not depend on the chunk size.
     """
-    step = max(1, SOFTMAX_CHUNK_BYTES // (8 * lm_u.shape[0]))
+    step = _chunk_step(lm_u.shape[0])
     for start in range(0, len(h), step):
         rows = slice(start, start + step)
-        shifted = h[rows] @ lm_u.T
-        shifted -= shifted.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1))
-        yield rows, shifted, lse, shifted[np.arange(len(lse)), tgt[rows]] - lse
+        yield rows, *_softmax_rows(h[rows], tgt[rows], lm_u)
+
+
+def _target_logp(params: ModelParams, h: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """log P(tgt) of the rows of h, chunk by chunk."""
+    return np.concatenate([logp for *_, logp in _softmax_chunks(h, tgt, params.lm_u)])
 
 
 def perplexity(params: ModelParams, sequences: list[list[int]],
-               batch_size: int = 64) -> float:
+               batch_size: int = 64, pool: Pool | None = None) -> float:
     """exp(mean negative log-likelihood per predicted token), full softmax
-    over the live (unpadded) positions only. Two or more length batches
-    are dealt to a pool forked for the call (parallel.run); the total adds
-    them in batch order."""
+    over the live (unpadded) positions only.
+
+    Each length batch is encoded here, and its softmax chunks go out as
+    SHARDS tasks of whole chunks, dealt to the processes of `pool` (one
+    created with params) or run here without one. A batch sums its target
+    log-probabilities on its padded (B, T) grid and the total adds the
+    batches in batch order, so the value does not depend on the process
+    count.
+    """
     total_nll = 0.0
     total_count = 0
-    tasks = list(_prediction_batches(sequences, batch_size))
-    for logp_sum, count in run(_batch_log_likelihood, tasks, params):
-        total_nll -= logp_sum
-        total_count += count
+    for ids, targets, mask in _prediction_batches(sequences, batch_size):
+        states, _ = encode(ids, mask, params)
+        live = mask > 0
+        h, tgt = states[live], targets[live]
+        step = _chunk_step(params.lm_u.shape[0])
+        span = step * -(-len(h) // (step * SHARDS))  # whole chunks, SHARDS tasks at most
+        tasks = [(h[start:start + span], tgt[start:start + span])
+                 for start in range(0, len(h), span)]
+        # Summed on the padded (B, T) grid, zeros at padding, so the total
+        # rounds exactly as a sum over the dense (B, T, V) form would.
+        picked = np.zeros(mask.shape)
+        picked[live] = np.concatenate(
+            pool.map(_target_logp, tasks, params) if pool is not None
+            else [_target_logp(params, *task) for task in tasks])
+        total_nll -= float(picked.sum())
+        total_count += int(live.sum())
     if total_count == 0:
         raise PretrainError("empty corpus")
     with np.errstate(over="ignore"):  # a mean NLL above ~709 reads as inf
         return float(np.exp(total_nll / total_count))
 
 
-def _batch_log_likelihood(params, ids, targets, mask) -> tuple[float, int]:
-    """Summed target log-probability and live position count of one batch."""
-    states, _ = encode(ids, mask, params)
-    live = mask > 0
-    # Summed on the padded (B, T) grid, zeros at padding, so the total
-    # rounds exactly as a sum over the dense (B, T, V) form would.
-    picked = np.zeros(mask.shape)
-    picked[live] = np.concatenate(
-        [logp for *_, logp in _softmax_chunks(states[live], targets[live], params.lm_u)]
-    )
-    return float(picked.sum()), int(live.sum())
+def _nce_batch_step(ids, targets, mask, params, noise_dist, n_samples, rng,
+                    pool: Pool | None = None):
+    """Mean NCE loss of a batch and its gradients, emb and lm_u row-sparse.
 
-
-def _nce_batch_step(ids, targets, mask, params, noise_dist, n_samples, rng):
-    positions = mask.sum()
+    The noise ids are drawn here, from rng. The batch runs as the row
+    shards of shard_bounds, each trimmed to its longest sequence, on `pool`
+    (one created with params) or here, and their losses and gradients are
+    summed in shard order, so the bits do not depend on the process count.
+    """
     noise = rng.choice(len(noise_dist), size=n_samples, p=noise_dist)
+    positions = mask.sum()
+    lengths = (mask > 0).sum(axis=1)
+    target_offset = np.log(n_samples * noise_dist[targets])
+    noise_offset = np.log(n_samples * noise_dist[noise])
+    tasks = []
+    for a, b in shard_bounds(lengths):
+        rows = (slice(a, b), slice(0, lengths[a:b].max()))
+        tasks.append((ids[rows], targets[rows], mask[rows], target_offset[rows],
+                      noise, noise_offset, positions))
+    if pool is None:
+        results = [_nce_shard(params, *task) for task in tasks]
+    else:
+        results = pool.map(_nce_shard, tasks, params)
+    loss = 0.0
+    for shard_loss, _ in results:
+        loss += shard_loss
+    return float(loss / positions), sum_shards([grads for _, grads in results])
+
+
+def _nce_shard(params, ids, targets, mask, target_offset, noise, noise_offset, positions):
+    """Summed NCE loss and gradients of one row shard of a batch with
+    `positions` live positions; target_offset and noise_offset are the
+    log(M * q) of its targets and of the noise ids."""
     states, cache = encode(ids, mask, params)
     # encode returns a time-major view; the (B, T, M) x (B, T, d) einsum
     # below runs about 2.5x faster on batch-major memory
     states = np.ascontiguousarray(states)
     u_tgt = params.lm_u[targets]                      # (B, T, d)
     u_noise = params.lm_u[noise]                      # (M, d)
-    delta_t = np.einsum("btd,btd->bt", states, u_tgt) - np.log(
-        n_samples * noise_dist[targets]
-    )
-    delta_n = states @ u_noise.T - np.log(n_samples * noise_dist[noise])
+    delta_t = np.einsum("btd,btd->bt", states, u_tgt) - target_offset
+    delta_n = states @ u_noise.T - noise_offset
     loss = -(log_sigmoid(delta_t) * mask).sum()
     loss -= (log_sigmoid(-delta_n) * mask[:, :, None]).sum()
     dd_t = (sigmoid(delta_t) - 1.0) * mask / positions
     dd_n = sigmoid(delta_n) * mask[:, :, None] / positions
-    grads = {name: np.zeros_like(getattr(params, name)) for name in PRETRAIN_TENSORS}
-    np.add.at(grads["lm_u"], targets, dd_t[:, :, None] * states)
-    np.add.at(grads["lm_u"], noise, np.einsum("btm,btd->md", dd_n, states))
+    # lm_u rows: the target terms in position order (zero at padding), then
+    # the noise terms, as scatters into a zero (V, d) array would add them
+    lm_ids, inverse = np.unique(np.concatenate([targets.reshape(-1), noise]),
+                                return_inverse=True)
+    lm_rows = np.zeros((len(lm_ids), states.shape[2]))
+    np.add.at(lm_rows, inverse[: targets.size],
+              (dd_t[:, :, None] * states).reshape(-1, states.shape[2]))
+    np.add.at(lm_rows, inverse[targets.size:], np.einsum("btm,btd->md", dd_n, states))
     d_states = dd_t[:, :, None] * u_tgt + dd_n @ u_noise
-    emb_ids, emb_rows = encode_backward(d_states, cache, params, grads)
-    grads["emb"][emb_ids] = emb_rows
-    return float(loss / positions), grads
+    lstm = {name: np.zeros_like(getattr(params, name)) for name in LSTM_TENSORS}
+    emb = encode_backward(d_states, cache, params, lstm)
+    return float(loss), {"emb": emb, **lstm, "lm_u": (lm_ids, lm_rows)}
 
 
 def _softmax_batch_step(ids, targets, mask, params):
+    """Mean softmax loss of a batch and its gradients, emb row-sparse; every
+    row of lm_u has a gradient, so that one stays dense."""
     positions = mask.sum()
     states, cache = encode(ids, mask, params)
     live = mask > 0
     h, tgt = states[live], targets[live]
-    grads = {name: np.zeros_like(getattr(params, name)) for name in PRETRAIN_TENSORS}
+    lm_u = np.zeros_like(params.lm_u)
     d_h = np.empty_like(h)
     loss = 0.0
     for rows, dlogits, lse, logp in _softmax_chunks(h, tgt, params.lm_u):
@@ -169,13 +226,13 @@ def _softmax_batch_step(ids, targets, mask, params):
         np.exp(dlogits, out=dlogits)                  # probabilities
         dlogits[np.arange(len(lse)), tgt[rows]] -= 1.0
         dlogits *= 1.0 / positions
-        grads["lm_u"] += dlogits.T @ h[rows]
+        lm_u += dlogits.T @ h[rows]
         d_h[rows] = dlogits @ params.lm_u
     d_states = np.zeros_like(states)
     d_states[live] = d_h
-    emb_ids, emb_rows = encode_backward(d_states, cache, params, grads)
-    grads["emb"][emb_ids] = emb_rows
-    return loss / positions, grads
+    lstm = {name: np.zeros_like(getattr(params, name)) for name in LSTM_TENSORS}
+    emb = encode_backward(d_states, cache, params, lstm)
+    return float(loss / positions), {"emb": emb, **lstm, "lm_u": lm_u}
 
 
 @dataclass
@@ -211,16 +268,21 @@ def pretrain(sequences: list[list[int]], vocab_size: int, model_config: ModelCon
     params = initial.copy() if initial is not None else init_params(vocab_size, model_config, rng)
     noise_dist = unigram_noise_distribution(train_seqs, vocab_size, config.noise_power)
 
-    def step(batch):
-        if config.objective == "nce":
-            return _nce_batch_step(*batch, params, noise_dist, config.nce_samples, rng)
-        return _softmax_batch_step(*batch, params)
+    # Workers fork once and read the parameters from shared memory, which
+    # the optimizer updates in place.
+    share(params)
+    with Pool(params) as pool:
+        def step(batch):
+            if config.objective == "nce":
+                return _nce_batch_step(*batch, params, noise_dist, config.nce_samples, rng,
+                                       pool=pool)
+            return _softmax_batch_step(*batch, params)
 
-    best_params, curve, best_epoch, best_ppl, aborted = _run_epochs(
-        params, config, lambda: _prediction_batches(train_seqs, config.batch_size, rng), step,
-        lambda: perplexity(params, valid_seqs), "perplexity",
-        best_score=perplexity(params, valid_seqs),
-    )
+        best_params, curve, best_epoch, best_ppl, aborted = _run_epochs(
+            params, config, lambda: _prediction_batches(train_seqs, config.batch_size, rng),
+            step, lambda: perplexity(params, valid_seqs, pool=pool), "perplexity",
+            best_score=perplexity(params, valid_seqs, pool=pool),
+        )
     return PretrainResult(
         params=best_params,
         curve=[dict(zip(("epoch", "train_loss", "valid_perplexity", "best_perplexity"), row))

@@ -135,7 +135,7 @@ def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
         def step(batch_idx):
             loss, _, grads = batch_loss_and_grads(
                 [train_seqs[i] for i in batch_idx], train_y[batch_idx],
-                params, model_config, rng=rng, pool=pool,
+                params, model_config, rng=rng, pool=pool, emb_rows=True,
             )
             return loss, grads
 

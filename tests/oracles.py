@@ -139,3 +139,16 @@ def nce_loss(h: np.ndarray, u: np.ndarray, target: int, noise_ids,
         else:
             du_rows[row] = contrib
     return loss, dh, du_rows
+
+
+def densified(grads, params):
+    """A gradient dict with each row-sparse (ids, rows) entry scattered into
+    a zero array of its tensor's shape: the dense form it stands for."""
+    out = {}
+    for name, grad in grads.items():
+        if isinstance(grad, tuple):
+            ids, rows = grad
+            grad = np.zeros_like(getattr(params, name))
+            grad[ids] = rows
+        out[name] = grad
+    return out

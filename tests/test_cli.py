@@ -190,6 +190,20 @@ class TestTrainCli:
                    "--dim", 8, "--depth", 2, "--epochs", 2, "--batch-size", 16,
                    "--pretrained", pre_dir / "pretrain.ckpt") == 0
 
+    @pytest.mark.parametrize("objective", ["nce", "softmax"])
+    def test_pretrain_log_cells_are_plain_numbers(self, prepared, tmp_path, objective):
+        pre_dir = tmp_path / "pre"
+        assert run("pretrain", "--corpus", prepared / "train.jsonl",
+                   "--vocab", prepared / "vocab.txt", "--out-dir", pre_dir,
+                   "--dim", 8, "--depth", 2, "--epochs", 2, "--batch-size", 16,
+                   "--nce-samples", 5, "--objective", objective) == 0
+        with (pre_dir / "pretrain_log.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            for name, cell in row.items():
+                assert np.isfinite(float(cell)), (name, cell)
+
     def test_pretrain_blow_up_keeps_checkpoint_and_log(self, prepared, tmp_path, capsys,
                                                        monkeypatch):
         # a step size this large overflows the weights on the first update
@@ -475,6 +489,27 @@ class TestConfigFile:
         assert run("--config", config, "train", "--split-dir", prepared,
                    "--out-dir", d2, "--dim", 7) == 0
         assert load_checkpoint(d2 / "model.ckpt").config.embedding_dim == 7
+
+    def test_config_supplies_a_required_flag(self, prepared, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": "mean"}))
+        est = tmp_path / "mean.csv"
+        assert run("--config", config, "baseline", "--split-dir", prepared,
+                   "--in", prepared / "test.jsonl", "--out", est) == 0
+        flagged = tmp_path / "flagged.csv"
+        assert run("baseline", "--model", "mean", "--split-dir", prepared,
+                   "--in", prepared / "test.jsonl", "--out", flagged) == 0
+        assert est.read_bytes() == flagged.read_bytes()
+
+    def test_required_flag_still_required_without_a_config_value(self, prepared, tmp_path,
+                                                                 capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 3}))
+        with pytest.raises(SystemExit) as exc:
+            run("--config", config, "baseline", "--split-dir", prepared,
+                "--in", prepared / "test.jsonl", "--out", tmp_path / "x.csv")
+        assert exc.value.code == 2
+        assert "--model" in capsys.readouterr().err
 
     def test_bad_config_file_exits_2(self, tmp_path):
         config = tmp_path / "broken.json"

@@ -196,14 +196,18 @@ for name in sorted(grads):
     digest.update(grads[name].tobytes())
 print(digest.hexdigest())
 
-# one NCE pre-training step on a batch of the same shape, M = 100 noise rows
+# one NCE pre-training step on a batch of the same shape, M = 100 noise rows,
+# run as its two row shards; emb and lm_u come back row-sparse, (ids, rows)
+from storypoint.parallel import shard_bounds
 from storypoint.pretrain import _nce_batch_step, _prediction_batches, unigram_noise_distribution
 noise = unigram_noise_distribution(seqs, 2000)
 (batch,) = list(_prediction_batches(seqs[:50], 50))
+assert len(shard_bounds(batch[2].sum(axis=1))) == 2
 loss, grads = _nce_batch_step(*batch, params, noise, 100, rng)
 digest = hashlib.sha256(repr(loss).encode())
 for name in sorted(grads):
-    digest.update(grads[name].tobytes())
+    for part in grads[name] if isinstance(grads[name], tuple) else [grads[name]]:
+        digest.update(part.tobytes())
 print(digest.hexdigest())
 """
 

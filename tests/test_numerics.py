@@ -90,6 +90,94 @@ class TestRmsProp:
             RmsPropState(-0.01, 0.9, 1e-6)
 
 
+class TestRowSparseRmsProp:
+    """step_rows against the dense step on the same gradients, bit for bit."""
+
+    V, D = 3000, 4
+
+    def zipf_batches(self, rng, steps):
+        """(ids, rows) of `steps` batches, ids Zipf-distributed: the head rows
+        come every step, tail rows go unseen for hundreds of steps."""
+        for _ in range(steps):
+            ids = np.unique(np.minimum(rng.zipf(1.3, size=60), self.V) - 1)
+            yield ids, rng.normal(scale=3.0, size=(len(ids), self.D))
+
+    def test_matches_the_dense_step_across_epochs(self):
+        rng = make_rng(31)
+        start = rng.uniform(-0.05, 0.05, size=(self.V, self.D))
+        dense, sparse = start.copy(), start.copy()
+        dense_opt, sparse_opt = RmsPropState(0.02, 0.99, 1e-7), RmsPropState(0.02, 0.99, 1e-7)
+        epochs, steps = 3, 150
+        last_seen, longest_gap = np.full(self.V, -1), 0
+        batches = self.zipf_batches(rng, epochs * steps)
+        for epoch in range(epochs):
+            for step in range(steps):
+                ids, rows = next(batches)
+                grad = np.zeros_like(dense)
+                grad[ids] = rows
+                dense_opt.step("emb", dense, grad)
+                sparse_opt.step_rows("emb", sparse, ids, rows)
+                assert np.array_equal(sparse, dense), (epoch, step)
+                now = epoch * steps + step
+                seen = ids[last_seen[ids] >= epoch * steps]  # seen earlier this epoch
+                if len(seen):
+                    longest_gap = max(longest_gap, int((now - last_seen[seen]).max()))
+                last_seen[ids] = now
+            sparse_opt.catch_up()  # the epoch end of numerics._run_epochs
+            assert np.array_equal(sparse_opt.mean_square["emb"], dense_opt.mean_square["emb"])
+        # rows replayed over a hundred missed decays within an epoch
+        assert longest_gap > 100
+        assert len(np.unique(last_seen)) > 100
+
+    def test_dense_step_after_row_steps_catches_up_first(self):
+        rng = make_rng(32)
+        dense, sparse = np.zeros((self.V, self.D)), np.zeros((self.V, self.D))
+        dense_opt, sparse_opt = RmsPropState(0.01, 0.9, 1e-6), RmsPropState(0.01, 0.9, 1e-6)
+        for ids, rows in self.zipf_batches(rng, 20):
+            grad = np.zeros_like(dense)
+            grad[ids] = rows
+            dense_opt.step("w", dense, grad)
+            sparse_opt.step_rows("w", sparse, ids, rows)
+        grad = rng.normal(size=dense.shape)
+        dense_opt.step("w", dense, grad)
+        sparse_opt.step("w", sparse, grad)
+        assert np.array_equal(sparse, dense)
+        assert np.array_equal(sparse_opt.mean_square["w"], dense_opt.mean_square["w"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_raises_before_any_change(self, bad):
+        rng = make_rng(33)
+        params = rng.normal(size=(50, 3))
+        opt = RmsPropState(0.01, 0.9, 1e-6)
+        opt.step_rows("lm_u", params, np.array([1, 7]), rng.normal(size=(2, 3)))
+        before, ms_before = params.copy(), opt.mean_square["lm_u"].copy()
+        rows = rng.normal(size=(3, 3))
+        rows[2, 1] = bad
+        with pytest.raises(NumericError, match="gradient blow-up in lm_u"):
+            opt.step_rows("lm_u", params, np.array([2, 7, 40]), rows)
+        assert np.array_equal(params, before)
+        # the failed step counted no step: the next one matches a dense run
+        # that never saw it
+        dense, dense_opt = params.copy(), RmsPropState(0.01, 0.9, 1e-6)
+        dense_opt.mean_square["lm_u"] = ms_before.copy()
+        rows = rng.normal(size=(1, 3))
+        grad = np.zeros_like(dense)
+        grad[[40]] = rows
+        dense_opt.step("lm_u", dense, grad)
+        opt.step_rows("lm_u", params, np.array([40]), rows)
+        opt.catch_up()
+        assert np.array_equal(params, dense)
+        assert np.array_equal(opt.mean_square["lm_u"], dense_opt.mean_square["lm_u"])
+
+    @pytest.mark.parametrize("ids", [[3, 3], [4, 2], [1]])
+    def test_ids_must_be_strictly_increasing_one_per_row(self, ids):
+        opt = RmsPropState(0.01, 0.9, 1e-6)
+        params = np.zeros((10, 2))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            opt.step_rows("emb", params, np.array(ids), np.ones((2, 2)))
+        assert not params.any()
+
+
 class _OneWeight:
     """The least params object the epoch loop drives: one tensor, `w`."""
 
@@ -141,6 +229,34 @@ class TestRunEpochs:
         assert aborted == "epoch 2: validation score is nan"
         assert len(curve) == 1 and (epoch, score) == (1, 3.0)
         assert best.w[0] == scored_at[0]
+
+    def test_row_sparse_gradients_step_like_dense_ones(self, monkeypatch):
+        caught_up = []
+        catch_up = RmsPropState.catch_up
+        monkeypatch.setattr(RmsPropState, "catch_up",
+                            lambda opt, name=None: caught_up.append(name) or catch_up(opt, name))
+        rng = make_rng(34)
+        batches = [(np.unique(rng.integers(0, 30, size=5)), None) for _ in range(4)]
+        batches = [(ids, rng.normal(size=(len(ids), 2))) for ids, _ in batches]
+        config = SimpleNamespace(epochs=3, patience=5, learning_rate=0.01,
+                                 decay=0.9, smoothing=1e-6)
+        results = []
+        for sparse in (False, True):
+            params = SimpleNamespace(w=np.zeros((30, 2)))
+            params.copy = lambda p=params: SimpleNamespace(w=p.w.copy())
+
+            def step(batch, sparse=sparse):
+                if sparse:
+                    return 1.0, {"w": batch}
+                grad = np.zeros((30, 2))
+                grad[batch[0]] = batch[1]
+                return 1.0, {"w": grad}
+
+            best, *_ = _run_epochs(params, config, lambda: batches, step, lambda: 1.0, "score",
+                                   best_score=2.0)
+            results.append(params.w)
+        assert np.array_equal(results[0], results[1])
+        assert caught_up == [None] * 6  # every epoch ends caught up: replays stay bounded
 
     def test_non_finite_loss_aborts_before_stepping(self):
         params, _, (best, curve, epoch, _, aborted) = self.run([3.0], loss=np.inf)

@@ -4,6 +4,7 @@ Process counts are set by monkeypatching parallel.process_count, so the
 two-process paths run whatever the CPU count of the host.
 """
 
+import functools
 import hashlib
 import os
 import signal
@@ -11,15 +12,20 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from oracles import densified
 
 from storypoint import model as model_module
 from storypoint import parallel
+from storypoint import pretrain as pretrain_module
 from storypoint.cli import main
-from storypoint.corpus import load_bundled_corpus, split_chronological, write_corpus
+from storypoint.corpus import (build_vocabulary, load_bundled_corpus, split_chronological,
+                               tokenize, write_corpus)
 from storypoint.model import (ModelConfig, batch_forward, batch_loss_and_grads, document_vectors,
                               encode, init_params, length_batches, pad_batch)
 from storypoint.numerics import NumericError, make_rng
-from storypoint.pretrain import _prediction_batches, _softmax_chunks, perplexity
+from storypoint.pretrain import (PretrainConfig, _nce_batch_step, _prediction_batches,
+                                 _softmax_chunks, perplexity, pretrain,
+                                 unigram_noise_distribution)
 from storypoint.trainer import TrainConfig, predict_points, train
 
 MC = ModelConfig(embedding_dim=10, highway_depth=2)
@@ -163,11 +169,10 @@ class TestDealtInferenceBytes:
             got = document_vectors(seqs, params, batch_size=6)
         assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("count", [1, 2])
-    def test_perplexity(self, monkeypatch, params, count):
-        seqs = sequences(6, 23)
+    @staticmethod
+    def in_process_perplexity(params, seqs, batch_size):
         total_nll, total_count = 0.0, 0
-        for ids, targets, mask in _prediction_batches(seqs, 5):
+        for ids, targets, mask in _prediction_batches(seqs, batch_size):
             states, _ = encode(ids, mask, params)
             live = mask > 0
             picked = np.zeros(mask.shape)
@@ -175,10 +180,31 @@ class TestDealtInferenceBytes:
                 [logp for *_, logp in _softmax_chunks(states[live], targets[live], params.lm_u)])
             total_nll -= float(picked.sum())
             total_count += int(live.sum())
+        return float(np.exp(total_nll / total_count))
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_perplexity(self, monkeypatch, params, count):
+        seqs = sequences(6, 23)
+        expected = self.in_process_perplexity(params, seqs, 5)
         processes(monkeypatch, count)
-        with deadline(60):
-            got = perplexity(params, seqs, batch_size=5)
-        assert got == float(np.exp(total_nll / total_count))
+        with deadline(60), parallel.Pool(params) as pool:
+            got = perplexity(params, seqs, batch_size=5, pool=pool)
+        assert got == expected
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_single_batch_perplexity_chunks(self, monkeypatch, params, count, rows):
+        # one length batch of 12 sequences, its softmax in chunks of `rows`
+        # rows: SHARDS tasks of whole chunks, the last chunk short
+        monkeypatch.setattr(pretrain_module, "SOFTMAX_CHUNK_BYTES", 8 * 40 * rows)
+        seqs = sequences(7, 12)
+        expected = self.in_process_perplexity(params, seqs, 64)
+        processes(monkeypatch, count)
+        with deadline(60), parallel.Pool(params) as pool:
+            got = perplexity(params, seqs, pool=pool)
+        assert got == expected
+        assert perplexity(params, seqs) == expected
+        assert perplexity(params, seqs, pool=pool) == expected  # closed: runs here
 
 
 class TestShards:
@@ -218,6 +244,40 @@ class TestShards:
         for name, grad in whole[2].items():
             np.testing.assert_allclose(sharded[2][name], grad, rtol=1e-10, atol=1e-15,
                                        err_msg=name)
+
+
+def grad_bytes(grad):
+    return b"".join(part.tobytes() for part in (grad if isinstance(grad, tuple) else (grad,)))
+
+
+class TestNceShards:
+    def batch(self):
+        params = init_params(50, MC, make_rng(10))
+        seqs = sequences(11, 30, vocab=50)
+        (batch,) = list(_prediction_batches(seqs, 64))
+        return params, batch, unigram_noise_distribution(seqs, 50)
+
+    def test_shards_sum_to_the_whole_batch(self, monkeypatch):
+        params, batch, noise = self.batch()
+        assert len(parallel.shard_bounds(batch[2].sum(axis=1))) == 2
+        sharded = _nce_batch_step(*batch, params, noise, 7, make_rng(3))
+        monkeypatch.setattr(pretrain_module, "shard_bounds", lambda lengths: [(0, len(lengths))])
+        whole = _nce_batch_step(*batch, params, noise, 7, make_rng(3))
+        assert sharded[0] == pytest.approx(whole[0], rel=1e-13)
+        got, expected = densified(sharded[1], params), densified(whole[1], params)
+        assert list(got) == list(expected)
+        for name, grad in expected.items():
+            np.testing.assert_allclose(got[name], grad, rtol=1e-10, atol=1e-15, err_msg=name)
+
+    def test_pool_gives_the_in_process_bytes(self, monkeypatch):
+        params, batch, noise = self.batch()
+        expected = _nce_batch_step(*batch, params, noise, 7, make_rng(4))
+        processes(monkeypatch, 2)
+        with deadline(60), parallel.Pool(params) as pool:
+            got = _nce_batch_step(*batch, params, noise, 7, make_rng(4), pool=pool)
+        assert got[0] == expected[0] and list(got[1]) == list(expected[1])
+        for name, grad in expected[1].items():
+            assert grad_bytes(got[1][name]) == grad_bytes(grad), name
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +330,42 @@ class TestShardedTraining:
             train(split64, MC, TrainConfig(epochs=3, batch_size=16, seed=5))
 
 
+NCE_SHARD = pretrain_module._nce_shard
+WORKER_NCE_CALLS = []  # appended to in a worker's copy of this module only
+
+
+def nce_shard_failing_in_worker(parent_pid, fail_after, params, *task):
+    if in_worker(parent_pid):
+        WORKER_NCE_CALLS.append(1)
+        if len(WORKER_NCE_CALLS) > fail_after:
+            raise NumericError("overflow in a worker")
+    return NCE_SHARD(params, *task)
+
+
+def test_worker_numeric_error_aborts_pretrain_with_best_weights(monkeypatch):
+    # "a b c" repeated: 41 training sequences of one length in batches of
+    # 16, three an epoch, each cut in two shards; the worker computes the
+    # second shard of each. At this seed epoch 4 is the first to beat the
+    # initial held-out perplexity.
+    docs = [tokenize(("a b c " * 10).strip(), "word") for _ in range(45)]
+    vocab = build_vocabulary(docs, min_count=1)
+    seqs = [vocab.encode(d) for d in docs]
+    config = ModelConfig(embedding_dim=8, highway_depth=1)
+    processes(monkeypatch, 2)
+    with deadline(120):
+        four_epochs = pretrain(seqs, len(vocab), config,
+                               PretrainConfig(epochs=4, batch_size=16, nce_samples=4), seed=5)
+        assert four_epochs.best_epoch == 4
+        monkeypatch.setattr(pretrain_module, "_nce_shard",
+                            functools.partial(nce_shard_failing_in_worker, os.getpid(), 12))
+        result = pretrain(seqs, len(vocab), config,
+                          PretrainConfig(epochs=8, batch_size=16, nce_samples=4), seed=5)
+    assert result.aborted == "epoch 5: overflow in a worker"
+    assert result.best_epoch == 4 and result.curve == four_epochs.curve
+    for name, tensor in four_epochs.params.tensors().items():
+        assert np.array_equal(result.params.tensors()[name], tensor), name
+
+
 def run_cli(*argv):
     return main([str(a) for a in argv])
 
@@ -279,16 +375,24 @@ def test_cli_artifacts_identical_at_one_and_two_processes(monkeypatch, tmp_path)
     write_corpus(load_bundled_corpus(), corpus)
     split = tmp_path / "split"
     assert run_cli("prepare", "--in", corpus, "--out-dir", split, "--min-project-size", 0) == 0
+    # small softmax chunks, so perplexity deals several to the worker
+    monkeypatch.setattr(pretrain_module, "SOFTMAX_CHUNK_BYTES", 2**16)
     digests = []
     for count in (1, 2):
         processes(monkeypatch, count)
         out = tmp_path / f"p{count}"
         with deadline(120):
+            assert run_cli("pretrain", "--corpus", split / "train.jsonl", "--vocab",
+                           split / "vocab.txt", "--out-dir", out, "--dim", 8, "--depth", 2,
+                           "--epochs", 3, "--batch-size", 16, "--nce-samples", 5,
+                           "--seed", 3) == 0
             assert run_cli("train", "--split-dir", split, "--out-dir", out, "--dim", 8,
-                           "--depth", 2, "--epochs", 4, "--batch-size", 16, "--seed", 3) == 0
+                           "--depth", 2, "--epochs", 4, "--batch-size", 16, "--seed", 3,
+                           "--pretrained", out / "pretrain.ckpt") == 0
             assert run_cli("estimate", "--checkpoint", out / "model.ckpt", "--vocab",
                            out / "vocab.txt", "--in", split / "test.jsonl",
                            "--out", out / "estimates.csv") == 0
         digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-                        for name in ("model.ckpt", "train_log.csv", "estimates.csv")})
+                        for name in ("pretrain.ckpt", "pretrain_log.csv", "model.ckpt",
+                                     "train_log.csv", "estimates.csv")})
     assert digests[0] == digests[1]

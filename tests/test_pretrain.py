@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import grad_check, log_softmax_rows, nce_loss, next_token_logprob
+from oracles import densified, grad_check, log_softmax_rows, nce_loss, next_token_logprob
 from storypoint import pretrain as pretrain_module
 from storypoint.corpus import build_vocabulary, tokenize
 from storypoint.model import (ModelConfig, embed, encode, encode_backward, init_params,
@@ -94,6 +94,7 @@ class TestNceLoss:
         mask = np.ones((1, 1))
         noise = make_rng(7).choice(v, size=m, p=q)
         loss_batch, grads = _nce_batch_step(ids, targets, mask, params, q, m, make_rng(7))
+        grads = densified(grads, params)
         # recompute via the single-position form on the same state and noise
         from storypoint.model import _lstm_forward, embed
         states, _ = _lstm_forward(embed(ids, params.emb), params)
@@ -112,6 +113,7 @@ class TestNceLoss:
         mask = np.ones((1, 2))
         noise_preview = make_rng(10).choice(v, size=m, p=q)
         _, grads = _nce_batch_step(ids, targets, mask, params, q, m, make_rng(10))
+        grads = densified(grads, params)
         touched = set(targets.ravel()) | set(int(x) for x in noise_preview)
         for row in range(v):
             if row not in touched:
@@ -217,6 +219,7 @@ class TestChunkedSoftmax:
         params = self.params(21)
         batch = prediction_batch(self.SEQS)
         loss, grads = _softmax_batch_step(*batch, params)
+        grads = densified(grads, params)
         ref_loss, ref_grads = dense_softmax_step(*batch, params)
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         assert set(grads) == set(ref_grads)
