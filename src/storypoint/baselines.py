@@ -192,23 +192,14 @@ def _training_arrays(features, targets):
     return x, y
 
 
-def cart_fit(features, targets, min_leaf_size: int = 5, prune_level: int = 5,
-             n_features: int | None = None,
-             rng: np.random.Generator | None = None, rows=None) -> TreeNode:
-    """Grow a variance-reduction regression tree, then prune its deepest
-    levels. Splits never create a leaf smaller than min_leaf_size.
-
-    `rows` picks the training rows by index (repeats allowed, as in a
-    bootstrap sample) without copying them out of `features`; by default
-    every row is used once.
-    """
+def cart_fit(features, targets, min_leaf_size: int = 5, prune_level: int = 5) -> TreeNode:
+    """Grow a variance-reduction regression tree on every training row and
+    every feature, then prune its deepest levels. Splits never create a
+    leaf smaller than min_leaf_size."""
     x, y = _training_arrays(features, targets)
     if min_leaf_size < 1:
         raise BaselineError("min_leaf_size must be >= 1")
-    rows = np.arange(x.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
-    if rows.ndim != 1 or rows.size < 1 or rows.min() < 0 or rows.max() >= x.shape[0]:
-        raise BaselineError("rows must be a non-empty list of training row indices")
-    root = _grow_tree(x, y, rows, min_leaf_size, n_features, rng)
+    root = _grow_tree(x, y, np.arange(x.shape[0]), min_leaf_size, None, None)
     return prune_tree(root, prune_level)
 
 

@@ -43,7 +43,7 @@ from .model import (
     save_checkpoint,
 )
 from .numerics import NumericError, make_rng
-from .parallel import WorkerError
+from .parallel import Pool, WorkerError
 from .pretrain import PRETRAIN_TENSORS, PretrainConfig, PretrainError, pretrain
 from .trainer import TrainConfig, TrainerError, cross_project_train, encode_issue, estimate, train
 
@@ -356,11 +356,10 @@ def cmd_baseline(args) -> int:
     elif name in ("bow-rf", "lstm-rf"):
         if name == "bow-rf":
             vocab = load_vocabulary(args.split_dir / "vocab.txt", mode=args.mode)
-            def featurize(records):
-                return np.stack([
-                    baselines.bow_vectorize(tokenize(compose_document(r), vocab.mode), vocab)
-                    for r in records
-                ])
+            past_x, target_x = (
+                np.stack([baselines.bow_vectorize(tokenize(compose_document(r), vocab.mode), vocab)
+                          for r in records])
+                for records in (past, targets))
         else:
             if args.checkpoint is None:
                 raise CliError("lstm-rf needs --checkpoint (text-feature weights)")
@@ -370,13 +369,14 @@ def cmd_baseline(args) -> int:
             if vocab.content_hash() != checkpoint.vocab_hash:
                 raise CliError("checkpoint vocabulary does not match the split vocabulary")
             params = checkpoint.to_params()
-            def featurize(records):
-                seqs = [encode_issue(r, vocab) for r in records]
-                return document_vectors(seqs, params)
-        forest = baselines.rf_fit(featurize(past), past_points, n_trees=100, rng=rng)
+            with Pool(params) as pool:
+                past_x, target_x = (
+                    document_vectors([encode_issue(r, vocab) for r in records], params, pool=pool)
+                    for records in (past, targets))
+        forest = baselines.rf_fit(past_x, past_points, n_trees=100, rng=rng)
         estimates = [
             (r.issue_key, max(0.0, baselines.rf_predict(forest, x)))
-            for r, x in zip(targets, featurize(targets))
+            for r, x in zip(targets, target_x)
         ]
     else:
         if args.features is None:

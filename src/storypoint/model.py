@@ -382,8 +382,8 @@ def batch_backward(dyhat: np.ndarray, cache: dict, params: ModelParams):
     return {"emb": encode_backward(d_states, cache["encoder"], params, grads), **grads}
 
 
-def shard_loss_and_grads(sequences: list[list[int]], targets, params: ModelParams,
-                         config: ModelConfig, batch_size: int,
+def shard_loss_and_grads(params: ModelParams, config: ModelConfig,
+                         sequences: list[list[int]], targets, batch_size: int,
                          masks: DropoutMasks | None = None):
     """Summed squared error, estimates and gradients of one row shard of a
     batch of batch_size rows: the gradients are those of the batch's mean
@@ -403,10 +403,6 @@ def shard_loss_and_grads(sequences: list[list[int]], targets, params: ModelParam
     if not np.isfinite(sse):
         raise NumericError("numeric overflow in forward pass")
     return sse, yhat, batch_backward(2.0 * diff / batch_size, cache, params)
-
-
-def _shard_task(params, config, sequences, targets, batch_size, masks):
-    return shard_loss_and_grads(sequences, targets, params, config, batch_size, masks)
 
 
 def _sum_rows(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -435,38 +431,40 @@ def sum_shards(parts: list[dict]) -> dict:
     return grads
 
 
+def _run_shards(fn, tasks: list[tuple], *shared, pool: Pool | None = None):
+    """fn(*shared, *task) for the row-shard tasks of one batch, on `pool`
+    (created with `shared`) or here. Returns (loss, grads, results): the
+    results in shard order, their first items (losses) added in shard
+    order from 0.0 and their last items (gradient dicts) summed by
+    sum_shards, so the bits do not depend on the process count."""
+    results = run(fn, tasks, *shared, pool=pool)
+    loss = 0.0
+    for result in results:
+        loss += result[0]
+    return loss, sum_shards([result[-1] for result in results]), results
+
+
 def batch_loss_and_grads(sequences: list[list[int]], targets, params: ModelParams,
                          config: ModelConfig, masks: DropoutMasks | None = None,
-                         rng: np.random.Generator | None = None, pool: Pool | None = None,
-                         emb_rows: bool = False):
+                         pool: Pool | None = None, emb_rows: bool = False):
     """Mean squared-error loss, estimates and gradients over a batch of
     token sequences.
 
-    Pass rng to draw fresh dropout masks (training); pass masks to reuse a
-    fixed pattern (gradient checking); pass neither for inference-mode loss.
-    The batch runs as the row shards of shard_bounds, and their losses and
-    gradients are summed in shard order, so the bits are the same in this
-    process and on a pool created with (params, config), whatever its size.
-    grads["emb"] is a dense (V, d) array, or with emb_rows row-sparse, the
-    (ids, rows) that RmsPropState.step_rows takes.
+    Pass masks (float masks or the keep bits of draw_dropout_keep) to train
+    or check gradients under a fixed dropout pattern; pass none for the
+    inference-mode loss. The batch runs as the row shards of shard_bounds,
+    on `pool` (created with (params, config)) or here, and their losses and
+    gradients are summed in shard order, so the bits do not depend on the
+    process count. grads["emb"] is a dense (V, d) array, or with emb_rows
+    row-sparse, the (ids, rows) that RmsPropState.step_rows takes.
     """
     if not sequences:
         raise ModelError("empty batch")
     batch = len(sequences)
-    lengths = [len(s) for s in sequences]
-    if rng is not None and masks is None:
-        masks = draw_dropout_keep(batch, max(lengths), config, rng)
     y = np.asarray(targets, dtype=np.float64)
     tasks = [(sequences[a:b], y[a:b], batch, None if masks is None else masks.rows(a, b))
-             for a, b in shard_bounds(lengths)]
-    if pool is None:
-        results = [_shard_task(params, config, *task) for task in tasks]
-    else:
-        results = pool.map(_shard_task, tasks, params, config)
-    loss = 0.0
-    for sse, _, _ in results:
-        loss += sse
-    grads = sum_shards([shard_grads for *_, shard_grads in results])
+             for a, b in shard_bounds([len(s) for s in sequences])]
+    loss, grads, results = _run_shards(shard_loss_and_grads, tasks, params, config, pool=pool)
     if not np.isfinite(loss):
         raise NumericError("numeric overflow in forward pass")
     if not emb_rows:
@@ -477,67 +475,32 @@ def batch_loss_and_grads(sequences: list[list[int]], targets, params: ModelParam
     return loss / batch, yhat, grads
 
 
-# Single-sequence views of the layers, matching how the network is described
-# operation by operation. The batched code above is the training path.
-
-def lstm_encode(inputs: np.ndarray, params: ModelParams,
-                dropout: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Output states h_1..h_n for one embedded sequence (n, d)."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ModelError("lstm_encode expects a non-empty (n, d) sequence")
-    if dropout is not None:
-        x = x * dropout[0]
-    states, _ = _lstm_forward(x[None], params)
-    out = states[0]
-    if dropout is not None:
-        out = out * dropout[1]
+def _length_batch_rows(fn, sequences: list[list[int]], batch_size: int, out: np.ndarray,
+                       *shared, pool: Pool | None = None) -> np.ndarray:
+    """Fill out with fn(*shared, batch) over the length batches of
+    sequences, on `pool` (created with `shared`) or here, each batch's rows
+    scattered back to input order. Each batch is computed whole, so the
+    bits do not depend on the process count."""
+    batches = length_batches([len(s) for s in sequences], batch_size)
+    results = run(fn, [([sequences[i] for i in idx],) for idx in batches], *shared, pool=pool)
+    for idx, rows in zip(batches, results):
+        out[idx] = rows
     return out
 
 
 def document_vectors(sequences: list[list[int]], params: ModelParams,
-                     batch_size: int = 256) -> np.ndarray:
+                     batch_size: int = 256, pool: Pool | None = None) -> np.ndarray:
     """Mean-pooled LSTM output states per sequence: the frozen text features
-    consumed by external regressors instead of the highway/regressor head."""
-    batches = length_batches([len(s) for s in sequences], batch_size)
-    vectors = run(_vector_batch, [([sequences[i] for i in idx],) for idx in batches], params)
-    out = np.empty((len(sequences), params.dim))
-    for idx, rows in zip(batches, vectors):
-        out[idx] = rows
-    return out
+    consumed by external regressors instead of the highway/regressor head.
+    Length batches go to `pool` (one created with params) or run here."""
+    return _length_batch_rows(_vector_batch, sequences, batch_size,
+                              np.empty((len(sequences), params.dim)), params, pool=pool)
 
 
 def _vector_batch(params: ModelParams, sequences: list[list[int]]) -> np.ndarray:
     ids, mask = pad_batch(sequences)
     states, _ = encode(ids, mask, params)
     return (states * mask[:, :, None]).sum(axis=1) / mask.sum(axis=1)[:, None]
-
-
-def highway_forward(h: np.ndarray, params: ModelParams, depth: int,
-                    dropout: np.ndarray | None = None) -> np.ndarray:
-    """Deep representation of a single vector via the shared gated layer."""
-    if depth < 1:
-        raise ModelError("depth must be >= 1")
-    out, _ = _highway_forward(np.asarray(h, dtype=np.float64)[None], params, depth)
-    out = out[0]
-    if dropout is not None:
-        out = out * dropout
-    return out
-
-
-def forward_issue(token_ids: list[int], params: ModelParams, config: ModelConfig,
-                  training: bool = False, rng: np.random.Generator | None = None) -> float:
-    """Estimate story points for one tokenized issue (raw, unclamped)."""
-    if not token_ids:
-        raise ModelError("empty token sequence")
-    ids, mask = pad_batch([list(token_ids)])
-    masks = None
-    if training:
-        if rng is None:
-            raise ModelError("training forward pass needs an rng for dropout")
-        masks = make_dropout_masks(1, ids.shape[1], config, rng)
-    yhat, _ = batch_forward(ids, mask, params, config, masks)
-    return float(yhat[0])
 
 
 # ---------------------------------------------------------------------------

@@ -185,11 +185,3 @@ def dropout_keep(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
 def dropout_scale(keep: np.ndarray, rate: float) -> np.ndarray:
     """The mask of some keep bits: 1/(1-rate) where kept, else 0."""
     return keep.astype(np.float64) / (1.0 - rate)
-
-
-def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted dropout mask: entries are 0 with probability rate, else 1/(1-rate).
-
-    Scaling at train time means inference uses the weights unchanged.
-    """
-    return dropout_scale(dropout_keep(shape, rate, rng), rate)

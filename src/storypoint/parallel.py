@@ -197,12 +197,8 @@ class Pool:
 
 def run(fn, tasks: list[tuple], *shared, pool: Pool | None = None) -> list:
     """fn(*shared, *task) for every task, results in task order: on `pool`
-    when given (created with `shared`); else on a pool forked for this call
-    when there are at least two tasks and process_count() is at least 2;
-    else in this process."""
+    when given (created with `shared`), else in this process. The code
+    that owns a run creates the pool and holds it for the whole run."""
     if pool is not None:
         return pool.map(fn, tasks, *shared)
-    if len(tasks) < 2 or process_count() < 2:
-        return [fn(*shared, *task) for task in tasks]
-    with Pool(*shared) as temporary:
-        return temporary.map(fn, tasks, *shared)
+    return [fn(*shared, *task) for task in tasks]

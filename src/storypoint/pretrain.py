@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelConfig, ModelParams, encode, encode_backward, init_params, length_batches,
-                    pad_batch, sum_shards)
+from .model import (ModelConfig, ModelParams, _run_shards, encode, encode_backward, init_params,
+                    length_batches, pad_batch)
 from .numerics import _run_epochs, log_sigmoid, make_rng, sigmoid
-from .parallel import SHARDS, Pool, shard_bounds, share
+from .parallel import SHARDS, Pool, run, shard_bounds, share
 
 
 class PretrainError(ValueError):
@@ -122,10 +122,12 @@ def perplexity(params: ModelParams, sequences: list[list[int]],
 
     Each length batch is encoded here, and its softmax chunks go out as
     SHARDS tasks of whole chunks, dealt to the processes of `pool` (one
-    created with params) or run here without one. A batch sums its target
-    log-probabilities on its padded (B, T) grid and the total adds the
-    batches in batch order, so the value does not depend on the process
-    count.
+    created with params) or run here without one. Whole length batches are
+    not dealt, as predict_points deals them: the held-out set is often one
+    batch, and its softmax, not its encoding, is most of the work. A batch
+    sums its target log-probabilities on its padded (B, T) grid and the
+    total adds the batches in batch order, so the value does not depend on
+    the process count.
     """
     total_nll = 0.0
     total_count = 0
@@ -140,9 +142,7 @@ def perplexity(params: ModelParams, sequences: list[list[int]],
         # Summed on the padded (B, T) grid, zeros at padding, so the total
         # rounds exactly as a sum over the dense (B, T, V) form would.
         picked = np.zeros(mask.shape)
-        picked[live] = np.concatenate(
-            pool.map(_target_logp, tasks, params) if pool is not None
-            else [_target_logp(params, *task) for task in tasks])
+        picked[live] = np.concatenate(run(_target_logp, tasks, params, pool=pool))
         total_nll -= float(picked.sum())
         total_count += int(live.sum())
     if total_count == 0:
@@ -170,14 +170,8 @@ def _nce_batch_step(ids, targets, mask, params, noise_dist, n_samples, rng,
         rows = (slice(a, b), slice(0, lengths[a:b].max()))
         tasks.append((ids[rows], targets[rows], mask[rows], target_offset[rows],
                       noise, noise_offset, positions))
-    if pool is None:
-        results = [_nce_shard(params, *task) for task in tasks]
-    else:
-        results = pool.map(_nce_shard, tasks, params)
-    loss = 0.0
-    for shard_loss, _ in results:
-        loss += shard_loss
-    return float(loss / positions), sum_shards([grads for _, grads in results])
+    loss, grads, _ = _run_shards(_nce_shard, tasks, params, pool=pool)
+    return float(loss / positions), grads
 
 
 def _nce_shard(params, ids, targets, mask, target_offset, noise, noise_offset, positions):

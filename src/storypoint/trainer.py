@@ -15,14 +15,16 @@ from .model import (
     Checkpoint,
     ModelConfig,
     ModelParams,
+    _length_batch_rows,
     batch_forward,
     batch_loss_and_grads,
+    draw_dropout_keep,
     init_params,
     length_batches,
     pad_batch,
 )
 from .numerics import _run_epochs, make_rng
-from .parallel import Pool, run, share
+from .parallel import Pool, share
 
 
 class TrainerError(ValueError):
@@ -56,15 +58,12 @@ def predict_points(params: ModelParams, config: ModelConfig,
     """Deterministic inference over token-id sequences, clamped at zero.
 
     Batches are length-bucketed and dealt to the processes of `pool` (one
-    created with (params, config)), or of a pool forked for the call;
-    each batch is computed whole, so the bits do not depend on the process
-    count. Results come back in input order.
+    created with (params, config)) or run here; each batch is computed
+    whole, so the bits do not depend on the process count. Results come
+    back in input order.
     """
-    batches = length_batches([len(s) for s in sequences], batch_size)
-    tasks = [([sequences[i] for i in idx],) for idx in batches]
-    out = np.empty(len(sequences))
-    for idx, yhat in zip(batches, run(_predict_batch, tasks, params, config, pool=pool)):
-        out[idx] = yhat
+    out = _length_batch_rows(_predict_batch, sequences, batch_size, np.empty(len(sequences)),
+                             params, config, pool=pool)
     return np.maximum(out, 0.0)
 
 
@@ -113,14 +112,14 @@ def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     vocab_hash = vocab.content_hash()
 
     rng = make_rng(config.seed)
-    params = init_params(len(vocab), model_config, rng)
     if pretrained is not None:
         if pretrained.vocab_hash != vocab_hash:
             raise TrainerError("pretrained checkpoint was built on a different vocabulary")
         if pretrained.config.embedding_dim != model_config.embedding_dim:
             raise TrainerError("pretrained checkpoint has a different embedding size")
-        for name, tensor in pretrained.tensors.items():
-            getattr(params, name)[...] = tensor
+        params = pretrained.to_params(rng)
+    else:
+        params = init_params(len(vocab), model_config, rng)
 
     train_seqs = [encode_issue(r, vocab) for r in split.train]
     train_y = np.array([r.story_points for r in split.train])
@@ -133,9 +132,10 @@ def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     share(params)
     with Pool(params, model_config) as pool:
         def step(batch_idx):
+            masks = draw_dropout_keep(len(batch_idx), lengths[batch_idx].max(), model_config, rng)
             loss, _, grads = batch_loss_and_grads(
                 [train_seqs[i] for i in batch_idx], train_y[batch_idx],
-                params, model_config, rng=rng, pool=pool, emb_rows=True,
+                params, model_config, masks=masks, pool=pool, emb_rows=True,
             )
             return loss, grads
 
@@ -174,7 +174,8 @@ def estimate(checkpoint: Checkpoint, vocab: Vocabulary,
         return []
     params = checkpoint.to_params()
     sequences = [encode_issue(r, vocab) for r in issues]
-    points = predict_points(params, checkpoint.config, sequences)
+    with Pool(params, checkpoint.config) as pool:
+        points = predict_points(params, checkpoint.config, sequences, pool=pool)
     return [(r.issue_key, float(p)) for r, p in zip(issues, points)]
 
 

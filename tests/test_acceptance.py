@@ -21,12 +21,11 @@ from storypoint.corpus import (
 )
 from storypoint.model import (
     ModelConfig,
+    _highway_forward,
+    _lstm_forward,
     batch_forward,
     batch_loss_and_grads,
-    forward_issue,
-    highway_forward,
     init_params,
-    lstm_encode,
     pad_batch,
     zero_params,
 )
@@ -104,19 +103,19 @@ def test_criterion_2_forced_algebra():
     params = zero_params(10, config)
     rng = make_rng(2)
 
-    states = lstm_encode(rng.normal(size=(9, 6)), params)
+    states, _ = _lstm_forward(rng.normal(size=(9, 6))[None], params)
     lstm_zero = bool(np.all(states == 0.0))
 
     h = rng.normal(size=6)
-    halved = bool(np.allclose(highway_forward(h, params, 1), 0.5 * h, atol=1e-15))
+    halved = bool(np.allclose(_highway_forward(h[None], params, 1)[0][0], 0.5 * h, atol=1e-15))
 
     params.reg_b[0] = 4.5
-    bias_out = forward_issue([1, 2, 3], params, config) == pytest.approx(4.5)
+    bias_out = batch_forward(*pad_batch([[1, 2, 3]]), params, config)[0][0] == pytest.approx(4.5)
 
     saturated = init_params(10, config, make_rng(3))
     saturated.hw_gate_b[...] = 60.0
     copy_through = all(
-        np.array_equal(highway_forward(h, saturated, depth), h)
+        np.array_equal(_highway_forward(h[None], saturated, depth)[0][0], h)
         for depth in (1, 2, 10, 100)
     )
     report(2, "all-zero and saturated-gate algebra is exact",

@@ -202,12 +202,10 @@ class TestCart:
         x = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
         rows = np.array([4, 4, 0, 9, 2, 2, 7])
-        assert cart_fit(x, y, min_leaf_size=1, prune_level=0, rows=rows) == cart_fit(
-            x[rows], y[rows], min_leaf_size=1, prune_level=0
+        # rf_fit grows each tree on its bootstrap rows of the shared matrix
+        assert baselines._grow_tree(x, y, rows, 1, None, None) == baselines._grow_tree(
+            x[rows], y[rows], np.arange(len(rows)), 1, None, None
         )
-        for bad_rows in ([], [0, 10], [-1, 2]):
-            with pytest.raises(BaselineError, match="rows"):
-                cart_fit(x, y, rows=bad_rows)
 
 
 def reference_best_split(x, y, rows, feat_ids, min_leaf_size):

@@ -12,22 +12,20 @@ from storypoint import model as model_module
 from storypoint.model import (
     ModelConfig,
     ModelError,
+    batch_forward,
     batch_loss_and_grads,
     document_vectors,
     embed,
     expected_shapes,
-    forward_issue,
-    highway_forward,
     init_params,
     length_batches,
     load_checkpoint,
-    lstm_encode,
     make_dropout_masks,
     pad_batch,
     save_checkpoint,
     zero_params,
 )
-from storypoint.model import _lstm_backward, _lstm_forward
+from storypoint.model import _highway_forward, _lstm_backward, _lstm_forward
 from storypoint.numerics import make_rng, sigmoid
 
 LSTM_TENSORS = ("lstm_wx", "lstm_wh", "lstm_b")
@@ -68,7 +66,7 @@ class TestLstmEncode:
     def test_zero_params_give_zero_states(self):
         params = zero_params(8, ModelConfig(embedding_dim=5))
         x = make_rng(0).normal(size=(7, 5))
-        states = lstm_encode(x, params)
+        states = _lstm_forward(x[None], params)[0][0]
         np.testing.assert_array_equal(states, np.zeros((7, 5)))
 
     def test_single_step_matches_cell_oracle(self):
@@ -83,7 +81,7 @@ class TestLstmEncode:
         g = np.tanh(pre[3 * d :])
         c = i * g  # c_0 = 0, so the forget path contributes nothing
         expected = o * np.tanh(c)
-        np.testing.assert_allclose(lstm_encode(x, params)[0], expected, atol=1e-12)
+        np.testing.assert_allclose(_lstm_forward(x[None], params)[0][0, 0], expected, atol=1e-12)
 
     def test_sum_of_states_gradients_pass_grad_check(self):
         params = small_params(seed=5)
@@ -99,10 +97,6 @@ class TestLstmEncode:
                 return float(s.sum())
             err = grad_check(f, getattr(params, name), grads[name], h=1e-4)
             assert err < 1e-4, f"{name}: {err}"
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(ModelError):
-            lstm_encode(np.zeros((0, 5)), small_params())
 
 
 def ragged_batch(lengths, d, seed, dropout):
@@ -182,7 +176,7 @@ class TestLstmCoreMatchesPerStepOracle:
 # second digest covers the NCE step's own GEMMs and einsums.
 THREAD_PROBE = """
 import hashlib
-from storypoint.model import ModelConfig, batch_loss_and_grads, init_params
+from storypoint.model import ModelConfig, batch_loss_and_grads, draw_dropout_keep, init_params
 from storypoint.numerics import make_rng
 rng = make_rng(5)
 config = ModelConfig(embedding_dim=50, highway_depth=10)
@@ -190,7 +184,9 @@ params = init_params(2000, config, rng)
 lengths = rng.integers(50, 61, size=100)
 lengths[0] = 60
 seqs = [list(rng.integers(0, 2000, size=n)) for n in lengths]
-_, _, grads = batch_loss_and_grads(seqs, rng.uniform(1, 13, size=100), params, config, rng=rng)
+masks = draw_dropout_keep(100, max(lengths), config, rng)
+_, _, grads = batch_loss_and_grads(seqs, rng.uniform(1, 13, size=100), params, config,
+                                   masks=masks)
 digest = hashlib.sha256()
 for name in sorted(grads):
     digest.update(grads[name].tobytes())
@@ -229,7 +225,8 @@ class TestMeanPool:
     def test_singleton(self):
         params = small_params(seed=22)
         (vec,) = document_vectors([[3]], params)
-        np.testing.assert_array_equal(vec, lstm_encode(embed([3], params.emb), params)[0])
+        states, _ = _lstm_forward(embed([3], params.emb)[None], params)
+        np.testing.assert_array_equal(vec, states[0, 0])
 
     def test_empty_rejected(self):
         with pytest.raises(ModelError):
@@ -242,12 +239,12 @@ class TestHighway:
         params.hw_gate_b[...] = 60.0  # sigmoid(60) rounds to exactly 1.0
         h = make_rng(8).normal(size=params.dim)
         for depth in (1, 3, 10, 50):
-            np.testing.assert_array_equal(highway_forward(h, params, depth), h)
+            np.testing.assert_array_equal(_highway_forward(h[None], params, depth)[0][0], h)
 
     def test_zero_params_single_layer_halves_input(self):
         params = zero_params(8, ModelConfig(embedding_dim=5))
         h = make_rng(9).normal(size=5)
-        np.testing.assert_allclose(highway_forward(h, params, 1), 0.5 * h, atol=1e-15)
+        np.testing.assert_allclose(_highway_forward(h[None], params, 1)[0][0], 0.5 * h, atol=1e-15)
 
     def test_parameter_count_independent_of_depth(self):
         shapes = expected_shapes(vocab_size=30, d=10)
@@ -256,29 +253,25 @@ class TestHighway:
         )
         assert hw_size == 2 * (10 * 10 + 10)  # no depth term anywhere
 
-    def test_depth_must_be_positive(self):
-        with pytest.raises(ModelError):
-            highway_forward(np.zeros(5), small_params(), 0)
-
 
 class TestForward:
     def test_zero_params_output_is_regressor_bias(self):
         params = zero_params(8, ModelConfig(embedding_dim=5, highway_depth=3))
         params.reg_b[0] = 2.75
         config = ModelConfig(embedding_dim=5, highway_depth=3)
-        assert forward_issue([1, 2, 3], params, config) == pytest.approx(2.75)
+        assert batch_forward(*pad_batch([[1, 2, 3]]), params, config)[0][0] == pytest.approx(2.75)
 
     def test_inference_is_deterministic(self):
         params = small_params(seed=10)
         config = ModelConfig(embedding_dim=params.dim, highway_depth=2)
         ids = [1, 4, 2, 2, 7]
-        a = forward_issue(ids, params, config, training=False)
-        b = forward_issue(ids, params, config, training=False)
+        a = batch_forward(*pad_batch([ids]), params, config)[0][0]
+        b = batch_forward(*pad_batch([ids]), params, config)[0][0]
         assert a == b
 
     def test_empty_tokens_rejected(self):
         with pytest.raises(ModelError):
-            forward_issue([], small_params(), ModelConfig(embedding_dim=5))
+            batch_forward(*pad_batch([[]]), small_params(), ModelConfig(embedding_dim=5))
 
     def test_full_stack_gradients_with_and_without_dropout(self):
         rng = make_rng(11)
@@ -324,7 +317,8 @@ class TestLoss:
         seqs = [[1, 2], [3], [4, 5, 6]]
         targets = [2.0, 3.0, 4.0]
         loss, yhat, _ = batch_loss_and_grads(seqs, targets, params, config)
-        per_issue = [(forward_issue(s, params, config) - t) ** 2 for s, t in zip(seqs, targets)]
+        per_issue = [(batch_forward(*pad_batch([s]), params, config)[0][0] - t) ** 2
+                     for s, t in zip(seqs, targets)]
         assert loss == pytest.approx(sum(per_issue) / len(per_issue), rel=1e-12)
 
 
@@ -366,7 +360,7 @@ class TestDocumentVectors:
         seqs = [[1, 2, 3], [4, 5], [1]]
         vecs = document_vectors(seqs, params)
         for seq, vec in zip(seqs, vecs):
-            expected = lstm_encode(embed(seq, params.emb), params).mean(axis=0)
+            expected = _lstm_forward(embed(seq, params.emb)[None], params)[0][0].mean(axis=0)
             np.testing.assert_allclose(vec, expected, atol=1e-12)
 
     def test_order_preserved_across_buckets(self):
@@ -374,7 +368,7 @@ class TestDocumentVectors:
         seqs = [[1, 2, 3, 4, 5, 6], [7], [2, 3, 4], [5, 6], [1, 7, 2, 6, 3, 5, 4], [4, 4, 4]]
         vecs = document_vectors(seqs, params, batch_size=2)
         for seq, vec in zip(seqs, vecs):
-            expected = lstm_encode(embed(seq, params.emb), params).mean(axis=0)
+            expected = _lstm_forward(embed(seq, params.emb)[None], params)[0][0].mean(axis=0)
             np.testing.assert_allclose(vec, expected, atol=1e-12)
 
 

@@ -8,7 +8,8 @@ from storypoint.numerics import (
     NumericError,
     RmsPropState,
     _run_epochs,
-    dropout_mask,
+    dropout_keep,
+    dropout_scale,
     log_sigmoid,
     make_rng,
     sigmoid,
@@ -267,30 +268,30 @@ class TestRunEpochs:
 
 class TestDropout:
     def test_rate_zero_gives_ones(self):
-        mask = dropout_mask((4, 5), 0.0, make_rng(0))
+        mask = dropout_scale(dropout_keep((4, 5), 0.0, make_rng(0)), 0.0)
         np.testing.assert_array_equal(mask, np.ones((4, 5)))
 
     def test_values_are_zero_or_scaled(self):
-        mask = dropout_mask((100,), 0.5, make_rng(1))
+        mask = dropout_scale(dropout_keep((100,), 0.5, make_rng(1)), 0.5)
         assert set(np.unique(mask)) <= {0.0, 2.0}
 
     def test_empirical_zero_fraction(self):
-        mask = dropout_mask((10**6,), 0.5, make_rng(2))
+        mask = dropout_scale(dropout_keep((10**6,), 0.5, make_rng(2)), 0.5)
         zero_fraction = np.mean(mask == 0.0)
         assert abs(zero_fraction - 0.5) < 0.01
 
     def test_mask_expectation_is_one(self):
-        mask = dropout_mask((10**6,), 0.2, make_rng(3))
+        mask = dropout_scale(dropout_keep((10**6,), 0.2, make_rng(3)), 0.2)
         assert mask.mean() == pytest.approx(1.0, abs=0.01)
 
     def test_seed_reproducibility(self):
-        m1 = dropout_mask((50, 50), 0.3, make_rng(42))
-        m2 = dropout_mask((50, 50), 0.3, make_rng(42))
+        m1 = dropout_scale(dropout_keep((50, 50), 0.3, make_rng(42)), 0.3)
+        m2 = dropout_scale(dropout_keep((50, 50), 0.3, make_rng(42)), 0.3)
         np.testing.assert_array_equal(m1, m2)
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
-            dropout_mask((3,), 1.0, make_rng(0))
+            dropout_scale(dropout_keep((3,), 1.0, make_rng(0)), 1.0)
 
 
 class TestGradCheck:

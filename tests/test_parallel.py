@@ -21,7 +21,7 @@ from storypoint.cli import main
 from storypoint.corpus import (build_vocabulary, load_bundled_corpus, split_chronological,
                                tokenize, write_corpus)
 from storypoint.model import (ModelConfig, batch_forward, batch_loss_and_grads, document_vectors,
-                              encode, init_params, length_batches, pad_batch)
+                              draw_dropout_keep, encode, init_params, length_batches, pad_batch)
 from storypoint.numerics import NumericError, make_rng
 from storypoint.pretrain import (PretrainConfig, _nce_batch_step, _prediction_batches,
                                  _softmax_chunks, perplexity, pretrain,
@@ -136,6 +136,32 @@ def sequences(seed, n, vocab=40, longest=30):
     return [list(rng.integers(1, vocab, size=k)) for k in rng.integers(2, longest, size=n)]
 
 
+def test_without_a_pool_everything_runs_here(monkeypatch):
+    # pool=None means this process at every dispatch site: only the code
+    # that owns a run (train, pretrain, estimate, baseline) creates a pool
+    processes(monkeypatch, 2)
+
+    def no_pool(*_):
+        raise AssertionError("a pool was created")
+
+    monkeypatch.setattr(parallel.Pool, "__init__", no_pool)
+    params = init_params(40, MC, make_rng(3))
+    seqs = sequences(4, 37)
+    assert len(length_batches([len(s) for s in seqs], 8)) >= 3
+    with deadline(60):
+        assert predict_points(params, MC, seqs, batch_size=8).shape == (37,)
+        assert document_vectors(seqs, params, batch_size=8).shape == (37, MC.embedding_dim)
+        assert predict_points(params, MC, []).shape == (0,)
+        assert document_vectors([], params).shape == (0, MC.embedding_dim)
+        assert np.isfinite(perplexity(params, seqs))
+        loss, _, _ = batch_loss_and_grads(seqs[:9], np.ones(9), params, MC)
+        assert np.isfinite(loss)
+        (batch,) = list(_prediction_batches(seqs, 64))
+        loss, _ = _nce_batch_step(*batch, params, unigram_noise_distribution(seqs, 40), 7,
+                                  make_rng(4))
+        assert np.isfinite(loss)
+
+
 class TestDealtInferenceBytes:
     """Dealt batches are computed whole: the same bytes as the in-process
     loop over length_batches, at one process and at two."""
@@ -152,8 +178,8 @@ class TestDealtInferenceBytes:
             ids, mask = pad_batch([seqs[i] for i in idx])
             expected[idx] = batch_forward(ids, mask, params, MC)[0]
         processes(monkeypatch, count)
-        with deadline(60):
-            got = predict_points(params, MC, seqs, batch_size=8)
+        with deadline(60), parallel.Pool(params, MC) as pool:
+            got = predict_points(params, MC, seqs, batch_size=8, pool=pool)
         assert got.tobytes() == np.maximum(expected, 0.0).tobytes()
 
     @pytest.mark.parametrize("count", [1, 2])
@@ -165,8 +191,8 @@ class TestDealtInferenceBytes:
             states, _ = encode(ids, mask, params)
             expected[idx] = (states * mask[:, :, None]).sum(axis=1) / mask.sum(axis=1)[:, None]
         processes(monkeypatch, count)
-        with deadline(60):
-            got = document_vectors(seqs, params, batch_size=6)
+        with deadline(60), parallel.Pool(params) as pool:
+            got = document_vectors(seqs, params, batch_size=6, pool=pool)
         assert got.tobytes() == expected.tobytes()
 
     @staticmethod
@@ -223,12 +249,17 @@ class TestShards:
         seqs = sorted(sequences(9, 37, vocab=50), key=len)
         return params, config, seqs, rng.uniform(1, 13, size=len(seqs))
 
+    @staticmethod
+    def keep_bits(seqs, config, seed):
+        return draw_dropout_keep(len(seqs), max(len(s) for s in seqs), config, make_rng(seed))
+
     def test_pool_gives_the_in_process_bytes(self, monkeypatch):
         params, config, seqs, y = self.batch()
-        expected = batch_loss_and_grads(seqs, y, params, config, rng=make_rng(1))
+        masks = self.keep_bits(seqs, config, 1)
+        expected = batch_loss_and_grads(seqs, y, params, config, masks=masks)
         processes(monkeypatch, 2)
         with deadline(60), parallel.Pool(params, config) as pool:
-            got = batch_loss_and_grads(seqs, y, params, config, rng=make_rng(1), pool=pool)
+            got = batch_loss_and_grads(seqs, y, params, config, masks=masks, pool=pool)
         assert got[0] == expected[0] and got[1].tobytes() == expected[1].tobytes()
         assert list(got[2]) == list(expected[2])
         for name in expected[2]:
@@ -236,9 +267,10 @@ class TestShards:
 
     def test_shards_sum_to_the_whole_batch(self, monkeypatch):
         params, config, seqs, y = self.batch()
-        sharded = batch_loss_and_grads(seqs, y, params, config, rng=make_rng(2))
+        masks = self.keep_bits(seqs, config, 2)
+        sharded = batch_loss_and_grads(seqs, y, params, config, masks=masks)
         monkeypatch.setattr(model_module, "shard_bounds", lambda lengths: [(0, len(lengths))])
-        whole = batch_loss_and_grads(seqs, y, params, config, rng=make_rng(2))
+        whole = batch_loss_and_grads(seqs, y, params, config, masks=masks)
         assert sharded[0] == pytest.approx(whole[0], rel=1e-13)
         np.testing.assert_allclose(sharded[1], whole[1], rtol=1e-13)
         for name, grad in whole[2].items():
@@ -289,6 +321,26 @@ def in_worker(parent_pid):
     return os.getpid() != parent_pid
 
 
+# The pool sends a task's function by import path, so the stand-ins patched
+# over model.shard_loss_and_grads are module-level functions.
+SHARD = model_module.shard_loss_and_grads
+WORKER_SHARD_CALLS = []  # appended to in a worker's copy of this module only
+
+
+def shard_failing_in_worker(parent_pid, fail_after, *args):
+    if in_worker(parent_pid):
+        WORKER_SHARD_CALLS.append(1)
+        if len(WORKER_SHARD_CALLS) > fail_after:
+            raise NumericError("overflow in a worker")
+    return SHARD(*args)
+
+
+def shard_killing_worker(parent_pid, *args):
+    if in_worker(parent_pid):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return SHARD(*args)
+
+
 class TestShardedTraining:
     def test_worker_numeric_error_aborts_with_best_weights(self, monkeypatch, split64):
         # 38 training issues in batches of 16: three batches an epoch, and
@@ -296,17 +348,8 @@ class TestShardedTraining:
         cfg = TrainConfig(epochs=4, batch_size=16, seed=5)
         processes(monkeypatch, 2)
         one_epoch = train(split64, MC, TrainConfig(epochs=1, batch_size=16, seed=5))
-        shard = model_module.shard_loss_and_grads
-        parent, calls = os.getpid(), []
-
-        def failing_in_second_epoch(*args, **kwargs):
-            if in_worker(parent):
-                calls.append(1)  # counts in the worker's memory
-                if len(calls) > 3:
-                    raise NumericError("overflow in a worker")
-            return shard(*args, **kwargs)
-
-        monkeypatch.setattr(model_module, "shard_loss_and_grads", failing_in_second_epoch)
+        monkeypatch.setattr(model_module, "shard_loss_and_grads",
+                            functools.partial(shard_failing_in_worker, os.getpid(), 3))
         with deadline(120):
             result = train(split64, MC, cfg)
         assert result.aborted == "epoch 2: overflow in a worker"
@@ -317,15 +360,8 @@ class TestShardedTraining:
 
     def test_killed_worker_makes_train_raise(self, monkeypatch, split64):
         processes(monkeypatch, 2)
-        shard = model_module.shard_loss_and_grads
-        parent = os.getpid()
-
-        def killed(*args, **kwargs):
-            if in_worker(parent):
-                os.kill(os.getpid(), signal.SIGKILL)
-            return shard(*args, **kwargs)
-
-        monkeypatch.setattr(model_module, "shard_loss_and_grads", killed)
+        monkeypatch.setattr(model_module, "shard_loss_and_grads",
+                            functools.partial(shard_killing_worker, os.getpid()))
         with deadline(60), pytest.raises(parallel.WorkerError, match="exited with code -9"):
             train(split64, MC, TrainConfig(epochs=3, batch_size=16, seed=5))
 

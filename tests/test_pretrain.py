@@ -6,8 +6,8 @@ import pytest
 from oracles import densified, grad_check, log_softmax_rows, nce_loss, next_token_logprob
 from storypoint import pretrain as pretrain_module
 from storypoint.corpus import build_vocabulary, tokenize
-from storypoint.model import (ModelConfig, embed, encode, encode_backward, init_params,
-                              lstm_encode, pad_batch)
+from storypoint.model import (ModelConfig, _lstm_forward, embed, encode, encode_backward,
+                              init_params, pad_batch)
 from storypoint.numerics import make_rng
 from storypoint.pretrain import (
     PRETRAIN_TENSORS,
@@ -124,7 +124,7 @@ def hand_perplexity(params, seqs):
     """Token-weighted perplexity of seqs, one softmax per position."""
     nll, count = 0.0, 0
     for seq in seqs:
-        states = lstm_encode(embed(seq[:-1], params.emb), params)
+        states = _lstm_forward(embed(seq[:-1], params.emb)[None], params)[0][0]
         for t, target in enumerate(seq[1:]):
             logits = params.lm_u @ states[t]
             probs = np.exp(logits - logits.max())

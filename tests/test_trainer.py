@@ -8,8 +8,8 @@ from storypoint.corpus import (
     split_chronological,
     tokenize,
 )
-from storypoint.model import (ModelConfig, forward_issue, init_params, load_checkpoint,
-                              save_checkpoint, zero_params)
+from storypoint.model import (ModelConfig, batch_forward, init_params, load_checkpoint,
+                              pad_batch, save_checkpoint, zero_params)
 from storypoint.numerics import make_rng
 from storypoint.trainer import (
     TrainConfig,
@@ -164,8 +164,9 @@ class TestEstimate:
         seqs = [[1, 2, 3, 4, 5, 6, 7], [8], [2, 9, 11, 3], [5, 5], [10, 1, 4, 7, 2, 6, 8, 9],
                 [3, 11, 0]]
         # shifting the bias puts half the raw estimates below zero
-        params.reg_b[0] -= np.median([forward_issue(s, params, MC) for s in seqs])
-        expected = [max(forward_issue(s, params, MC), 0.0) for s in seqs]
+        params.reg_b[0] -= np.median([batch_forward(*pad_batch([s]), params, MC)[0][0]
+                                      for s in seqs])
+        expected = [max(batch_forward(*pad_batch([s]), params, MC)[0][0], 0.0) for s in seqs]
         assert 0 < expected.count(0.0) < len(seqs)
         np.testing.assert_allclose(predict_points(params, MC, seqs, batch_size=2), expected,
                                    atol=1e-12)
