@@ -263,8 +263,7 @@ def cbr_estimate(train_features, train_points, x, k: int = 3) -> float:
     Distance ties break by training index, so repeated calls and copied
     training sets give identical answers.
     """
-    feats = np.asarray(train_features, dtype=np.float64)
-    pts = np.asarray(train_points, dtype=np.float64)
+    feats, pts = _training_arrays(train_features, train_points)
     if not 1 <= k <= len(pts):
         raise BaselineError(f"k={k} outside 1..{len(pts)}")
     dists = np.sqrt(((feats - np.asarray(x, dtype=np.float64)) ** 2).sum(axis=1))
@@ -296,10 +295,7 @@ def ols_fit(features, targets) -> LinearModel:
     rank-deficient feature blocks fall back to a tiny ridge term without
     contaminating the intercept (a constant column gets coefficient 0).
     """
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise BaselineError("features and targets must have matching rows")
+    x, y = _training_arrays(features, targets)
     x_mean = x.mean(axis=0)
     y_mean = float(y.mean())
     xc = x - x_mean
@@ -311,26 +307,24 @@ def ols_fit(features, targets) -> LinearModel:
 
 
 @dataclass
-class LassoModel:
-    intercept: float
-    coef: np.ndarray
+class LassoModel(LinearModel):
     budget: float
     lam: float
     selected: list[int]
 
-    def predict(self, features) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return x @ self.coef + self.intercept
+
+LASSO_GRID_SIZE = 30  # penalties tried when neither a budget nor a penalty is given
+CD_MAX_ITER = 20000
+CD_TOL = 1e-12
 
 
-def _coordinate_descent(xs: np.ndarray, yc: np.ndarray, lam: float,
-                        max_iter: int = 20000, tol: float = 1e-12) -> np.ndarray:
+def _coordinate_descent(xs: np.ndarray, yc: np.ndarray, lam: float) -> np.ndarray:
     """Solve min ||yc - xs b||^2 + lam * ||b||_1 on standardized columns."""
     n, p = xs.shape
     z = (xs**2).sum(axis=0)
     b = np.zeros(p)
     resid = yc.copy()
-    for _ in range(max_iter):
+    for _ in range(CD_MAX_ITER):
         max_step = 0.0
         for j in range(p):
             if z[j] == 0.0:
@@ -341,36 +335,31 @@ def _coordinate_descent(xs: np.ndarray, yc: np.ndarray, lam: float,
                 resid += xs[:, j] * (b[j] - new)
                 max_step = max(max_step, abs(new - b[j]))
                 b[j] = new
-        if max_step < tol * max(1.0, float(np.max(np.abs(b)))):
+        if max_step < CD_TOL * max(1.0, float(np.max(np.abs(b)))):
             break
     return b
 
 
-def _standardize(x: np.ndarray):
-    mu = x.mean(axis=0)
-    sd = x.std(axis=0)
-    safe = np.where(sd > 0, sd, 1.0)
-    return (x - mu) / safe, mu, safe
-
-
 def lasso_fit(features, targets, s: float | None = None, lam: float | None = None,
-              valid_features=None, valid_targets=None, grid_size: int = 30) -> LassoModel:
+              valid_features=None, valid_targets=None) -> LassoModel:
     """L1-constrained least squares with feature selection.
 
     Exactly one mode applies: a budget `s` on the L1 norm of the
     coefficients (solved by bisecting the equivalent penalty), a direct
-    penalty `lam`, or neither, in which case the penalty grid is scored on
-    the validation rows (the last 20% of the data when none are given).
+    penalty `lam`, or neither, in which case each penalty of a grid is
+    fitted once and the model that scores best on the validation rows wins.
     Features are standardized internally and coefficients are reported on
     the original scale; exact zeros define the selected feature set.
     """
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise BaselineError("features and targets must have matching rows")
+    x, y = _training_arrays(features, targets)
     if s is not None and lam is not None:
         raise BaselineError("pass either a budget s or a penalty lam, not both")
-    xs, mu, sd = _standardize(x)
+    if s is None and lam is None and valid_features is None:
+        raise BaselineError("pass a budget s, a penalty lam, or validation rows")
+    mu = x.mean(axis=0)
+    sd = x.std(axis=0)
+    sd = np.where(sd > 0, sd, 1.0)
+    xs = (x - mu) / sd
     y_mean = float(y.mean())
     yc = y - y_mean
 
@@ -411,28 +400,15 @@ def lasso_fit(features, targets, s: float | None = None, lam: float | None = Non
         best.budget = float(s)
         return best
 
-    # Penalty unspecified: pick from a geometric grid by validation error.
-    if valid_features is None:
-        n_valid = max(1, x.shape[0] // 5)
-        valid_features, valid_targets = x[-n_valid:], y[-n_valid:]
-        fit_x, fit_y = x[:-n_valid], y[:-n_valid]
-        if len(fit_y) == 0:
-            fit_x, fit_y = x, y
-    else:
-        fit_x, fit_y = x, y
-    vx = np.asarray(valid_features, dtype=np.float64)
-    vy = np.asarray(valid_targets, dtype=np.float64)
-    grid = lam_max * np.logspace(0.0, -4.0, grid_size) if lam_max > 0 else [0.0]
-    best_lam, best_err = None, None
+    vx, vy = _training_arrays(valid_features, valid_targets)
+    grid = lam_max * np.logspace(0.0, -4.0, LASSO_GRID_SIZE) if lam_max > 0 else [0.0]
+    best, best_err = None, None
     for lam_value in grid:
-        xs_fit, mu_fit, sd_fit = _standardize(fit_x)
-        b_std = _coordinate_descent(xs_fit, fit_y - fit_y.mean(), float(lam_value))
-        coef = b_std / sd_fit
-        intercept = float(fit_y.mean()) - float(coef @ mu_fit)
-        err = float(np.mean((vy - (vx @ coef + intercept)) ** 2))
+        model = model_at(float(lam_value))
+        err = float(np.mean((vy - model.predict(vx)) ** 2))
         if best_err is None or err < best_err - 1e-12:
-            best_err, best_lam = err, float(lam_value)
-    return model_at(best_lam)
+            best, best_err = model, err
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -543,27 +519,24 @@ def assemble_features(record: IssueFeatureInput) -> FeatureVector:
 
 
 def feature_matrix(vectors: list[FeatureVector], impute: str = "mean",
-                   train_vectors: list[FeatureVector] | None = None,
-                   append_mask: bool = False) -> np.ndarray:
-    """Stack feature vectors into a matrix, resolving missing entries.
+                   train_vectors: list[FeatureVector] | None = None) -> np.ndarray:
+    """Stack feature vectors into a matrix, one row each, resolving missing entries.
 
     impute="mean" substitutes per-feature means of the non-missing training
-    values (linear models); impute="zero" leaves zeros in place, and
-    append_mask=True adds the missing-indicator columns (tree models).
+    values (linear models); impute="zero" leaves zeros in place and appends
+    the missing-indicator columns (tree models).
     """
-    if not vectors:
-        raise BaselineError("no feature vectors")
-    values = np.stack([v.values for v in vectors])
-    missing = np.stack([v.missing for v in vectors])
-    if impute == "mean":
-        ref_vals = values if train_vectors is None else np.stack([v.values for v in train_vectors])
-        ref_miss = missing if train_vectors is None else np.stack([v.missing for v in train_vectors])
-        for j in range(values.shape[1]):
-            present = ~ref_miss[:, j]
-            fill = ref_vals[present, j].mean() if present.any() else 0.0
-            values[missing[:, j], j] = fill
-    elif impute != "zero":
+    shape = (len(vectors), len(feature_names()))
+    values = np.array([v.values for v in vectors], dtype=np.float64).reshape(shape)
+    missing = np.array([v.missing for v in vectors], dtype=bool).reshape(shape)
+    if impute == "zero":
+        return np.hstack([values, missing.astype(np.float64)])
+    if impute != "mean":
         raise BaselineError(f"unknown imputation {impute!r}")
-    if append_mask:
-        values = np.hstack([values, missing.astype(np.float64)])
+    ref_vals = values if train_vectors is None else np.stack([v.values for v in train_vectors])
+    ref_miss = missing if train_vectors is None else np.stack([v.missing for v in train_vectors])
+    for j in range(values.shape[1]):
+        present = ~ref_miss[:, j]
+        fill = ref_vals[present, j].mean() if present.any() else 0.0
+        values[missing[:, j], j] = fill
     return values

@@ -15,13 +15,13 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import baselines, evaluation
 from .corpus import (
     CorpusError,
-    IssueRecord,
     build_vocabulary,
     compose_document,
     dataset_stats,
@@ -47,7 +47,6 @@ from .parallel import Pool, WorkerError
 from .pretrain import PRETRAIN_TENSORS, PretrainConfig, PretrainError, pretrain
 from .trainer import TrainConfig, TrainerError, cross_project_train, encode_issue, estimate, train
 
-BASELINE_MODELS = ("mean", "median", "random", "bow-rf", "lstm-rf", "cbr", "cart", "ols", "lasso")
 TOKEN_ENV_VAR = "STORYPOINT_JIRA_TOKEN"
 
 
@@ -122,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("baseline", help="fit a baseline and score issues")
-    p.add_argument("--model", choices=BASELINE_MODELS, required=True)
+    p.add_argument("--model", choices=BASELINES, required=True)
     p.add_argument("--split-dir", type=Path, required=True)
     p.add_argument("--in", dest="input", type=Path, required=True,
                    help="issues to score (labels are not read)")
@@ -305,17 +304,22 @@ def cmd_estimate(args) -> int:
 
 
 def _read_feature_table(path: Path) -> dict[str, baselines.IssueFeatureInput]:
-    """Feature CSV: issue_key column plus IssueFeatureInput fields; empty
-    assignee cells mean missing."""
+    """Feature CSV: issue_key column plus IssueFeatureInput fields, one cell
+    each and a new issue_key per row; empty assignee cells mean missing."""
     table = {}
     int_fields = {f for f in baselines.IssueFeatureInput.__dataclass_fields__
                   if f not in ("issue_type", "priority")}
     with path.open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            if None in row or None in row.values():  # more or fewer cells than the header
+                raise CliError(f"{where}: not the header's {len(reader.fieldnames)} cells")
+            key = row.pop("issue_key")
+            if key in table:
+                raise CliError(f"{where}: issue_key {key!r} is repeated")
             kwargs = {}
             for field, value in row.items():
-                if field == "issue_key" or field is None:
-                    continue
                 if field not in baselines.IssueFeatureInput.__dataclass_fields__:
                     raise CliError(f"unknown feature column {field!r}")
                 if field in int_fields:
@@ -324,95 +328,107 @@ def _read_feature_table(path: Path) -> dict[str, baselines.IssueFeatureInput]:
                     )
                 else:
                     kwargs[field] = value
-            table[row["issue_key"]] = baselines.IssueFeatureInput(**kwargs)
+            table[key] = baselines.IssueFeatureInput(**kwargs)
     return table
 
 
-def _feature_rows(issues: list[IssueRecord], table: dict) -> list[baselines.FeatureVector]:
-    missing = [r.issue_key for r in issues if r.issue_key not in table]
-    if missing:
-        raise CliError(f"feature table lacks rows for: {', '.join(missing[:5])}")
-    return [baselines.assemble_features(table[r.issue_key]) for r in issues]
+class Baseline(NamedTuple):
+    """A baseline's rows step turns each list of issues into the rows its fit
+    and predict read. Its fit takes the training rows, their story points and
+    the run's rng, and returns a predict from rows to estimates. Both look up
+    `baselines.*` and `document_vectors` when they run, not at import."""
+    rows: Callable
+    fit: Callable
+    tuned_on_valid: bool = False  # fit also takes (rows, points) of the valid partition
+
+
+def _issues(args, partitions):  # mean, median and random read no features
+    return partitions
+
+
+def _bow_rows(args, partitions):
+    vocab = load_vocabulary(args.split_dir / "vocab.txt", mode=args.mode)
+    return [np.array([baselines.bow_vectorize(tokenize(compose_document(r), vocab.mode), vocab)
+                      for r in records]).reshape(len(records), len(vocab))
+            for records in partitions]
+
+
+def _lstm_rows(args, partitions):
+    if args.checkpoint is None:
+        raise CliError("lstm-rf needs --checkpoint (text-feature weights)")
+    checkpoint = load_checkpoint(args.checkpoint)
+    vocab = load_vocabulary(args.split_dir / "vocab.txt", mode=checkpoint.config.tokenizer_mode)
+    if vocab.content_hash() != checkpoint.vocab_hash:
+        raise CliError("checkpoint vocabulary does not match the split vocabulary")
+    params = checkpoint.to_params()
+    with Pool(params) as pool:
+        return [document_vectors([encode_issue(r, vocab) for r in records], params, pool=pool)
+                for records in partitions]
+
+
+def _hand_crafted_rows(impute: str):  # imputation refers to the first, training partition
+    def rows(args, partitions):
+        if args.features is None:
+            raise CliError(f"{args.model} needs --features (issue feature table)")
+        table = _read_feature_table(args.features)
+        missing = [r.issue_key for records in partitions for r in records
+                   if r.issue_key not in table]
+        if missing:
+            raise CliError(f"feature table lacks rows for: {', '.join(missing[:5])}")
+        vectors = [[baselines.assemble_features(table[r.issue_key]) for r in records]
+                   for records in partitions]
+        return [baselines.feature_matrix(v, impute, train_vectors=vectors[0]) for v in vectors]
+    return rows
+
+
+def _each_row(predict_one, model):
+    return lambda rows: [predict_one(model, row) for row in rows]
+
+
+def _repeat(value):
+    return lambda rows: [value] * len(rows)
+
+
+def _forest(x, y, rng):
+    return _each_row(baselines.rf_predict, baselines.rf_fit(x, y, n_trees=100, rng=rng))
+
+
+BASELINES = {
+    "mean": Baseline(_issues, lambda x, y, rng: _repeat(baselines.mean_effort(y))),
+    "median": Baseline(_issues, lambda x, y, rng: _repeat(baselines.median_effort(y))),
+    "random": Baseline(_issues, lambda x, y, rng: lambda rows: [
+        baselines.random_guess(y, rng) for _ in rows]),
+    "bow-rf": Baseline(_bow_rows, _forest),
+    "lstm-rf": Baseline(_lstm_rows, _forest),
+    "cbr": Baseline(_hand_crafted_rows("mean"), lambda x, y, rng: lambda rows: [
+        baselines.cbr_estimate(x, y, row, k=min(3, len(x))) for row in rows]),
+    "cart": Baseline(_hand_crafted_rows("zero"), lambda x, y, rng: _each_row(
+        baselines.cart_predict, baselines.cart_fit(x, y, min_leaf_size=5, prune_level=5))),
+    "ols": Baseline(_hand_crafted_rows("mean"), lambda x, y, rng: baselines.ols_fit(x, y).predict),
+    "lasso": Baseline(_hand_crafted_rows("mean"), lambda x, y, rng, valid: baselines.lasso_fit(
+        x, y, valid_features=valid[0], valid_targets=valid[1]).predict, tuned_on_valid=True),
+}
+
+
+def _clamp(estimate) -> float:
+    if not np.isfinite(estimate):
+        raise baselines.BaselineError(f"non-finite estimate {float(estimate)}")
+    return max(0.0, float(estimate))
 
 
 def cmd_baseline(args) -> int:
     split = _load_split(args.split_dir, with_test=False)
-    past = split.train  # the valid partition is reserved for model selection
-    past_points = np.array([r.story_points for r in past])
     targets = read_corpus(args.input)
-    rng = make_rng(args.seed)
-    name = args.model
-
-    if name in ("mean", "median", "random"):
-        if name == "mean":
-            value = baselines.mean_effort(past_points)
-            estimates = [(r.issue_key, value) for r in targets]
-        elif name == "median":
-            value = baselines.median_effort(past_points)
-            estimates = [(r.issue_key, value) for r in targets]
-        else:
-            estimates = [(r.issue_key, baselines.random_guess(past_points, rng))
-                         for r in targets]
-    elif name in ("bow-rf", "lstm-rf"):
-        if name == "bow-rf":
-            vocab = load_vocabulary(args.split_dir / "vocab.txt", mode=args.mode)
-            past_x, target_x = (
-                np.stack([baselines.bow_vectorize(tokenize(compose_document(r), vocab.mode), vocab)
-                          for r in records])
-                for records in (past, targets))
-        else:
-            if args.checkpoint is None:
-                raise CliError("lstm-rf needs --checkpoint (text-feature weights)")
-            checkpoint = load_checkpoint(args.checkpoint)
-            vocab = load_vocabulary(args.split_dir / "vocab.txt",
-                                    mode=checkpoint.config.tokenizer_mode)
-            if vocab.content_hash() != checkpoint.vocab_hash:
-                raise CliError("checkpoint vocabulary does not match the split vocabulary")
-            params = checkpoint.to_params()
-            with Pool(params) as pool:
-                past_x, target_x = (
-                    document_vectors([encode_issue(r, vocab) for r in records], params, pool=pool)
-                    for records in (past, targets))
-        forest = baselines.rf_fit(past_x, past_points, n_trees=100, rng=rng)
-        estimates = [
-            (r.issue_key, max(0.0, baselines.rf_predict(forest, x)))
-            for r, x in zip(targets, target_x)
-        ]
-    else:
-        if args.features is None:
-            raise CliError(f"{name} needs --features (issue feature table)")
-        table = _read_feature_table(args.features)
-        past_vecs = _feature_rows(past, table)
-        target_vecs = _feature_rows(targets, table)
-        if name == "cart":
-            past_x = baselines.feature_matrix(past_vecs, impute="zero", append_mask=True)
-            target_x = baselines.feature_matrix(target_vecs, impute="zero", append_mask=True)
-            tree = baselines.cart_fit(past_x, past_points, min_leaf_size=5, prune_level=5)
-            values = [baselines.cart_predict(tree, x) for x in target_x]
-        else:
-            past_x = baselines.feature_matrix(past_vecs, impute="mean")
-            target_x = baselines.feature_matrix(target_vecs, impute="mean",
-                                                train_vectors=past_vecs)
-            if name == "cbr":
-                k = min(3, len(past_x))
-                values = [baselines.cbr_estimate(past_x, past_points, x, k=k)
-                          for x in target_x]
-            elif name == "ols":
-                model = baselines.ols_fit(past_x, past_points)
-                values = list(model.predict(target_x))
-            else:  # lasso: penalty picked on the validation partition
-                valid_vecs = _feature_rows(split.valid, table)
-                valid_x = baselines.feature_matrix(valid_vecs, impute="mean",
-                                                   train_vectors=past_vecs)
-                model = baselines.lasso_fit(
-                    past_x, past_points, valid_features=valid_x,
-                    valid_targets=np.array([r.story_points for r in split.valid]),
-                )
-                values = list(model.predict(target_x))
-        estimates = [(r.issue_key, max(0.0, float(v))) for r, v in zip(targets, values)]
-
+    baseline = BASELINES[args.model]
+    # the valid partition is reserved for model selection: only a tuned fit reads it
+    fitted = [split.train, split.valid] if baseline.tuned_on_valid else [split.train]
+    *fitted_x, target_x = baseline.rows(args, fitted + [targets])
+    (x, y), *valid = [(x, np.array([r.story_points for r in records]))
+                      for x, records in zip(fitted_x, fitted)]
+    predict = baseline.fit(x, y, make_rng(args.seed), *valid)
+    estimates = [(r.issue_key, _clamp(v)) for r, v in zip(targets, predict(target_x))]
     _write_estimates(args.out, estimates)
-    print(f"baseline {name}: wrote {len(estimates)} estimates to {args.out}")
+    print(f"baseline {args.model}: wrote {len(estimates)} estimates to {args.out}")
     return 0
 
 

@@ -40,8 +40,6 @@ class TrainConfig:
     smoothing: float = 1e-6
     patience: int = 50
     seed: int = 42
-    vocab_min_count: int = 1
-    vocab_max_size: int = 50000
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -103,10 +101,7 @@ def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
             tokenize(compose_document(r), model_config.tokenizer_mode)
             for r in split.train + split.valid
         ]
-        vocab = build_vocabulary(
-            docs, config.vocab_min_count, config.vocab_max_size,
-            mode=model_config.tokenizer_mode,
-        )
+        vocab = build_vocabulary(docs, mode=model_config.tokenizer_mode)
     if vocab.mode != model_config.tokenizer_mode:
         raise TrainerError("vocabulary mode does not match the model tokenizer mode")
     vocab_hash = vocab.content_hash()

@@ -456,6 +456,15 @@ class TestOls:
         model = ols_fit(np.arange(4.0)[:, None], np.arange(4.0))
         np.testing.assert_allclose(model.predict([[10.0]]), [10.0], atol=1e-8)
 
+    @pytest.mark.parametrize("fit", [ols_fit, lambda x, y: lasso_fit(x, y, lam=1.0)])
+    def test_unusable_training_sets_rejected(self, fit):
+        x = np.arange(8.0).reshape(4, 2)
+        for bad_x, bad_y in ((x, np.arange(3.0)), (x[:0], np.arange(0.0)),
+                             (np.where(x == 5.0, np.nan, x), np.arange(4.0)),
+                             (x, np.array([1.0, np.inf, 2.0, 3.0]))):
+            with pytest.raises(BaselineError):
+                fit(bad_x, bad_y)
+
 
 class TestLasso:
     def test_huge_budget_matches_ols(self):
@@ -515,9 +524,31 @@ class TestLasso:
         x = rng.normal(size=(60, 4))
         true = np.array([2.0, 0.0, -1.0, 0.0])
         y = x @ true + rng.normal(scale=0.3, size=60)
-        model = lasso_fit(x, y)
+        model = lasso_fit(x[:48], y[:48], valid_features=x[48:], valid_targets=y[48:])
         preds = model.predict(x)
         assert float(np.mean((preds - y) ** 2)) < 1.0
+
+    def test_grid_mode_needs_validation_rows(self):
+        rng = make_rng(21)
+        with pytest.raises(BaselineError):
+            lasso_fit(rng.normal(size=(20, 3)), rng.normal(size=20))
+
+    def test_grid_mode_fits_each_penalty_once(self, monkeypatch):
+        rng = make_rng(23)
+        x = rng.normal(size=(40, 4))
+        y = x @ np.array([1.0, 0.0, -2.0, 0.5]) + rng.normal(scale=0.3, size=40)
+        solves = []
+        real = baselines._coordinate_descent
+
+        def counting(xs, yc, lam):
+            solves.append(lam)
+            return real(xs, yc, lam)
+
+        monkeypatch.setattr(baselines, "_coordinate_descent", counting)
+        model = lasso_fit(x[:30], y[:30], valid_features=x[30:], valid_targets=y[30:])
+        assert len(solves) == 30
+        assert model.lam in solves
+        np.testing.assert_array_equal(model.coef, lasso_fit(x[:30], y[:30], lam=model.lam).coef)
 
 
 class TestReporterReputation:
@@ -589,7 +620,13 @@ class TestFeatureMatrix:
 
     def test_mask_columns_appended(self):
         vecs = [assemble_features(IssueFeatureInput(assignee_tested=None))]
-        matrix = feature_matrix(vecs, impute="zero", append_mask=True)
+        matrix = feature_matrix(vecs, impute="zero")
         base = len(vecs[0].names)
         assert matrix.shape[1] == 2 * base
         assert matrix[0, base + vecs[0].names.index("assignee_tested")] == 1.0
+
+    def test_no_vectors_give_no_rows(self):
+        train = [assemble_features(IssueFeatureInput())]
+        width = len(train[0].names)
+        assert feature_matrix([], impute="mean", train_vectors=train).shape == (0, width)
+        assert feature_matrix([], impute="zero").shape == (0, 2 * width)

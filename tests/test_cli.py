@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import jira_issue
 
-from storypoint import cli
+from storypoint import baselines, cli
 from storypoint.cli import main
 from storypoint.corpus import (
     IssueRecord,
@@ -316,29 +316,122 @@ class TestBaselineCli:
                 assert len(list(csv.DictReader(fh))) == 13
 
 
+def write_feature_table(prepared, path):
+    """A feature table with a row for every issue of the split, some
+    without an assignee."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["issue_key", "issue_type", "n_subtasks", "n_issue_links",
+                         "assignee_tested"])
+        for name in ("train", "valid", "test"):
+            for r in read_corpus(prepared / f"{name}.jsonl"):
+                words = len(r.title.split()) + len(r.description.split())
+                writer.writerow([r.issue_key, "Bug" if "easy" in r.title else "Task",
+                                 words % 7, len(r.description.split()),
+                                 "" if words % 3 else words % 5])
+    return path
+
+
+def pretrain_checkpoint(prepared, out_dir):
+    assert run("pretrain", "--corpus", prepared / "train.jsonl", "--vocab", prepared / "vocab.txt",
+               "--out-dir", out_dir, "--dim", 4, "--depth", 1, "--epochs", 1,
+               "--batch-size", 16, "--nce-samples", 5) == 0
+    return out_dir / "pretrain.ckpt"
+
+
+class TestBaselineTable:
+    @pytest.mark.parametrize("model", ["mean", "median", "random", "bow-rf", "lstm-rf",
+                                       "cbr", "cart", "ols", "lasso"])
+    def test_empty_input_gives_a_header_only_csv(self, prepared, tmp_path, capsys, model):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "out.csv"
+        flags = []
+        if model == "lstm-rf":
+            flags = ["--checkpoint", pretrain_checkpoint(prepared, tmp_path)]
+        elif model in ("cbr", "cart", "ols", "lasso"):
+            flags = ["--features", write_feature_table(prepared, tmp_path / "f.csv")]
+        argv = ["baseline", "--model", model, "--split-dir", prepared, "--in", empty, "--out", out]
+        if flags:  # the flag checks come first, whatever the input
+            assert run(*argv) == 1
+            assert flags[0] in capsys.readouterr().err
+            assert not out.exists()
+        assert run(*argv, *flags) == 0
+        assert out.read_text() == "issue_key,estimate\n"
+
+    def test_non_finite_estimate_is_refused(self, prepared, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(baselines, "mean_effort", lambda points: float("nan"))
+        out = tmp_path / "mean.csv"
+        assert run("baseline", "--model", "mean", "--split-dir", prepared,
+                   "--in", prepared / "test.jsonl", "--out", out) == 1
+        assert "non-finite estimate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_steps_call_the_module_functions_of_the_run(self, prepared, tmp_path, monkeypatch):
+        # a tracer or a test patches module attributes; the table must see them
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("rf_fit", "bow_vectorize", "feature_matrix"):
+            spy(baselines, name)
+        spy(cli, "document_vectors")
+        checkpoint = pretrain_checkpoint(prepared, tmp_path)
+        features = write_feature_table(prepared, tmp_path / "f.csv")
+        n_train, n_test = (len(read_corpus(prepared / f"{p}.jsonl")) for p in ("train", "test"))
+        expected = {  # only lasso builds rows for the valid partition
+            "bow-rf": ["bow_vectorize"] * (n_train + n_test) + ["rf_fit"],
+            "lstm-rf": ["document_vectors"] * 2 + ["rf_fit"],
+            "cbr": ["feature_matrix"] * 2,
+            "lasso": ["feature_matrix"] * 3,
+        }
+        for model, want in expected.items():
+            calls.clear()
+            assert run("baseline", "--model", model, "--split-dir", prepared,
+                       "--in", prepared / "test.jsonl", "--out", tmp_path / "x.csv",
+                       "--checkpoint", checkpoint, "--features", features) == 0
+            assert calls == want, model
+
+
+class TestFeatureTableRows:
+    @pytest.mark.parametrize("bad_row, message", [
+        ("SYN-2,Task", "not the header's 3 cells"),
+        ("SYN-2,Task,1,7", "not the header's 3 cells"),
+        ("SYN-1,Bug,2", "issue_key 'SYN-1' is repeated"),
+    ])
+    def test_bad_row_named_by_file_and_line(self, prepared, tmp_path, capsys, bad_row, message):
+        features = tmp_path / "features.csv"
+        features.write_text(f"issue_key,issue_type,n_subtasks\nSYN-1,Bug,1\n{bad_row}\n")
+        assert run("baseline", "--model", "cbr", "--split-dir", prepared,
+                   "--in", prepared / "test.jsonl", "--out", tmp_path / "x.csv",
+                   "--features", features) == 1
+        assert f"{features} line 3: {message}" in capsys.readouterr().err
+
+
 class TestTreeBaselineBytes:
-    # sha256 of the estimates CSVs. Tree fits make no BLAS calls, so these
-    # bytes are the same on every machine; they change only if a split does.
-    # On the 38-row training split cart grows one split, which its five
-    # pruned levels remove, so the cart pin covers the fit-prune-predict
-    # path; the oracle tests in test_baselines.py cover its splits.
+    # sha256 of the estimates CSVs. None of these paths makes a BLAS call,
+    # so the bytes are the same on every machine; they change only if a
+    # split or a fit does. On the 38-row training split cart grows one
+    # split, which its five pruned levels remove, so the cart pin covers the
+    # fit-prune-predict path; the oracle tests in test_baselines.py cover
+    # its splits.
     PINS = {
+        "mean": "a5ca11e5cce99928aea7ac5f3e6278f90c3a550c146ff350047a9aed9280a604",
+        "median": "a5ca11e5cce99928aea7ac5f3e6278f90c3a550c146ff350047a9aed9280a604",
+        "random": "2b69b7e62e774f5a8bda84d949decd9869c6ae2f909650725b8fc70152a29a01",
         "bow-rf": "9074682dfb006511c679ba1c6ae6c8b9159c495b80bc8838431e2029447c89a8",
         "cart": "a5ca11e5cce99928aea7ac5f3e6278f90c3a550c146ff350047a9aed9280a604",
+        "cbr": "cf9c037637627d8f9998bd2b9ebbda645070e217947caa7755110017345a31ca",
     }
 
     def test_estimates_match_pinned_bytes(self, prepared, tmp_path):
-        features = tmp_path / "features.csv"
-        with features.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["issue_key", "issue_type", "n_subtasks", "n_issue_links",
-                             "assignee_tested"])
-            for name in ("train", "valid", "test"):
-                for r in read_corpus(prepared / f"{name}.jsonl"):
-                    words = len(r.title.split()) + len(r.description.split())
-                    writer.writerow([r.issue_key, "Bug" if "easy" in r.title else "Task",
-                                     words % 7, len(r.description.split()),
-                                     "" if words % 3 else words % 5])
+        features = write_feature_table(prepared, tmp_path / "features.csv")
         for model, digest in self.PINS.items():
             out = tmp_path / f"{model}.csv"
             assert run("baseline", "--model", model, "--split-dir", prepared,
