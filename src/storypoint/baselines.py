@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Vocabulary
+from .parallel import SHARDS, Pool, run
 
 
 class BaselineError(ValueError):
@@ -95,25 +96,28 @@ def _best_split(x: np.ndarray, y: np.ndarray, rows: np.ndarray, feat_ids,
     Legal candidates are ranked in (feature, threshold) order, and a later
     one replaces the best only when its SSE is lower by more than 1e-12, so
     near-ties keep the first candidate and the tree is deterministic.
+
+    Any x works; a Fortran-ordered one (see _grow_tree) makes the gather of
+    each candidate column one contiguous read.
     """
     feats = np.asarray(feat_ids, dtype=np.intp)
-    xs = x[np.ix_(rows, feats)]
-    varying = (xs != xs[:1]).any(axis=0)  # a constant column has no legal split
-    feats, xs = feats[varying], xs[:, varying]
+    xs = x.T.take(feats, 0).take(rows, 1)  # one row per candidate column
+    varying = (xs != xs[:, :1]).any(axis=1)  # a constant column has no legal split
+    feats, xs = feats[varying], xs[varying]
     n = len(rows)
-    last_left = np.arange(min_leaf_size - 1, n - min_leaf_size)  # one per threshold
-    order = np.argsort(xs, axis=0, kind="stable")
-    xs_sorted = np.take_along_axis(xs, order, axis=0)
+    order = np.argsort(xs, axis=1, kind="stable")
+    xs_sorted = xs[np.arange(len(feats))[:, None], order]
     # legal candidates as (column, last left row) pairs in (feature, threshold) order
-    col, t = np.nonzero((xs_sorted[last_left] != xs_sorted[last_left + 1]).T)
+    col, t = np.nonzero(xs_sorted[:, min_leaf_size - 1:n - min_leaf_size]
+                        != xs_sorted[:, min_leaf_size:n - min_leaf_size + 1])
     if not col.size:
         return None
-    last = last_left[t]
+    last = t + (min_leaf_size - 1)
     ys_sorted = y[rows][order]
-    csum = np.cumsum(ys_sorted, axis=0)
-    csq = np.cumsum(ys_sorted**2, axis=0)
-    total_sum, total_sq = csum[-1, col], csq[-1, col]
-    cs, cq = csum[last, col], csq[last, col]
+    csum = np.cumsum(ys_sorted, axis=1)
+    csq = np.cumsum(ys_sorted**2, axis=1)
+    total_sum, total_sq = csum[col, -1], csq[col, -1]
+    cs, cq = csum[col, last], csq[col, last]
     nl = last + 1.0
     nr = n - nl
     # float_power squares with libm pow, as a scalar `v ** 2` does; an array
@@ -125,57 +129,103 @@ def _best_split(x: np.ndarray, y: np.ndarray, rows: np.ndarray, feat_ids,
     # Only a strict prefix minimum can beat every earlier candidate by 1e-12;
     # fmin skips a NaN SSE (an overflow) the way the `<` below does.
     prefix_min = np.fmin.accumulate(sse)
+    scores = sse.tolist()
     best = 0
-    for k in np.flatnonzero(sse[1:] < prefix_min[:-1]) + 1:
-        if sse[k] < sse[best] - 1e-12:
+    for k in (np.flatnonzero(sse[1:] < prefix_min[:-1]) + 1).tolist():
+        if scores[k] < scores[best] - 1e-12:
             best = k
     j, i = col[best], last[best]
-    return int(feats[j]), float((xs_sorted[i, j] + xs_sorted[i + 1, j]) / 2.0)
+    return int(feats[j]), float((xs_sorted[j, i] + xs_sorted[j, i + 1]) / 2.0)
 
 
-def _grow_tree(x, y, rows, min_leaf_size, n_features, rng):
-    node = TreeNode(value=float(y[rows].mean()), count=len(rows))
-    if len(rows) < 2 * min_leaf_size or np.all(y[rows] == y[rows][0]):
-        return node
+def _grow_tree(x, y, rows, min_leaf_size, n_features, rng) -> list[tuple]:
+    """The tree grown on x[rows], y[rows] as its nodes' records
+    (value, count, feature, threshold) in preorder, feature None at a leaf.
+
+    Nodes are grown from an explicit stack in preorder, left subtree
+    first, so the rng draws come in the same order at any depth.
+    """
+    x = np.asfortranarray(x)  # no copy when the caller made it once for many trees
     p = x.shape[1]
-    if n_features is None or n_features >= p:
-        feat_ids = range(p)
-    else:
-        feat_ids = sorted(rng.choice(p, size=n_features, replace=False))
-    split = _best_split(x, y, rows, feat_ids, min_leaf_size)
-    if split is None:
-        return node
-    node.feature, node.threshold = split
-    go_left = x[rows, node.feature] <= node.threshold
-    node.left = _grow_tree(x, y, rows[go_left], min_leaf_size, n_features, rng)
-    node.right = _grow_tree(x, y, rows[~go_left], min_leaf_size, n_features, rng)
-    return node
+    records = []
+    todo = [rows]
+    while todo:
+        rows = todo.pop()
+        yr = y[rows]
+        n = len(rows)
+        value = float(yr.sum() / n)  # the bits of yr.mean()
+        split = None
+        if n >= 2 * min_leaf_size and not (yr == yr[0]).all():
+            if n_features is None or n_features >= p:
+                feat_ids = range(p)
+            else:
+                feat_ids = np.sort(rng.choice(p, size=n_features, replace=False))
+            split = _best_split(x, y, rows, feat_ids, min_leaf_size)
+        if split is None:
+            records.append((value, n, None, 0.0))
+            continue
+        feature, threshold = split
+        records.append((value, n, feature, threshold))
+        go_left = x[rows, feature] <= threshold
+        todo.append(rows[~go_left])
+        todo.append(rows[go_left])
+    return records
+
+
+def _build_tree(records) -> TreeNode:
+    """The TreeNode tree of _grow_tree's preorder records."""
+    root = None
+    open_nodes = []  # split nodes still missing their right child
+    for value, count, feature, threshold in records:
+        node = TreeNode(value=value, count=count, feature=feature, threshold=threshold)
+        if not open_nodes:
+            root = node
+        elif open_nodes[-1].left is None:
+            open_nodes[-1].left = node
+        else:
+            open_nodes.pop().right = node
+        if feature is not None:
+            open_nodes.append(node)
+    return root
 
 
 def _tree_height(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 0
-    return 1 + max(_tree_height(node.left), _tree_height(node.right))
+    height = 0
+    todo = [(node, 0)]
+    while todo:
+        node, depth = todo.pop()
+        if node.is_leaf:
+            height = max(height, depth)
+        else:
+            todo += [(node.left, depth + 1), (node.right, depth + 1)]
+    return height
 
 
-def _collapse_at_depth(node: TreeNode, depth: int, target: int) -> TreeNode:
-    if node.is_leaf:
-        return node
-    if depth == target:
-        return TreeNode(value=node.value, count=node.count)
-    node.left = _collapse_at_depth(node.left, depth + 1, target)
-    node.right = _collapse_at_depth(node.right, depth + 1, target)
-    return node
+def _collapse_at_depth(root: TreeNode, target: int) -> TreeNode:
+    """The tree with every split node at depth `target` made a leaf."""
+    if root.is_leaf:
+        return root
+    if target == 0:
+        return TreeNode(value=root.value, count=root.count)
+    todo = [(root, 0)]
+    while todo:
+        node, depth = todo.pop()
+        for side in ("left", "right"):
+            child = getattr(node, side)
+            if child.is_leaf:
+                continue
+            if depth + 1 == target:
+                setattr(node, side, TreeNode(value=child.value, count=child.count))
+            else:
+                todo.append((child, depth + 1))
+    return root
 
 
 def prune_tree(root: TreeNode, levels: int) -> TreeNode:
-    """Collapse the deepest level of the tree `levels` times."""
-    for _ in range(levels):
-        height = _tree_height(root)
-        if height == 0:
-            break
-        root = _collapse_at_depth(root, 0, height - 1)
-    return root
+    """Collapse the deepest level of the tree `levels` times. Each collapse
+    lowers the height by one, so this makes leaves of the split nodes at
+    depth height - levels."""
+    return _collapse_at_depth(root, max(0, _tree_height(root) - levels))
 
 
 def _training_arrays(features, targets):
@@ -199,7 +249,7 @@ def cart_fit(features, targets, min_leaf_size: int = 5, prune_level: int = 5) ->
     x, y = _training_arrays(features, targets)
     if min_leaf_size < 1:
         raise BaselineError("min_leaf_size must be >= 1")
-    root = _grow_tree(x, y, np.arange(x.shape[0]), min_leaf_size, None, None)
+    root = _build_tree(_grow_tree(x, y, np.arange(x.shape[0]), min_leaf_size, None, None))
     return prune_tree(root, prune_level)
 
 
@@ -216,9 +266,24 @@ class Forest:
     trees: list[TreeNode] = field(default_factory=list)
 
 
+def _grow_trees(features, targets, seeds, bootstrap, n_features, min_leaf_size):
+    """One rf_fit task: the _grow_tree records of the tree of each seed.
+    Records cross a pipe at any depth; pickling a TreeNode recurses once
+    per level."""
+    x = np.asfortranarray(features, dtype=np.float64)  # one copy for all the task's trees
+    y = np.asarray(targets, dtype=np.float64)
+    trees = []
+    for seed in seeds:
+        tree_rng = np.random.default_rng(int(seed))
+        rows = tree_rng.integers(0, len(y), size=len(y)) if bootstrap else np.arange(len(y))
+        trees.append(_grow_tree(x, y, rows, min_leaf_size, n_features, tree_rng))
+    return trees
+
+
 def rf_fit(features, targets, n_trees: int = 100,
            rng: np.random.Generator | None = None, bootstrap: bool = True,
-           n_features: int | str | None = "sqrt", min_leaf_size: int = 1) -> Forest:
+           n_features: int | str | None = "sqrt", min_leaf_size: int = 1,
+           pool: Pool | None = None) -> Forest:
     """Random forest of unpruned regression trees.
 
     Each tree sees a bootstrap resample and considers sqrt(p) features per
@@ -226,8 +291,12 @@ def rf_fit(features, targets, n_trees: int = 100,
     reproducible regardless of training order. Every tree indexes its
     resample into the shared training arrays instead of copying it, and
     the arrays are validated once for the whole forest.
+
+    The seeds are cut into SHARDS tasks of interleaved slices, whatever the
+    process count, and run on `pool` (created with `features, targets`)
+    or, without one, here; the trees come back in seed order.
     """
-    x, y = _training_arrays(features, targets)
+    x, _ = _training_arrays(features, targets)
     if n_trees < 1:
         raise BaselineError("n_trees must be >= 1")
     if min_leaf_size < 1:
@@ -237,16 +306,9 @@ def rf_fit(features, targets, n_trees: int = 100,
     if n_features == "sqrt":
         n_features = max(1, round(math.sqrt(x.shape[1])))
     tree_seeds = rng.integers(0, 2**63 - 1, size=n_trees)
-    forest = Forest()
-    for seed in tree_seeds:
-        tree_rng = np.random.default_rng(int(seed))
-        rows = (
-            tree_rng.integers(0, x.shape[0], size=x.shape[0])
-            if bootstrap
-            else np.arange(x.shape[0])
-        )
-        forest.trees.append(_grow_tree(x, y, rows, min_leaf_size, n_features, tree_rng))
-    return forest
+    tasks = [(tree_seeds[k::SHARDS], bootstrap, n_features, min_leaf_size) for k in range(SHARDS)]
+    grown = run(_grow_trees, tasks, features, targets, pool=pool)
+    return Forest([_build_tree(grown[i % SHARDS][i // SHARDS]) for i in range(n_trees)])
 
 
 def rf_predict(forest: Forest, x) -> float:

@@ -307,27 +307,35 @@ def _read_feature_table(path: Path) -> dict[str, baselines.IssueFeatureInput]:
     """Feature CSV: issue_key column plus IssueFeatureInput fields, one cell
     each and a new issue_key per row; empty assignee cells mean missing."""
     table = {}
-    int_fields = {f for f in baselines.IssueFeatureInput.__dataclass_fields__
-                  if f not in ("issue_type", "priority")}
+    fields = baselines.IssueFeatureInput.__dataclass_fields__
+    int_fields = {f for f in fields if f not in ("issue_type", "priority")}
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        if "issue_key" not in header:
+            raise CliError(f"{path}: no issue_key column")
+        for field in header:
+            if field != "issue_key" and field not in fields:
+                raise CliError(f"{path}: unknown feature column {field!r}")
         for row in reader:
             where = f"{path} line {reader.line_num}"
             if None in row or None in row.values():  # more or fewer cells than the header
-                raise CliError(f"{where}: not the header's {len(reader.fieldnames)} cells")
+                raise CliError(f"{where}: not the header's {len(header)} cells")
             key = row.pop("issue_key")
             if key in table:
                 raise CliError(f"{where}: issue_key {key!r} is repeated")
             kwargs = {}
             for field, value in row.items():
-                if field not in baselines.IssueFeatureInput.__dataclass_fields__:
-                    raise CliError(f"unknown feature column {field!r}")
-                if field in int_fields:
-                    kwargs[field] = int(value) if value.strip() else (
-                        None if field.startswith("assignee_") else 0
-                    )
-                else:
+                if field not in int_fields:
                     kwargs[field] = value
+                elif not value.strip():
+                    kwargs[field] = None if field.startswith("assignee_") else 0
+                else:
+                    try:
+                        kwargs[field] = int(value)
+                    except ValueError:
+                        raise CliError(
+                            f"{where}: column {field}: {value!r} is not an integer") from None
             table[key] = baselines.IssueFeatureInput(**kwargs)
     return table
 
@@ -390,7 +398,9 @@ def _repeat(value):
 
 
 def _forest(x, y, rng):
-    return _each_row(baselines.rf_predict, baselines.rf_fit(x, y, n_trees=100, rng=rng))
+    with Pool(x, y) as pool:
+        forest = baselines.rf_fit(x, y, n_trees=100, rng=rng, pool=pool)
+    return _each_row(baselines.rf_predict, forest)
 
 
 BASELINES = {

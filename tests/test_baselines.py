@@ -207,6 +207,18 @@ class TestCart:
             x[rows], y[rows], np.arange(len(rows)), 1, None, None
         )
 
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # each split peels off the row with the largest target, so the tree
+        # is a chain more levels deep than Python's default recursion limit
+        n = 1100
+        x = np.arange(float(n))[:, None]
+        y = 100 * 0.5 ** np.arange(n)
+        tree = cart_fit(x, y, min_leaf_size=1, prune_level=0)
+        height = baselines._tree_height(tree)
+        assert height > 1000
+        assert [cart_predict(tree, row) for row in x] == list(y)
+        assert baselines._tree_height(prune_tree(tree, 5)) == height - 5
+
 
 def reference_best_split(x, y, rows, feat_ids, min_leaf_size):
     """Sequential threshold scan, one feature and one threshold at a time.

@@ -413,6 +413,19 @@ class TestFeatureTableRows:
                    "--features", features) == 1
         assert f"{features} line 3: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table, message", [
+        ("key,issue_type\nSYN-1,Bug\n", "{}: no issue_key column"),
+        ("issue_key,colour\nSYN-1,red\n", "{}: unknown feature column 'colour'"),
+        ("issue_key,n_subtasks\nSYN-1,x\n", "{} line 2: column n_subtasks: 'x' is not an integer"),
+    ])
+    def test_bad_table_named_by_file(self, prepared, tmp_path, capsys, table, message):
+        features = tmp_path / "features.csv"
+        features.write_text(table)
+        assert run("baseline", "--model", "cbr", "--split-dir", prepared,
+                   "--in", prepared / "test.jsonl", "--out", tmp_path / "x.csv",
+                   "--features", features) == 1
+        assert capsys.readouterr().err == f"error: {message.format(features)}\n"
+
 
 class TestTreeBaselineBytes:
     # sha256 of the estimates CSVs. None of these paths makes a BLAS call,

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from oracles import densified
 
+from storypoint import baselines
 from storypoint import model as model_module
 from storypoint import parallel
 from storypoint import pretrain as pretrain_module
@@ -428,7 +429,62 @@ def test_cli_artifacts_identical_at_one_and_two_processes(monkeypatch, tmp_path)
             assert run_cli("estimate", "--checkpoint", out / "model.ckpt", "--vocab",
                            out / "vocab.txt", "--in", split / "test.jsonl",
                            "--out", out / "estimates.csv") == 0
+            for forest in ("bow-rf", "lstm-rf"):
+                assert run_cli("baseline", "--model", forest, "--split-dir", split,
+                               "--in", split / "test.jsonl", "--out", out / f"{forest}.csv",
+                               "--checkpoint", out / "model.ckpt") == 0
         digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                         for name in ("pretrain.ckpt", "pretrain_log.csv", "model.ckpt",
-                                     "train_log.csv", "estimates.csv")})
+                                     "train_log.csv", "estimates.csv", "bow-rf.csv",
+                                     "lstm-rf.csv")})
     assert digests[0] == digests[1]
+
+
+def tree_records(node):
+    """A tree's (value, count, feature, threshold) nodes in preorder, read
+    without recursion: comparing deep TreeNodes with == recurses."""
+    records, todo = [], [node]
+    while todo:
+        node = todo.pop()
+        records.append((node.value, node.count, node.feature, node.threshold))
+        if not node.is_leaf:
+            todo += [node.right, node.left]
+    return records
+
+
+def forest_data(kind):
+    rng = make_rng(41)
+    if kind == "bow":  # sparse, mostly tied counts, as bag-of-words rows
+        x = rng.poisson(0.08, size=(40, 300)).astype(float)
+    else:
+        x = rng.normal(size=(40, 12))
+    return x, rng.choice([1.0, 2.0, 3.0, 5.0, 8.0], size=40)
+
+
+@pytest.mark.parametrize("kind", ["bow", "dense"])
+@pytest.mark.parametrize("n_trees", [1, 2, 7, 100])  # one tree leaves a task empty
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_dealt_forest_equals_forest_grown_here(monkeypatch, count, n_trees, kind):
+    x, y = forest_data(kind)
+    here = baselines.rf_fit(x, y, n_trees=n_trees, rng=make_rng(7))
+    processes(monkeypatch, count)
+    with deadline(120), parallel.Pool(x, y) as pool:
+        dealt = baselines.rf_fit(x, y, n_trees=n_trees, rng=make_rng(7), pool=pool)
+    assert len(dealt.trees) == n_trees
+    assert [tree_records(t) for t in dealt.trees] == [tree_records(t) for t in here.trees]
+
+
+def test_deep_forest_is_the_same_at_one_and_two_processes(monkeypatch):
+    # every split peels off the row with the largest target, so the trees
+    # are chains too deep to pickle as TreeNodes
+    n = 600
+    x = np.arange(float(n))[:, None]
+    y = 100 * 0.5 ** np.arange(n)
+    forests = []
+    for count in (1, 2):
+        processes(monkeypatch, count)
+        with deadline(120), parallel.Pool(x, y) as pool:
+            forests.append(baselines.rf_fit(x, y, n_trees=4, rng=make_rng(0), pool=pool))
+    assert max(baselines._tree_height(t) for t in forests[0].trees) > 300
+    records = [[tree_records(t) for t in forest.trees] for forest in forests]
+    assert records[0] == records[1]
