@@ -84,6 +84,28 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature is None
 
+    # Trees can be deeper than the recursion limit, so equality, pickling
+    # (and with it deepcopy) and repr walk them with a stack.
+    def __eq__(self, other):
+        if not isinstance(other, TreeNode):
+            return NotImplemented
+        return _tree_records(self) == _tree_records(other)
+
+    def __reduce__(self):
+        return _build_tree, (_tree_records(self),)
+
+    def __repr__(self) -> str:
+        parts, todo = [], [self]
+        while todo:
+            node = todo.pop()
+            if not isinstance(node, TreeNode):  # a closing piece, or a missing child
+                parts.append(repr(node) if node is None else node)
+                continue
+            parts.append(f"TreeNode(value={node.value!r}, count={node.count!r}, "
+                         f"feature={node.feature!r}, threshold={node.threshold!r}, left=")
+            todo += [")", node.right, ", right=", node.left]
+        return "".join(parts)
+
 
 def _best_split(x: np.ndarray, y: np.ndarray, rows: np.ndarray, feat_ids,
                 min_leaf_size: int):
@@ -169,6 +191,17 @@ def _grow_tree(x, y, rows, min_leaf_size, n_features, rng) -> list[tuple]:
         go_left = x[rows, feature] <= threshold
         todo.append(rows[~go_left])
         todo.append(rows[go_left])
+    return records
+
+
+def _tree_records(root: TreeNode) -> list[tuple]:
+    """The tree's nodes as _grow_tree records, in preorder."""
+    records, todo = [], [root]
+    while todo:
+        node = todo.pop()
+        records.append((node.value, node.count, node.feature, node.threshold))
+        if not node.is_leaf:
+            todo += [node.right, node.left]
     return records
 
 
@@ -267,9 +300,8 @@ class Forest:
 
 
 def _grow_trees(features, targets, seeds, bootstrap, n_features, min_leaf_size):
-    """One rf_fit task: the _grow_tree records of the tree of each seed.
-    Records cross a pipe at any depth; pickling a TreeNode recurses once
-    per level."""
+    """One rf_fit task: the _grow_tree records of the tree of each seed,
+    which cross a pipe more cheaply than TreeNodes."""
     x = np.asfortranarray(features, dtype=np.float64)  # one copy for all the task's trees
     y = np.asarray(targets, dtype=np.float64)
     trees = []
@@ -311,8 +343,51 @@ def rf_fit(features, targets, n_trees: int = 100,
     return Forest([_build_tree(grown[i % SHARDS][i // SHARDS]) for i in range(n_trees)])
 
 
-def rf_predict(forest: Forest, x) -> float:
-    return float(np.mean([cart_predict(t, x) for t in forest.trees]))
+def _forest_arrays(trees: list[TreeNode]):
+    """Every node of the trees as flat arrays, numbered in preorder tree
+    after tree: (feature, threshold, value, left, right, roots). A leaf is
+    its own left and right child, so a walk that reaches it stays there."""
+    feature, threshold, value, left, right, roots = [], [], [], [], [], []
+    for tree in trees:
+        roots.append(len(value))
+        open_splits = []  # split nodes still missing their right child
+        for node_value, _, node_feature, node_threshold in _tree_records(tree):
+            i = len(value)
+            if open_splits and open_splits[-1] + 1 != i:  # not a left child
+                right[open_splits.pop()] = i
+            value.append(node_value)
+            threshold.append(node_threshold)
+            feature.append(0 if node_feature is None else node_feature)
+            left.append(i if node_feature is None else i + 1)
+            right.append(i)
+            if node_feature is not None:
+                open_splits.append(i)
+    return (np.array(feature, dtype=np.intp), np.array(threshold, dtype=np.float64),
+            np.array(value, dtype=np.float64), np.array(left, dtype=np.intp),
+            np.array(right, dtype=np.intp), np.array(roots, dtype=np.intp))
+
+
+def rf_predict(forest: Forest, x):
+    """Mean of the trees' predictions: a float for one row, a list of
+    floats for a matrix of rows.
+
+    All rows walk all trees together, one level per step, and each row's
+    (rows, trees) leaf values are averaged as np.mean averages that row's
+    list of cart_predict values, so the bits do not depend on how many rows
+    come in one call.
+    """
+    rows = np.asarray(x, dtype=np.float64)
+    grid = rows.reshape(-1, rows.shape[-1])
+    feature, threshold, value, left, right, roots = _forest_arrays(forest.trees)
+    node = np.tile(roots, (len(grid), 1))
+    row = np.arange(len(grid))[:, None]
+    while True:
+        step = np.where(grid[row, feature[node]] <= threshold[node], left[node], right[node])
+        if np.array_equal(step, node):
+            break
+        node = step
+    means = value[node].mean(axis=1).tolist()
+    return means[0] if rows.ndim == 1 else means
 
 
 # ---------------------------------------------------------------------------

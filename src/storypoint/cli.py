@@ -28,10 +28,12 @@ from .corpus import (
     filter_issues,
     load_vocabulary,
     read_corpus,
+    record_to_json,
     save_vocabulary,
     split_chronological,
     tokenize,
     write_corpus,
+    write_lines,
     SplitDataset,
 )
 from .jira_ingest import IngestConfig, IngestError, fetch_issues
@@ -217,11 +219,16 @@ def cmd_prepare(args) -> int:
     unlabeled = [r for r in kept if r.story_points is None]
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    write_corpus(kept, out / "filtered.jsonl")
-    write_corpus(unlabeled, out / "unlabeled.jsonl")
+    line = {r.issue_key: record_to_json(r) + "\n" for r in kept}  # each record goes to two files
+
+    def write(name, records):
+        write_lines([line[r.issue_key] for r in records], out / f"{name}.jsonl")
+
+    write("filtered", kept)
+    write("unlabeled", unlabeled)
     split = split_chronological(labeled)
-    for name, records in (("train", split.train), ("valid", split.valid), ("test", split.test)):
-        write_corpus(records, out / f"{name}.jsonl")
+    for name in ("train", "valid", "test"):
+        write(name, getattr(split, name))
     docs = [tokenize(compose_document(r), args.mode) for r in split.train + split.valid]
     vocab = build_vocabulary(docs, args.vocab_min_count, args.vocab_max_size, mode=args.mode)
     lengths = None  # word counts; the vocabulary pass has those of train and valid
@@ -400,7 +407,7 @@ def _repeat(value):
 def _forest(x, y, rng):
     with Pool(x, y) as pool:
         forest = baselines.rf_fit(x, y, n_trees=100, rng=rng, pool=pool)
-    return _each_row(baselines.rf_predict, forest)
+    return lambda rows: baselines.rf_predict(forest, rows)
 
 
 BASELINES = {

@@ -132,14 +132,19 @@ def _strip_edge_punctuation(token: str) -> str:
 def tokenize(text: str, mode: str = "word") -> list[str]:
     """Split text into tokens and append the end-of-sequence sentinel.
 
-    Word mode lowercases, splits on whitespace and strips punctuation off
-    token edges. Character mode keeps every Unicode scalar, whitespace
-    included, so joining the tokens (minus the sentinel) reproduces the
-    input exactly.
+    Word mode lowercases, splits on whitespace and strips punctuation
+    (Unicode category P*) off token edges. Character mode keeps every
+    Unicode scalar, whitespace included, so joining the tokens (minus the
+    sentinel) reproduces the input exactly.
     """
     if mode == "word":
         tokens = []
         for raw in text.lower().split():
+            # no alphanumeric character is punctuation, so a word with
+            # alphanumeric edges has nothing to strip (most words)
+            if raw[0].isalnum() and raw[-1].isalnum():
+                tokens.append(raw)
+                continue
             tok = _strip_edge_punctuation(raw)
             if tok:
                 tokens.append(tok)
@@ -262,7 +267,7 @@ def load_vocabulary(path: str | Path, mode: str = "word") -> Vocabulary:
         header = lines.pop(0)[len(MODE_HEADER):]
         if header != mode:
             raise CorpusError(f"vocabulary file {path} is for {header!r} tokens, not {mode!r}")
-    tokens = [_unescape_token(line) for line in lines if line != ""]
+    tokens = [_unescape_token(line) if "\\" in line else line for line in lines if line != ""]
     if len(tokens) < 2 or tokens[0] != UNK_TOKEN or tokens[1] != EOS_TOKEN:
         raise CorpusError(f"vocabulary file {path} lacks reserved tokens")
     return Vocabulary(tokens=tokens, mode=mode)
@@ -378,15 +383,19 @@ def record_from_json(line: str) -> IssueRecord:
     )
 
 
-def write_corpus(records: list[IssueRecord], path: str | Path) -> int:
-    """Write records as JSON lines. Output bytes are deterministic."""
+def write_lines(lines: list[str], path: str | Path) -> None:
+    """Write corpus lines, each ending in "\\n", as they are."""
     path = Path(path)
     try:
         with path.open("w", encoding="utf-8", newline="\n") as fh:
-            for record in records:
-                fh.write(record_to_json(record) + "\n")
+            fh.writelines(lines)
     except OSError as exc:
         raise CorpusError(f"cannot write corpus {path}: {exc}") from exc
+
+
+def write_corpus(records: list[IssueRecord], path: str | Path) -> int:
+    """Write records as JSON lines. Output bytes are deterministic."""
+    write_lines([record_to_json(record) + "\n" for record in records], path)
     return len(records)
 
 
@@ -414,7 +423,9 @@ def read_corpus(path: str | Path) -> list[IssueRecord]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Records end at "\n" only. JSON escapes every control character, but
+    # U+0085, U+2028 and U+2029 stay raw, and str.splitlines breaks at them.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

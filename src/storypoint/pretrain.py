@@ -86,28 +86,28 @@ def _chunk_step(vocab_size: int) -> int:
     return max(1, SOFTMAX_CHUNK_BYTES // (8 * vocab_size))
 
 
-def _softmax_rows(h: np.ndarray, tgt: np.ndarray, lm_u: np.ndarray):
-    """(shifted, lse, target_logp) of the exact softmax of the rows of h:
-    `shifted` is h @ lm_u.T minus its row max (a fresh buffer the caller may
-    overwrite), `lse` is log(sum(exp(shifted))) per row and `target_logp`
-    is log P(tgt). Every reduction over V is per row."""
-    shifted = h @ lm_u.T
-    shifted -= shifted.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    return shifted, lse, shifted[np.arange(len(lse)), tgt] - lse
-
-
 def _softmax_chunks(h: np.ndarray, tgt: np.ndarray, lm_u: np.ndarray):
     """Exact full softmax of the rows of h, a bounded number of rows at a time.
 
     Yields (rows, shifted, lse, target_logp) per chunk of _chunk_step rows:
-    `rows` slices h and tgt, the rest is _softmax_rows of those rows, so
-    the values do not depend on the chunk size.
+    `rows` slices h and tgt, `shifted` is the chunk's h @ lm_u.T minus its
+    row max, `lse` is log(sum(exp(shifted))) per row and `target_logp` is
+    log P(tgt). Every reduction over V is per row, so the values do not
+    depend on the chunk size. The logits and their exp live in two buffers
+    made once per call (fresh pages for every chunk cost about as much as
+    the chunk's exp), so the caller may overwrite `shifted` but is done
+    with it when it asks for the next chunk.
     """
     step = _chunk_step(lm_u.shape[0])
+    logits = np.empty((min(step, len(h)), lm_u.shape[0]))
+    exp = np.empty_like(logits)
     for start in range(0, len(h), step):
         rows = slice(start, start + step)
-        yield rows, *_softmax_rows(h[rows], tgt[rows], lm_u)
+        n = min(step, len(h) - start)
+        shifted = np.matmul(h[rows], lm_u.T, out=logits[:n])
+        shifted -= shifted.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(shifted, out=exp[:n]).sum(axis=1))
+        yield rows, shifted, lse, shifted[np.arange(n), tgt[rows]] - lse
 
 
 def _target_logp(params: ModelParams, h: np.ndarray, tgt: np.ndarray) -> np.ndarray:

@@ -2,8 +2,11 @@
 clarity rather than speed, so the batched library code can be checked
 against them."""
 
+import unicodedata
+
 import numpy as np
 
+from storypoint.corpus import EOS_TOKEN
 from storypoint.numerics import log_sigmoid, sigmoid
 from storypoint.pretrain import PretrainError
 
@@ -152,3 +155,19 @@ def densified(grads, params):
             grad[ids] = rows
         out[name] = grad
     return out
+
+
+def reference_tokenize(text: str) -> list[str]:
+    """Word-mode tokenize with every word's edges checked by unicodedata:
+    lowercase, split on whitespace, strip P* characters off both ends of
+    each word, drop words left empty, append the sentinel."""
+    tokens = []
+    for word in text.lower().split():
+        start, end = 0, len(word)
+        while start < end and unicodedata.category(word[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(word[end - 1]).startswith("P"):
+            end -= 1
+        if start < end:
+            tokens.append(word[start:end])
+    return tokens + [EOS_TOKEN]

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -220,6 +223,35 @@ class TestCart:
         assert baselines._tree_height(prune_tree(tree, 5)) == height - 5
 
 
+    def test_deep_tree_pickles_compares_and_prints(self):
+        # the chain again, from a forest: trees far deeper than the
+        # recursion limit of a recursive pickle, == or repr
+        n = 600
+        x = np.arange(float(n))[:, None]
+        y = 100 * 0.5 ** np.arange(n)
+        tree = max(rf_fit(x, y, n_trees=4, rng=make_rng(0)).trees, key=baselines._tree_height)
+        height = baselines._tree_height(tree)
+        assert height > 300
+        back = pickle.loads(pickle.dumps(tree))
+        assert back == tree and back is not tree
+        changed = copy.deepcopy(tree)
+        node = changed
+        while not node.is_leaf:
+            node = node.right if node.right.count > 1 else node.left
+        node.value += 1.0
+        assert changed != tree and baselines._tree_height(changed) == height
+        assert repr(tree).count("TreeNode(") == len(baselines._tree_records(tree))
+
+    def test_repr_reads_like_the_dataclass_fields(self):
+        tree = cart_fit(np.array([[0.0], [1.0]]), np.array([2.0, 4.0]), min_leaf_size=1,
+                        prune_level=0)
+        assert repr(tree) == (
+            "TreeNode(value=3.0, count=2, feature=0, threshold=0.5, "
+            "left=TreeNode(value=2.0, count=1, feature=None, threshold=0.0, left=None, "
+            "right=None), right=TreeNode(value=4.0, count=1, feature=None, threshold=0.0, "
+            "left=None, right=None))")
+
+
 def reference_best_split(x, y, rows, feat_ids, min_leaf_size):
     """Sequential threshold scan, one feature and one threshold at a time.
 
@@ -383,6 +415,16 @@ class TestRandomForest:
         p1 = [rf_predict(rf_fit(x, y, n_trees=12, rng=make_rng(9)), row) for row in x]
         p2 = [rf_predict(rf_fit(x, y, n_trees=12, rng=make_rng(9)), row) for row in x]
         assert p1 == p2
+
+    def test_rows_in_one_call_average_each_rows_tree_predictions(self):
+        rng = make_rng(12)
+        x = rng.poisson(0.3, size=(50, 40)).astype(float)
+        y = rng.choice([1.0, 2.0, 3.0, 5.0, 8.0, 13.0], size=50) * 1.1
+        forest = rf_fit(x[:35], y[:35], n_trees=150, rng=make_rng(13))
+        each = [float(np.mean([cart_predict(t, row) for t in forest.trees])) for row in x]
+        assert rf_predict(forest, x) == each
+        assert [rf_predict(forest, row) for row in x] == each
+        assert rf_predict(forest, x[:0]) == []
 
     def test_prediction_within_tree_range(self):
         rng = make_rng(10)

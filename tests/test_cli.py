@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -13,8 +14,10 @@ from storypoint.cli import main
 from storypoint.corpus import (
     IssueRecord,
     dataset_stats,
+    filter_issues,
     load_bundled_corpus,
     read_corpus,
+    split_chronological,
     write_corpus,
 )
 from storypoint.model import load_checkpoint
@@ -112,6 +115,59 @@ class TestPrepare:
         assert run("prepare", "--in", corpus_path, "--out-dir", tmp_path / "o",
                    "--min-project-size", 0) == 0
         assert len(calls) == len(load_bundled_corpus())
+
+    # sha256 of vocab.txt and stats.json for mixed_corpus, as written before
+    # prepare serialized each record once for all its files
+    MIXED_PINS = {
+        "word": ("d58d488f9c85a90ddf90d6a86c880b53f6c084fa3e20abe0a969ba6224b6ba54",
+                 "b236e6abd1f93d9f4564046f998d0c6dc642cb61d6773e99db02995e426940fe"),
+        "character": ("05625b9d89bb2bf49584deff5a2333090146accbfc94569fa5a3d3742233c3e4",
+                      "a24a00a42022c4d7980c46bff781c893acf38921dc30a561c2531c21136f56e1"),
+    }
+
+    @staticmethod
+    def mixed_corpus():
+        """The bundled corpus with unlabeled copies of a quarter of it (quotes,
+        non-ASCII, a tab) and one issue the point filter drops."""
+        labeled = load_bundled_corpus()
+        unlabeled = [dataclasses.replace(r, issue_key=r.issue_key + "-U", story_points=None,
+                                         title=r.title + ' «draft» "ß"\tend')
+                     for r in labeled[::4]]
+        dropped = dataclasses.replace(labeled[0], issue_key="DROP-1", story_points=0.0)
+        return labeled[:32] + unlabeled + labeled[32:] + [dropped]
+
+    @pytest.mark.parametrize("mode", ["word", "character"])
+    def test_files_are_those_write_corpus_writes(self, tmp_path, mode):
+        records = self.mixed_corpus()
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(records, corpus_path)
+        out = tmp_path / "o"
+        assert run("prepare", "--in", corpus_path, "--out-dir", out,
+                   "--min-project-size", 0, "--mode", mode) == 0
+        kept, _ = filter_issues(records, 0)
+        split = split_chronological([r for r in kept if r.story_points is not None])
+        unlabeled = [r for r in kept if r.story_points is None]
+        assert len(unlabeled) == 16 and len(kept) == len(records) - 1
+        expected = {"filtered": kept, "unlabeled": unlabeled,
+                    "train": split.train, "valid": split.valid, "test": split.test}
+        for name, part in expected.items():
+            write_corpus(part, tmp_path / f"{name}.jsonl")
+            assert (out / f"{name}.jsonl").read_bytes() == (tmp_path / f"{name}.jsonl").read_bytes()
+        digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("vocab.txt", "stats.json"))
+        assert digests == self.MIXED_PINS[mode]
+
+    def test_line_separators_in_text_survive_prepare(self, tmp_path):
+        records = make_corpus(tmp_path / "plain.jsonl", n=10)
+        records = [dataclasses.replace(r, title=r.title + sep, description="a" + sep + "b")
+                   for r, sep in zip(records, ["\u2028", "\u2029", "\u0085"] * 4)]
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(records, corpus_path)
+        assert run("prepare", "--in", corpus_path, "--out-dir", tmp_path / "o",
+                   "--min-project-size", 0) == 0
+        assert read_corpus(tmp_path / "o" / "filtered.jsonl") == records
+        assert sum(len(read_corpus(tmp_path / "o" / f"{name}.jsonl"))
+                   for name in ("train", "valid", "test")) == 10
 
     def test_vocab_is_reusable(self, prepared):
         from storypoint.corpus import load_vocabulary

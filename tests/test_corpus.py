@@ -1,8 +1,12 @@
 import math
+import re
+import sys
+import unicodedata
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from oracles import reference_tokenize
 
 from storypoint import corpus
 from storypoint.corpus import (
@@ -107,6 +111,27 @@ class TestTokenize:
 
     def test_whitespace_only_gives_sentinel(self):
         assert tokenize("  ", "word") == [corpus.EOS_TOKEN]
+
+    def test_no_alphanumeric_character_is_punctuation(self):
+        # word mode keeps a word with alphanumeric edges without looking up
+        # their categories; that is exact only while this holds
+        assert [c for c in map(chr, range(sys.maxunicode + 1))
+                if c.isalnum() and unicodedata.category(c).startswith("P")] == []
+
+    def test_word_mode_matches_the_edge_loop_on_random_text(self):
+        pieces = [
+            "a", "Z", "ß", "İ", "ǅ", "β", "ж", "日本", "ا", "é", "e\u0301",  # letters, a mark
+            "0", "7", "٣", "²", "½",                                       # digits, numbers
+            ".", ",", "!", "?", "(", ")", "'", '"', "-", "_", "«", "»", "¿",  # punctuation
+            "、", "。", "…", "—", "@", "#", "%", "&", "*", "/", "\\",
+            "$", "+", "^", "`", "|", "~", "©", "€",                         # symbols stay
+            "don't", "e.g.", "(x)", "...", "--", "v2.0", "‹i›",
+            " ", " ", "\t", "\n", "\u2028", "\u00a0", "\u3000",
+        ]
+        rng = np.random.default_rng(14)
+        for _ in range(3000):
+            text = "".join(rng.choice(pieces, size=rng.integers(0, 30)))
+            assert tokenize(text, "word") == reference_tokenize(text), repr(text)
 
     def test_character_roundtrip(self):
         rng = np.random.default_rng(5)
@@ -277,7 +302,8 @@ class TestCorpusFiles:
 
     def test_random_roundtrip_property(self, tmp_path):
         rng = np.random.default_rng(12)
-        alphabet = list("abc \né\t\"\\日")
+        # U+2028, U+2029 and U+0085 stay raw in the JSON, and a line ends only at \n
+        alphabet = list("abc \né\t\"\\日\u2028\u2029\u0085")
         records = []
         for i in range(40):
             title = "x" + "".join(rng.choice(alphabet, size=rng.integers(0, 15)))
@@ -290,6 +316,15 @@ class TestCorpusFiles:
         path = tmp_path / "rand.jsonl"
         write_corpus(records, path)
         assert read_corpus(path) == records
+
+
+    def test_bad_line_is_named_by_path_and_number(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        write_corpus([make_issue("K-1", title="a\u2028b")], path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("\n{not json\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:3: bad corpus line")):
+            read_corpus(path)
 
 
 class TestTimestamps:
@@ -334,6 +369,13 @@ class TestVocabularyFiles:
         loaded = load_vocabulary(path, mode="character")
         assert loaded.tokens == vocab.tokens
         assert loaded.mode == "character"
+
+    def test_roundtrip_escaped_tokens(self, tmp_path):
+        tokens = [corpus.UNK_TOKEN, corpus.EOS_TOKEN, "plain", "a\\b", "\\", "\\\\",
+                  "\\n", "\\\n", "\t", "x\ty", "\n", "\r", "\\t\\r", "trail\\"]
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(corpus.Vocabulary(tokens=tokens, mode="character"), path)
+        assert load_vocabulary(path, mode="character").tokens == tokens
 
     def test_hash_changes_with_content(self):
         v1 = build_vocabulary([["a"]], min_count=1)

@@ -440,18 +440,6 @@ def test_cli_artifacts_identical_at_one_and_two_processes(monkeypatch, tmp_path)
     assert digests[0] == digests[1]
 
 
-def tree_records(node):
-    """A tree's (value, count, feature, threshold) nodes in preorder, read
-    without recursion: comparing deep TreeNodes with == recurses."""
-    records, todo = [], [node]
-    while todo:
-        node = todo.pop()
-        records.append((node.value, node.count, node.feature, node.threshold))
-        if not node.is_leaf:
-            todo += [node.right, node.left]
-    return records
-
-
 def forest_data(kind):
     rng = make_rng(41)
     if kind == "bow":  # sparse, mostly tied counts, as bag-of-words rows
@@ -471,12 +459,12 @@ def test_dealt_forest_equals_forest_grown_here(monkeypatch, count, n_trees, kind
     with deadline(120), parallel.Pool(x, y) as pool:
         dealt = baselines.rf_fit(x, y, n_trees=n_trees, rng=make_rng(7), pool=pool)
     assert len(dealt.trees) == n_trees
-    assert [tree_records(t) for t in dealt.trees] == [tree_records(t) for t in here.trees]
+    assert dealt.trees == here.trees
 
 
 def test_deep_forest_is_the_same_at_one_and_two_processes(monkeypatch):
     # every split peels off the row with the largest target, so the trees
-    # are chains too deep to pickle as TreeNodes
+    # are chains deeper than the recursion limit
     n = 600
     x = np.arange(float(n))[:, None]
     y = 100 * 0.5 ** np.arange(n)
@@ -486,5 +474,4 @@ def test_deep_forest_is_the_same_at_one_and_two_processes(monkeypatch):
         with deadline(120), parallel.Pool(x, y) as pool:
             forests.append(baselines.rf_fit(x, y, n_trees=4, rng=make_rng(0), pool=pool))
     assert max(baselines._tree_height(t) for t in forests[0].trees) > 300
-    records = [[tree_records(t) for t in forest.trees] for forest in forests]
-    assert records[0] == records[1]
+    assert forests[0].trees == forests[1].trees
