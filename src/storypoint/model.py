@@ -23,6 +23,11 @@ CHECKPOINT_MAGIC = b"SPCKPT01"
 
 INIT_SCALE = 0.05
 
+# Padded area, rows times longest sequence, of one inference batch. The
+# (T, B, 4d) gate buffer of a batch is then at most 32 * d * 4096 bytes,
+# 6.5 MB at d = 50, whatever the batch's lengths.
+INFERENCE_ROW_STEPS = 4096
+
 
 class ModelError(ValueError):
     """Raised for malformed checkpoints or mismatched shapes."""
@@ -475,13 +480,33 @@ def batch_loss_and_grads(sequences: list[list[int]], targets, params: ModelParam
     return loss / batch, yhat, grads
 
 
-def _length_batch_rows(fn, sequences: list[list[int]], batch_size: int, out: np.ndarray,
+def inference_batches(lengths) -> list[np.ndarray]:
+    """Indices of sequences with these lengths cut into inference batches of
+    padded area rows * longest <= INFERENCE_ROW_STEPS, or of one row.
+
+    The indices are sorted by length, ties in index order, and cut walking
+    down from the longest, so each batch takes as many rows as fit under
+    its own longest sequence. The batches come in ascending length and
+    depend on the lengths alone.
+    """
+    lengths = np.asarray(lengths)
+    order = np.argsort(lengths, kind="stable")
+    batches = []
+    stop = len(order)
+    while stop:
+        start = max(0, stop - max(1, INFERENCE_ROW_STEPS // max(1, lengths[order[stop - 1]])))
+        batches.append(order[start:stop])
+        stop = start
+    return batches[::-1]
+
+
+def _length_batch_rows(fn, sequences: list[list[int]], out: np.ndarray,
                        *shared, pool: Pool | None = None) -> np.ndarray:
-    """Fill out with fn(*shared, batch) over the length batches of
+    """Fill out with fn(*shared, batch) over the inference_batches of
     sequences, on `pool` (created with `shared`) or here, each batch's rows
     scattered back to input order. Each batch is computed whole, so the
     bits do not depend on the process count."""
-    batches = length_batches([len(s) for s in sequences], batch_size)
+    batches = inference_batches([len(s) for s in sequences])
     results = run(fn, [([sequences[i] for i in idx],) for idx in batches], *shared, pool=pool)
     for idx, rows in zip(batches, results):
         out[idx] = rows
@@ -489,11 +514,11 @@ def _length_batch_rows(fn, sequences: list[list[int]], batch_size: int, out: np.
 
 
 def document_vectors(sequences: list[list[int]], params: ModelParams,
-                     batch_size: int = 256, pool: Pool | None = None) -> np.ndarray:
+                     pool: Pool | None = None) -> np.ndarray:
     """Mean-pooled LSTM output states per sequence: the frozen text features
     consumed by external regressors instead of the highway/regressor head.
-    Length batches go to `pool` (one created with params) or run here."""
-    return _length_batch_rows(_vector_batch, sequences, batch_size,
+    Inference batches go to `pool` (one created with params) or run here."""
+    return _length_batch_rows(_vector_batch, sequences,
                               np.empty((len(sequences), params.dim)), params, pool=pool)
 
 

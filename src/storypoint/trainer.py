@@ -51,16 +51,15 @@ def encode_issue(issue: IssueRecord, vocab: Vocabulary) -> list[int]:
 
 
 def predict_points(params: ModelParams, config: ModelConfig,
-                   sequences: list[list[int]], batch_size: int = 256,
-                   pool: Pool | None = None) -> np.ndarray:
+                   sequences: list[list[int]], pool: Pool | None = None) -> np.ndarray:
     """Deterministic inference over token-id sequences, clamped at zero.
 
-    Batches are length-bucketed and dealt to the processes of `pool` (one
-    created with (params, config)) or run here; each batch is computed
-    whole, so the bits do not depend on the process count. Results come
-    back in input order.
+    The sequences run as model.inference_batches, dealt to the processes
+    of `pool` (one created with (params, config)) or run here; each batch
+    is computed whole, so the bits do not depend on the process count.
+    Results come back in input order.
     """
-    out = _length_batch_rows(_predict_batch, sequences, batch_size, np.empty(len(sequences)),
+    out = _length_batch_rows(_predict_batch, sequences, np.empty(len(sequences)),
                              params, config, pool=pool)
     return np.maximum(out, 0.0)
 

@@ -17,6 +17,7 @@ from storypoint.model import (
     document_vectors,
     embed,
     expected_shapes,
+    inference_batches,
     init_params,
     length_batches,
     load_checkpoint,
@@ -363,10 +364,12 @@ class TestDocumentVectors:
             expected = _lstm_forward(embed(seq, params.emb)[None], params)[0][0].mean(axis=0)
             np.testing.assert_allclose(vec, expected, atol=1e-12)
 
-    def test_order_preserved_across_buckets(self):
+    def test_order_preserved_across_buckets(self, monkeypatch):
+        # an area of 6 cuts the lengths into batches [7], [6], [3, 3], [1, 2]
+        monkeypatch.setattr(model_module, "INFERENCE_ROW_STEPS", 6)
         params = small_params(seed=23)
         seqs = [[1, 2, 3, 4, 5, 6], [7], [2, 3, 4], [5, 6], [1, 7, 2, 6, 3, 5, 4], [4, 4, 4]]
-        vecs = document_vectors(seqs, params, batch_size=2)
+        vecs = document_vectors(seqs, params)
         for seq, vec in zip(seqs, vecs):
             expected = _lstm_forward(embed(seq, params.emb)[None], params)[0][0].mean(axis=0)
             np.testing.assert_allclose(vec, expected, atol=1e-12)
@@ -394,6 +397,18 @@ class TestLengthBatches:
 
     def test_empty(self):
         assert length_batches([], 4) == []
+
+
+class TestInferenceBatches:
+    def test_cut_by_padded_area_from_the_longest(self, monkeypatch):
+        monkeypatch.setattr(model_module, "INFERENCE_ROW_STEPS", 8)
+        lengths = [5, 1, 3, 3, 8, 2, 1, 20]
+        got = inference_batches(lengths)
+        # 20 and 8 alone (20 is over the area), 5 alone, two 3s, the rest
+        assert [b.tolist() for b in got] == [[1, 6, 5], [2, 3], [0], [4], [7]]
+
+    def test_empty(self):
+        assert inference_batches([]) == []
 
 
 class TestCheckpoints:

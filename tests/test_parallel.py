@@ -18,11 +18,13 @@ from storypoint import baselines
 from storypoint import model as model_module
 from storypoint import parallel
 from storypoint import pretrain as pretrain_module
+from storypoint import trainer as trainer_module
 from storypoint.cli import main
 from storypoint.corpus import (build_vocabulary, load_bundled_corpus, split_chronological,
                                tokenize, write_corpus)
 from storypoint.model import (ModelConfig, batch_forward, batch_loss_and_grads, document_vectors,
-                              draw_dropout_keep, encode, init_params, length_batches, pad_batch)
+                              draw_dropout_keep, encode, inference_batches, init_params,
+                              pad_batch)
 from storypoint.numerics import NumericError, make_rng
 from storypoint.pretrain import (PretrainConfig, _nce_batch_step, _prediction_batches,
                                  _softmax_chunks, perplexity, pretrain,
@@ -146,12 +148,13 @@ def test_without_a_pool_everything_runs_here(monkeypatch):
         raise AssertionError("a pool was created")
 
     monkeypatch.setattr(parallel.Pool, "__init__", no_pool)
+    monkeypatch.setattr(model_module, "INFERENCE_ROW_STEPS", 8 * 29)
     params = init_params(40, MC, make_rng(3))
     seqs = sequences(4, 37)
-    assert len(length_batches([len(s) for s in seqs], 8)) >= 3
+    assert len(inference_batches([len(s) for s in seqs])) >= 3
     with deadline(60):
-        assert predict_points(params, MC, seqs, batch_size=8).shape == (37,)
-        assert document_vectors(seqs, params, batch_size=8).shape == (37, MC.embedding_dim)
+        assert predict_points(params, MC, seqs).shape == (37,)
+        assert document_vectors(seqs, params).shape == (37, MC.embedding_dim)
         assert predict_points(params, MC, []).shape == (0,)
         assert document_vectors([], params).shape == (0, MC.embedding_dim)
         assert np.isfinite(perplexity(params, seqs))
@@ -163,9 +166,71 @@ def test_without_a_pool_everything_runs_here(monkeypatch):
         assert np.isfinite(loss)
 
 
+class TestInferenceArea:
+    """A long-tail input: 300 short sequences, four of 400 tokens and one
+    longer than INFERENCE_ROW_STEPS. Every inference batch fits the padded
+    area or holds one row, and the results keep input order and bytes."""
+
+    @pytest.fixture
+    def params(self):
+        return init_params(40, MC, make_rng(3))
+
+    @pytest.fixture
+    def seqs(self):
+        rng = make_rng(11)
+        lengths = [*rng.integers(3, 40, size=300), 400, 400, 400, 400,
+                   model_module.INFERENCE_ROW_STEPS + 404]
+        seqs = [list(rng.integers(1, 40, size=lengths[i]))
+                for i in rng.permutation(len(lengths))]
+        assert len({tuple(s) for s in seqs}) == len(seqs)  # rows name their index
+        return seqs
+
+    @pytest.mark.parametrize("module, batch_fn, shared", [
+        (trainer_module, "_predict_batch", lambda params: (params, MC)),
+        (model_module, "_vector_batch", lambda params: (params,)),
+    ], ids=["predict_points", "document_vectors"])
+    def test_batches_bounded_and_results_in_order(self, monkeypatch, params, seqs,
+                                                  module, batch_fn, shared):
+        shared = shared(params)
+
+        def infer(pool=None):
+            if batch_fn == "_predict_batch":
+                return predict_points(params, MC, seqs, pool=pool)
+            return document_vectors(seqs, params, pool=pool)
+
+        batches = []
+        real = getattr(module, batch_fn)
+
+        def spy(*args):
+            rows = real(*args)
+            batches.append((args[-1], rows))
+            return rows
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, batch_fn, spy)
+            got = infer()
+        index = {tuple(s): i for i, s in enumerate(seqs)}
+        seen, want = [], np.empty_like(got)
+        for batch, rows in batches:
+            longest = max(len(s) for s in batch)
+            assert len(batch) * longest <= model_module.INFERENCE_ROW_STEPS or len(batch) == 1
+            for seq, row in zip(batch, rows):
+                seen.append(index[tuple(seq)])
+                want[seen[-1]] = row
+        assert sorted(seen) == list(range(len(seqs)))
+        assert len(batches) > 2
+        if batch_fn == "_predict_batch":
+            want = np.maximum(want, 0.0)
+        assert got.tobytes() == want.tobytes()
+        for count in (1, 2):
+            processes(monkeypatch, count)
+            with deadline(60), parallel.Pool(*shared) as pool:
+                assert infer(pool).tobytes() == got.tobytes()
+
+
 class TestDealtInferenceBytes:
     """Dealt batches are computed whole: the same bytes as the in-process
-    loop over length_batches, at one process and at two."""
+    loop over inference_batches, at one process and at two."""
 
     @pytest.fixture
     def params(self):
@@ -173,27 +238,29 @@ class TestDealtInferenceBytes:
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_predict_points(self, monkeypatch, params, count):
+        monkeypatch.setattr(model_module, "INFERENCE_ROW_STEPS", 8 * 29)
         seqs = sequences(4, 37)
         expected = np.empty(len(seqs))
-        for idx in length_batches([len(s) for s in seqs], 8):
+        for idx in inference_batches([len(s) for s in seqs]):
             ids, mask = pad_batch([seqs[i] for i in idx])
             expected[idx] = batch_forward(ids, mask, params, MC)[0]
         processes(monkeypatch, count)
         with deadline(60), parallel.Pool(params, MC) as pool:
-            got = predict_points(params, MC, seqs, batch_size=8, pool=pool)
+            got = predict_points(params, MC, seqs, pool=pool)
         assert got.tobytes() == np.maximum(expected, 0.0).tobytes()
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_document_vectors(self, monkeypatch, params, count):
+        monkeypatch.setattr(model_module, "INFERENCE_ROW_STEPS", 6 * 29)
         seqs = sequences(5, 29)
         expected = np.empty((len(seqs), MC.embedding_dim))
-        for idx in length_batches([len(s) for s in seqs], 6):
+        for idx in inference_batches([len(s) for s in seqs]):
             ids, mask = pad_batch([seqs[i] for i in idx])
             states, _ = encode(ids, mask, params)
             expected[idx] = (states * mask[:, :, None]).sum(axis=1) / mask.sum(axis=1)[:, None]
         processes(monkeypatch, count)
         with deadline(60), parallel.Pool(params) as pool:
-            got = document_vectors(seqs, params, batch_size=6, pool=pool)
+            got = document_vectors(seqs, params, pool=pool)
         assert got.tobytes() == expected.tobytes()
 
     @staticmethod

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from storypoint import model as model_module
 from storypoint import trainer as trainer_module
 from storypoint.corpus import (
     Vocabulary,
@@ -156,7 +157,9 @@ class TestEstimate:
         assert [k for k, _ in ests] == [r.issue_key for r in split64.test]
         assert all(v >= 0 for _, v in ests)
 
-    def test_predict_points_matches_forward_issue_across_buckets(self):
+    def test_predict_points_matches_forward_issue_across_buckets(self, monkeypatch):
+        # an area of 8 cuts the lengths into batches [8], [7], [3, 4], [1, 2]
+        monkeypatch.setattr(model_module, "INFERENCE_ROW_STEPS", 8)
         rng = make_rng(3)
         params = init_params(12, MC, rng)
         for t in params.tensors().values():
@@ -168,7 +171,7 @@ class TestEstimate:
                                       for s in seqs])
         expected = [max(batch_forward(*pad_batch([s]), params, MC)[0][0], 0.0) for s in seqs]
         assert 0 < expected.count(0.0) < len(seqs)
-        np.testing.assert_allclose(predict_points(params, MC, seqs, batch_size=2), expected,
+        np.testing.assert_allclose(predict_points(params, MC, seqs), expected,
                                    atol=1e-12)
 
     def test_zero_checkpoint_gives_bias_everywhere(self, split64, trained):
