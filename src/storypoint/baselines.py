@@ -71,42 +71,6 @@ def bow_vectorize(tokens: list[str], vocab: Vocabulary) -> np.ndarray:
 # Regression trees and forests
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TreeNode:
-    value: float
-    count: int
-    feature: int | None = None
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-    # Trees can be deeper than the recursion limit, so equality, pickling
-    # (and with it deepcopy) and repr walk them with a stack.
-    def __eq__(self, other):
-        if not isinstance(other, TreeNode):
-            return NotImplemented
-        return _tree_records(self) == _tree_records(other)
-
-    def __reduce__(self):
-        return _build_tree, (_tree_records(self),)
-
-    def __repr__(self) -> str:
-        parts, todo = [], [self]
-        while todo:
-            node = todo.pop()
-            if not isinstance(node, TreeNode):  # a closing piece, or a missing child
-                parts.append(repr(node) if node is None else node)
-                continue
-            parts.append(f"TreeNode(value={node.value!r}, count={node.count!r}, "
-                         f"feature={node.feature!r}, threshold={node.threshold!r}, left=")
-            todo += [")", node.right, ", right=", node.left]
-        return "".join(parts)
-
-
 def _best_split(x: np.ndarray, y: np.ndarray, rows: np.ndarray, feat_ids,
                 min_leaf_size: int):
     """Lowest-SSE split over the candidate features; None if no legal split.
@@ -194,71 +158,41 @@ def _grow_tree(x, y, rows, min_leaf_size, n_features, rng) -> list[tuple]:
     return records
 
 
-def _tree_records(root: TreeNode) -> list[tuple]:
-    """The tree's nodes as _grow_tree records, in preorder."""
-    records, todo = [], [root]
-    while todo:
-        node = todo.pop()
-        records.append((node.value, node.count, node.feature, node.threshold))
-        if not node.is_leaf:
-            todo += [node.right, node.left]
-    return records
-
-
-def _build_tree(records) -> TreeNode:
-    """The TreeNode tree of _grow_tree's preorder records."""
-    root = None
-    open_nodes = []  # split nodes still missing their right child
-    for value, count, feature, threshold in records:
-        node = TreeNode(value=value, count=count, feature=feature, threshold=threshold)
-        if not open_nodes:
-            root = node
-        elif open_nodes[-1].left is None:
-            open_nodes[-1].left = node
-        else:
-            open_nodes.pop().right = node
+def _tree_walk(tree: list[tuple]) -> tuple[list[int], list[int]]:
+    """Each record's depth, and the index of its right child (a leaf's is
+    its own index); a split's left child is the next record."""
+    depth, right = [0] * len(tree), list(range(len(tree)))
+    open_splits = []  # splits still missing their right child
+    for i, (_, _, feature, _) in enumerate(tree):
+        if open_splits:
+            parent = open_splits[-1]
+            if parent != i - 1:  # not the left child, so the right one
+                right[open_splits.pop()] = i
+            depth[i] = depth[parent] + 1
         if feature is not None:
-            open_nodes.append(node)
-    return root
+            open_splits.append(i)
+    return depth, right
 
 
-def _tree_height(node: TreeNode) -> int:
-    height = 0
-    todo = [(node, 0)]
-    while todo:
-        node, depth = todo.pop()
-        if node.is_leaf:
-            height = max(height, depth)
-        else:
-            todo += [(node.left, depth + 1), (node.right, depth + 1)]
-    return height
+def _tree_height(tree: list[tuple]) -> int:
+    return max(_tree_walk(tree)[0])
 
 
-def _collapse_at_depth(root: TreeNode, target: int) -> TreeNode:
-    """The tree with every split node at depth `target` made a leaf."""
-    if root.is_leaf:
-        return root
-    if target == 0:
-        return TreeNode(value=root.value, count=root.count)
-    todo = [(root, 0)]
-    while todo:
-        node, depth = todo.pop()
-        for side in ("left", "right"):
-            child = getattr(node, side)
-            if child.is_leaf:
-                continue
-            if depth + 1 == target:
-                setattr(node, side, TreeNode(value=child.value, count=child.count))
-            else:
-                todo.append((child, depth + 1))
-    return root
-
-
-def prune_tree(root: TreeNode, levels: int) -> TreeNode:
+def prune_tree(tree: list[tuple], levels: int) -> list[tuple]:
     """Collapse the deepest level of the tree `levels` times. Each collapse
-    lowers the height by one, so this makes leaves of the split nodes at
-    depth height - levels."""
-    return _collapse_at_depth(root, max(0, _tree_height(root) - levels))
+    lowers the height by one, so this keeps the records down to depth
+    height - levels and makes leaves of those at that depth."""
+    if not _is_count(levels, 0):
+        raise BaselineError(f"levels must be an integer >= 0, got {levels!r}")
+    depth, _ = _tree_walk(tree)
+    cut = max(0, max(depth) - levels)
+    return [(value, count, None, 0.0) if d == cut else (value, count, feature, threshold)
+            for (value, count, feature, threshold), d in zip(tree, depth) if d <= cut]
+
+
+def _is_count(value, least: int) -> bool:
+    """Whether value is an integer (a bool is not) of at least `least`."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
 def _training_arrays(features, targets):
@@ -275,33 +209,32 @@ def _training_arrays(features, targets):
     return x, y
 
 
-def cart_fit(features, targets, min_leaf_size: int = 5, prune_level: int = 5) -> TreeNode:
+def cart_fit(features, targets, min_leaf_size: int = 5, prune_level: int = 5) -> list[tuple]:
     """Grow a variance-reduction regression tree on every training row and
     every feature, then prune its deepest levels. Splits never create a
-    leaf smaller than min_leaf_size."""
+    leaf smaller than min_leaf_size. The tree is its _grow_tree records."""
     x, y = _training_arrays(features, targets)
-    if min_leaf_size < 1:
-        raise BaselineError("min_leaf_size must be >= 1")
-    root = _build_tree(_grow_tree(x, y, np.arange(x.shape[0]), min_leaf_size, None, None))
-    return prune_tree(root, prune_level)
+    if not _is_count(min_leaf_size, 1):
+        raise BaselineError(f"min_leaf_size must be an integer >= 1, got {min_leaf_size!r}")
+    if not _is_count(prune_level, 0):
+        raise BaselineError(f"prune_level must be an integer >= 0, got {prune_level!r}")
+    tree = _grow_tree(x, y, np.arange(x.shape[0]), min_leaf_size, None, None)
+    return prune_tree(tree, prune_level)
 
 
-def cart_predict(tree: TreeNode, x) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    node = tree
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.value
+def cart_predict(tree: list[tuple], x):
+    """The tree's prediction, as rf_predict gives it for a one-tree forest:
+    a float for one row, a list of floats for a matrix of rows."""
+    return rf_predict(Forest([tree]), x)
 
 
 @dataclass
 class Forest:
-    trees: list[TreeNode] = field(default_factory=list)
+    trees: list[list[tuple]] = field(default_factory=list)  # _grow_tree records
 
 
 def _grow_trees(features, targets, seeds, bootstrap, n_features, min_leaf_size):
-    """One rf_fit task: the _grow_tree records of the tree of each seed,
-    which cross a pipe more cheaply than TreeNodes."""
+    """One rf_fit task: the _grow_tree records of the tree of each seed."""
     x = np.asfortranarray(features, dtype=np.float64)  # one copy for all the task's trees
     y = np.asarray(targets, dtype=np.float64)
     trees = []
@@ -318,9 +251,10 @@ def rf_fit(features, targets, n_trees: int = 100,
            pool: Pool | None = None) -> Forest:
     """Random forest of unpruned regression trees.
 
-    Each tree sees a bootstrap resample and considers sqrt(p) features per
-    split by default; per-tree seeds derive from rng so the forest is
-    reproducible regardless of training order. Every tree indexes its
+    Each tree sees a bootstrap resample and considers n_features features
+    per split: sqrt(p) for "sqrt" (the default), all p for None, or a
+    count. Per-tree seeds derive from rng so the forest is reproducible
+    regardless of training order. Every tree indexes its
     resample into the shared training arrays instead of copying it, and
     the arrays are validated once for the whole forest.
 
@@ -329,39 +263,36 @@ def rf_fit(features, targets, n_trees: int = 100,
     or, without one, here; the trees come back in seed order.
     """
     x, _ = _training_arrays(features, targets)
-    if n_trees < 1:
-        raise BaselineError("n_trees must be >= 1")
-    if min_leaf_size < 1:
-        raise BaselineError("min_leaf_size must be >= 1")
+    if not _is_count(n_trees, 1):
+        raise BaselineError(f"n_trees must be an integer >= 1, got {n_trees!r}")
+    if not _is_count(min_leaf_size, 1):
+        raise BaselineError(f"min_leaf_size must be an integer >= 1, got {min_leaf_size!r}")
     if rng is None:
         rng = np.random.default_rng(0)
     if n_features == "sqrt":
         n_features = max(1, round(math.sqrt(x.shape[1])))
+    elif n_features is not None and not _is_count(n_features, 1):
+        raise BaselineError(
+            f"n_features must be 'sqrt', None or an integer >= 1, got {n_features!r}")
     tree_seeds = rng.integers(0, 2**63 - 1, size=n_trees)
     tasks = [(tree_seeds[k::SHARDS], bootstrap, n_features, min_leaf_size) for k in range(SHARDS)]
     grown = run(_grow_trees, tasks, features, targets, pool=pool)
-    return Forest([_build_tree(grown[i % SHARDS][i // SHARDS]) for i in range(n_trees)])
+    return Forest([grown[i % SHARDS][i // SHARDS] for i in range(n_trees)])
 
 
-def _forest_arrays(trees: list[TreeNode]):
-    """Every node of the trees as flat arrays, numbered in preorder tree
-    after tree: (feature, threshold, value, left, right, roots). A leaf is
-    its own left and right child, so a walk that reaches it stays there."""
+def _forest_arrays(trees: list[list[tuple]]):
+    """Every record of the trees as flat arrays, numbered tree after tree:
+    (feature, threshold, value, left, right, roots). A leaf is its own left
+    and right child, so a walk that reaches it stays there."""
     feature, threshold, value, left, right, roots = [], [], [], [], [], []
     for tree in trees:
-        roots.append(len(value))
-        open_splits = []  # split nodes still missing their right child
-        for node_value, _, node_feature, node_threshold in _tree_records(tree):
-            i = len(value)
-            if open_splits and open_splits[-1] + 1 != i:  # not a left child
-                right[open_splits.pop()] = i
-            value.append(node_value)
-            threshold.append(node_threshold)
-            feature.append(0 if node_feature is None else node_feature)
-            left.append(i if node_feature is None else i + 1)
-            right.append(i)
-            if node_feature is not None:
-                open_splits.append(i)
+        start = len(value)
+        roots.append(start)
+        value += [record[0] for record in tree]
+        feature += [0 if record[2] is None else record[2] for record in tree]
+        threshold += [record[3] for record in tree]
+        left += [start + i + (record[2] is not None) for i, record in enumerate(tree)]
+        right += [start + i for i in _tree_walk(tree)[1]]
     return (np.array(feature, dtype=np.intp), np.array(threshold, dtype=np.float64),
             np.array(value, dtype=np.float64), np.array(left, dtype=np.intp),
             np.array(right, dtype=np.intp), np.array(roots, dtype=np.intp))
@@ -373,7 +304,7 @@ def rf_predict(forest: Forest, x):
 
     All rows walk all trees together, one level per step, and each row's
     (rows, trees) leaf values are averaged as np.mean averages that row's
-    list of cart_predict values, so the bits do not depend on how many rows
+    list of per-tree values, so the bits do not depend on how many rows
     come in one call.
     """
     rows = np.asarray(x, dtype=np.float64)

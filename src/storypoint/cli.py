@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -207,8 +208,9 @@ def cmd_ingest(args) -> int:
     result = fetch_issues(cfg)
     count = write_corpus(result.records, args.out)
     skipped = sum(result.skipped.values())
-    print(f"ingest: wrote {count} issues to {args.out} "
-          f"({skipped} skipped, {result.requests_made} requests)")
+    reasons = ", ".join(f"{n} {reason}" for reason, n in sorted(result.skipped.items()))
+    print(f"ingest: wrote {count} issues to {args.out} ({skipped} skipped"
+          f"{': ' + reasons if reasons else ''}; {result.requests_made} requests)")
     return 0
 
 
@@ -396,10 +398,6 @@ def _hand_crafted_rows(impute: str):  # imputation refers to the first, training
     return rows
 
 
-def _each_row(predict_one, model):
-    return lambda rows: [predict_one(model, row) for row in rows]
-
-
 def _repeat(value):
     return lambda rows: [value] * len(rows)
 
@@ -419,7 +417,7 @@ BASELINES = {
     "lstm-rf": Baseline(_lstm_rows, _forest),
     "cbr": Baseline(_hand_crafted_rows("mean"), lambda x, y, rng: lambda rows: [
         baselines.cbr_estimate(x, y, row, k=min(3, len(x))) for row in rows]),
-    "cart": Baseline(_hand_crafted_rows("zero"), lambda x, y, rng: _each_row(
+    "cart": Baseline(_hand_crafted_rows("zero"), lambda x, y, rng: functools.partial(
         baselines.cart_predict, baselines.cart_fit(x, y, min_leaf_size=5, prune_level=5))),
     "ols": Baseline(_hand_crafted_rows("mean"), lambda x, y, rng: baselines.ols_fit(x, y).predict),
     "lasso": Baseline(_hand_crafted_rows("mean"), lambda x, y, rng, valid: baselines.lasso_fit(

@@ -130,25 +130,62 @@ def oracle_predict(node, x):
     return node[1]
 
 
+def nested(tree):
+    """The preorder records as oracle_cart's nested tuples, each node's
+    value and count appended: ("leaf", value, count) or
+    ("split", feature, threshold, left, right, value, count)."""
+    records = iter(tree)
+
+    def node():
+        value, count, feature, threshold = next(records)
+        if feature is None:
+            return ("leaf", value, count)
+        left = node()
+        return ("split", feature, threshold, left, node(), value, count)
+
+    return node()
+
+
+def nested_height(node):
+    return 0 if node[0] == "leaf" else 1 + max(nested_height(node[3]), nested_height(node[4]))
+
+
+def oracle_prune(node, levels):
+    """Independent pruning reference: collapse the deepest level of the
+    nested tree `levels` times, one level at a time, by making a leaf of
+    every split whose children are at the bottom."""
+    for _ in range(levels):
+        bottom = nested_height(node)
+        if bottom == 0:
+            break
+
+        def collapse(n, depth):
+            if n[0] == "leaf":
+                return n
+            if depth == bottom - 1:
+                return ("leaf", n[5], n[6])
+            return n[:3] + (collapse(n[3], depth + 1), collapse(n[4], depth + 1)) + n[5:]
+
+        node = collapse(node, 0)
+    return node
+
+
+def leaves(node):
+    return [node] if node[0] == "leaf" else leaves(node[3]) + leaves(node[4])
+
+
 class TestCart:
     def test_constant_targets_single_leaf(self):
         tree = cart_fit([[1.0], [2.0], [3.0]], [7.0, 7.0, 7.0], min_leaf_size=1)
-        assert tree.is_leaf and tree.value == 7.0
+        assert tree == [(7.0, 3, None, 0.0)]
 
     def test_leaf_count_bound(self):
         x = np.arange(20.0)[:, None]
         tree = cart_fit(x, np.arange(20.0), min_leaf_size=5, prune_level=0)
-
-        def leaves(node):
-            return 1 if node.is_leaf else leaves(node.left) + leaves(node.right)
-
-        def min_count(node):
-            if node.is_leaf:
-                return node.count
-            return min(min_count(node.left), min_count(node.right))
-
-        assert leaves(tree) <= 4
-        assert min_count(tree) >= 5
+        leaf_counts = [count for _, count, feature, _ in tree if feature is None]
+        assert len(leaf_counts) <= 4
+        assert min(leaf_counts) >= 5
+        assert [n[2] for n in leaves(nested(tree))] == leaf_counts
 
     def test_matches_exhaustive_oracle(self):
         rng = make_rng(4)
@@ -157,36 +194,63 @@ class TestCart:
             y = rng.normal(size=12)
             tree = cart_fit(x, y, min_leaf_size=2, prune_level=0)
             oracle = oracle_cart(x, y, np.arange(12), 2)
-            for probe in rng.normal(size=(30, 2)):
-                assert cart_predict(tree, probe) == pytest.approx(
-                    oracle_predict(oracle, probe), rel=1e-12
-                )
+            probes = rng.normal(size=(30, 2))
+            for probe, got in zip(probes, cart_predict(tree, probes)):
+                assert cart_predict(tree, probe) == got
+                assert got == pytest.approx(oracle_predict(oracle, probe), rel=1e-12)
 
     def test_prune_collapses_deepest_levels(self):
         x = np.arange(8.0)[:, None]
         y = np.array([0.0, 0, 1, 1, 4, 4, 9, 9])
         full = cart_fit(x, y, min_leaf_size=1, prune_level=0)
-
-        def height(node):
-            return 0 if node.is_leaf else 1 + max(height(node.left), height(node.right))
-
-        h = height(full)
+        h = nested_height(nested(full))
         assert h >= 2
+        assert baselines._tree_height(full) == h
         pruned = cart_fit(x, y, min_leaf_size=1, prune_level=1)
-        assert height(pruned) == h - 1
+        assert nested_height(nested(pruned)) == h - 1
         stump = cart_fit(x, y, min_leaf_size=1, prune_level=h)
-        assert stump.is_leaf and stump.value == pytest.approx(y.mean())
+        assert len(stump) == 1 and stump[0][2] is None
+        assert stump[0][0] == pytest.approx(y.mean())
 
     def test_prune_tree_keeps_subtree_means(self):
         x = np.arange(8.0)[:, None]
         y = np.array([0.0, 0, 1, 1, 4, 4, 9, 9])
         tree = cart_fit(x, y, min_leaf_size=1, prune_level=0)
         pruned = prune_tree(tree, 99)
-        assert pruned.is_leaf and pruned.count == 8
+        assert pruned == [(tree[0][0], 8, None, 0.0)]
+
+    def test_prune_matches_level_by_level_oracle(self):
+        rng = make_rng(35)
+        heights = set()
+        for _ in range(20):
+            n = int(rng.integers(20, 120))
+            x = rng.normal(size=(n, 3))
+            y = rng.choice([1.0, 2.0, 3.0, 5.0, 8.0], size=n)
+            tree = baselines._grow_tree(x, y, np.arange(n), 1, None, None)
+            heights.add(baselines._tree_height(tree))
+            for levels in range(13):
+                pruned = prune_tree(tree, levels)
+                assert nested(pruned) == oracle_prune(nested(tree), levels), levels
+                assert sum(leaf[2] for leaf in leaves(nested(pruned))) == pruned[0][1] == n
+        assert min(heights) < 12 < max(heights)  # pruned to a stump, and not
 
     def test_length_mismatch(self):
         with pytest.raises(BaselineError):
             cart_fit([[1.0], [2.0]], [1.0])
+
+    @pytest.mark.parametrize("name, bad", [
+        ("prune_level", -3), ("prune_level", -1), ("prune_level", 1.5), ("prune_level", None),
+        ("min_leaf_size", 0), ("min_leaf_size", 2.5), ("min_leaf_size", True),
+    ])
+    def test_bad_arguments_rejected(self, name, bad):
+        with pytest.raises(BaselineError, match=name):
+            cart_fit(np.arange(8.0)[:, None], np.arange(8.0), **{name: bad})
+
+    @pytest.mark.parametrize("levels", [-1, 0.5])
+    def test_prune_tree_rejects_bad_levels(self, levels):
+        tree = cart_fit(np.arange(8.0)[:, None], np.arange(8.0), min_leaf_size=1, prune_level=0)
+        with pytest.raises(BaselineError, match="levels"):
+            prune_tree(tree, levels)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
@@ -219,9 +283,9 @@ class TestCart:
         tree = cart_fit(x, y, min_leaf_size=1, prune_level=0)
         height = baselines._tree_height(tree)
         assert height > 1000
-        assert [cart_predict(tree, row) for row in x] == list(y)
+        assert cart_predict(tree, x) == list(y)
+        assert cart_predict(tree, x[-1]) == y[-1]
         assert baselines._tree_height(prune_tree(tree, 5)) == height - 5
-
 
     def test_deep_tree_pickles_compares_and_prints(self):
         # the chain again, from a forest: trees far deeper than the
@@ -235,21 +299,11 @@ class TestCart:
         back = pickle.loads(pickle.dumps(tree))
         assert back == tree and back is not tree
         changed = copy.deepcopy(tree)
-        node = changed
-        while not node.is_leaf:
-            node = node.right if node.right.count > 1 else node.left
-        node.value += 1.0
+        value, *rest = changed[-1]  # the last record in preorder is a leaf
+        changed[-1] = (value + 1.0, *rest)
         assert changed != tree and baselines._tree_height(changed) == height
-        assert repr(tree).count("TreeNode(") == len(baselines._tree_records(tree))
-
-    def test_repr_reads_like_the_dataclass_fields(self):
-        tree = cart_fit(np.array([[0.0], [1.0]]), np.array([2.0, 4.0]), min_leaf_size=1,
-                        prune_level=0)
-        assert repr(tree) == (
-            "TreeNode(value=3.0, count=2, feature=0, threshold=0.5, "
-            "left=TreeNode(value=2.0, count=1, feature=None, threshold=0.0, left=None, "
-            "right=None), right=TreeNode(value=4.0, count=1, feature=None, threshold=0.0, "
-            "left=None, right=None))")
+        # one tuple per record, and no numpy scalar in any of them
+        assert repr(tree).count("(") == len(tree)
 
 
 def reference_best_split(x, y, rows, feat_ids, min_leaf_size):
@@ -362,7 +416,7 @@ class TestBestSplit:
         fast = rf_fit(x, y, n_trees=20, rng=make_rng(33))
         monkeypatch.setattr(baselines, "_best_split", reference_best_split)
         slow = rf_fit(x, y, n_trees=20, rng=make_rng(33))
-        assert sum(not t.is_leaf for t in fast.trees) == 20
+        assert sum(t[0][2] is not None for t in fast.trees) == 20
         assert fast.trees == slow.trees
 
 
@@ -377,6 +431,22 @@ class TestRandomForest:
 
     @pytest.mark.parametrize("n_trees", [0, -1])
     def test_empty_forest_rejected(self, n_trees):
+        with pytest.raises(BaselineError, match="n_trees"):
+            rf_fit(np.ones((4, 2)), np.arange(4.0), n_trees=n_trees)
+
+    @pytest.mark.parametrize("n_features", [0, -1, 2.5, "log2", True])
+    def test_bad_n_features_rejected(self, n_features):
+        with pytest.raises(BaselineError, match="n_features must be 'sqrt', None or an integer"):
+            rf_fit(np.arange(8.0).reshape(4, 2), np.arange(4.0), n_trees=2, n_features=n_features)
+
+    @pytest.mark.parametrize("n_features", ["sqrt", None, 1, np.int64(2), 5])
+    def test_good_n_features_accepted(self, n_features):
+        forest = rf_fit(np.arange(8.0).reshape(4, 2), np.arange(4.0), n_trees=2,
+                        n_features=n_features)
+        assert len(forest.trees) == 2
+
+    @pytest.mark.parametrize("n_trees", [2.5, True])
+    def test_fractional_n_trees_rejected(self, n_trees):
         with pytest.raises(BaselineError, match="n_trees"):
             rf_fit(np.ones((4, 2)), np.arange(4.0), n_trees=n_trees)
 
@@ -421,7 +491,8 @@ class TestRandomForest:
         x = rng.poisson(0.3, size=(50, 40)).astype(float)
         y = rng.choice([1.0, 2.0, 3.0, 5.0, 8.0, 13.0], size=50) * 1.1
         forest = rf_fit(x[:35], y[:35], n_trees=150, rng=make_rng(13))
-        each = [float(np.mean([cart_predict(t, row) for t in forest.trees])) for row in x]
+        each = [float(np.mean([oracle_predict(nested(t), row) for t in forest.trees]))
+                for row in x]
         assert rf_predict(forest, x) == each
         assert [rf_predict(forest, row) for row in x] == each
         assert rf_predict(forest, x[:0]) == []

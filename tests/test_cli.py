@@ -200,6 +200,29 @@ class TestIngestCli:
                    "--max-issues", 10, "--rate-limit", 1e6) == 0
         assert len(read_corpus(out)) <= 10
 
+    def test_skip_reasons_printed_by_reason(self, mock_jira, tmp_path, capsys):
+        mock_jira.script["issues"] = [
+            jira_issue("ME-1", points="five"),
+            {"key": "ME-2", "fields": {"summary": "", "created": "2016-01-12T10:00:00.000+0000"}},
+            jira_issue("ME-3"),
+            jira_issue("ME-4", points=True),
+        ]
+        out = tmp_path / "fetched.jsonl"
+        url = f"http://127.0.0.1:{mock_jira.server_address[1]}"
+        assert run("ingest", "--base-url", url, "--jql", "q", "--sp-field", "customfield_10002",
+                   "--out", out, "--page-size", 3, "--rate-limit", 1e6) == 0
+        assert capsys.readouterr().out == (
+            f"ingest: wrote 1 issues to {out} (3 skipped: 1 missing key/summary/created, "
+            "2 non-numeric story points; 2 requests)\n")
+
+    def test_nothing_skipped_prints_the_total(self, mock_jira, tmp_path, capsys):
+        mock_jira.script["issues"] = [jira_issue("ME-1")]
+        out = tmp_path / "fetched.jsonl"
+        url = f"http://127.0.0.1:{mock_jira.server_address[1]}"
+        assert run("ingest", "--base-url", url, "--jql", "q", "--sp-field", "customfield_10002",
+                   "--out", out, "--rate-limit", 1e6) == 0
+        assert capsys.readouterr().out.endswith("(0 skipped; 1 requests)\n")
+
     def test_auth_error_exits_1(self, mock_jira, tmp_path, capsys):
         mock_jira.script["status"] = 403
         url = f"http://127.0.0.1:{mock_jira.server_address[1]}"
@@ -435,7 +458,7 @@ class TestBaselineTable:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
 
-        for name in ("rf_fit", "bow_vectorize", "feature_matrix"):
+        for name in ("rf_fit", "bow_vectorize", "feature_matrix", "cart_fit", "cart_predict"):
             spy(baselines, name)
         spy(cli, "document_vectors")
         checkpoint = pretrain_checkpoint(prepared, tmp_path)
@@ -445,6 +468,7 @@ class TestBaselineTable:
             "bow-rf": ["bow_vectorize"] * (n_train + n_test) + ["rf_fit"],
             "lstm-rf": ["document_vectors"] * 2 + ["rf_fit"],
             "cbr": ["feature_matrix"] * 2,
+            "cart": ["feature_matrix"] * 2 + ["cart_fit", "cart_predict"],  # every row at once
             "lasso": ["feature_matrix"] * 3,
         }
         for model, want in expected.items():
@@ -507,6 +531,45 @@ class TestTreeBaselineBytes:
                        "--in", prepared / "test.jsonl", "--out", out,
                        "--features", features) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, model
+
+
+class TestTreeArtifactBytes:
+    # sha256 of the three tree baselines' estimates and of the report that
+    # compares them. The count columns are seeded draws: with seed 238
+    # cart's unpruned tree on the 38 training rows is six levels deep, so
+    # its root split outlives the five pruned levels. lstm-rf's checkpoint
+    # and document vectors go through BLAS matmuls (float64), and so does
+    # every report.csv cell that reads lstm-rf's estimates.
+    PINS = {
+        "cart.csv": "3e8520b45841f9294073c154a80c967eae3c75cbd7ea3ffb382b1d868968852c",
+        "bow-rf.csv": "9074682dfb006511c679ba1c6ae6c8b9159c495b80bc8838431e2029447c89a8",
+        "lstm-rf.csv": "c4a35aaabebe14e0b55aaeeeb52d460f40e9e493ea39a3fad8a2c5276af63d85",
+        "report.csv": "98370ea822cbd0741c3a5b84ca1ab42d775bc1e694aa121997d96f3cef438607",
+    }
+
+    def test_tree_estimates_and_report_match_pinned_bytes(self, prepared, tmp_path):
+        records = [r for name in ("train", "valid", "test")
+                   for r in read_corpus(prepared / f"{name}.jsonl")]
+        counts = np.random.default_rng(238).integers(0, 6, size=(len(records), 9))
+        features = tmp_path / "features.csv"
+        with features.open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["issue_key", *baselines.COUNT_FIELDS])
+            for r, row in zip(records, counts.tolist()):
+                writer.writerow([r.issue_key, *row])
+        checkpoint = pretrain_checkpoint(prepared, tmp_path)
+        models = ("cart", "bow-rf", "lstm-rf")
+        for model in models:
+            assert run("baseline", "--model", model, "--split-dir", prepared,
+                       "--in", prepared / "test.jsonl", "--out", tmp_path / f"{model}.csv",
+                       "--features", features, "--checkpoint", checkpoint) == 0
+        assert run("evaluate", "--split-dir", prepared,
+                   "--estimates", *[f"{m}={tmp_path / (m + '.csv')}" for m in models],
+                   "--pairs", "cart:bow-rf,bow-rf:lstm-rf",
+                   "--out", tmp_path / "report.csv") == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.PINS}
+        assert digests == self.PINS
 
 
 class TestEvaluateCli:
