@@ -175,12 +175,18 @@ def _load_split(split_dir: Path, with_test: bool = True) -> SplitDataset:
     )
 
 
+def _cell(value) -> str:
+    """A numeric CSV cell: the repr of a plain float, which float() reads
+    back exactly, whatever numpy scalar type the value has."""
+    return repr(float(value))
+
+
 def _write_estimates(path: Path, estimates: list[tuple[str, float]]) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["issue_key", "estimate"])
         for key, value in estimates:
-            writer.writerow([key, repr(float(value))])
+            writer.writerow([key, _cell(value)])
 
 
 def _read_estimates(path: Path) -> list[tuple[str, float]]:
@@ -190,13 +196,13 @@ def _read_estimates(path: Path) -> list[tuple[str, float]]:
 
 
 def _write_curve(path: Path, header: list[str], curve: list[dict]) -> None:
-    """One CSV row per epoch: the epoch, then the row's other values as repr."""
+    """One CSV row per epoch: the epoch, then the row's other values."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in curve:
             epoch, *values = row.values()
-            writer.writerow([epoch, *map(repr, values)])
+            writer.writerow([epoch, *map(_cell, values)])
 
 
 def cmd_ingest(args) -> int:
@@ -258,7 +264,7 @@ def cmd_prepare(args) -> int:
 def cmd_pretrain(args) -> int:
     vocab = load_vocabulary(args.vocab, mode=args.mode)
     records = read_corpus(args.corpus)
-    sequences = [vocab.encode(tokenize(compose_document(r), vocab.mode)) for r in records]
+    sequences = [encode_issue(r, vocab) for r in records]
     config = PretrainConfig(
         epochs=args.epochs, batch_size=args.batch_size,
         nce_samples=min(args.nce_samples, len(vocab)),
@@ -492,12 +498,12 @@ def cmd_evaluate(args) -> int:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["model", "mae", "sa", "mre", "pred", "n"])
             for r in reports:
-                writer.writerow([r.model_name, repr(r.mae), repr(r.sa),
-                                 repr(r.mre) if r.mre is not None else "",
-                                 repr(r.pred) if r.pred is not None else "", r.n])
+                writer.writerow([r.model_name, _cell(r.mae), _cell(r.sa),
+                                 _cell(r.mre) if r.mre is not None else "",
+                                 _cell(r.pred) if r.pred is not None else "", r.n])
             for cmp in comparisons:
-                writer.writerow([f"{cmp.model_a} vs {cmp.model_b}", repr(cmp.p_value),
-                                 repr(cmp.a12), "", "", cmp.m])
+                writer.writerow([f"{cmp.model_a} vs {cmp.model_b}", _cell(cmp.p_value),
+                                 _cell(cmp.a12), "", "", cmp.m])
     return 0
 
 
@@ -515,7 +521,7 @@ def cmd_cross_project(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["issue_key", "abs_error"])
         for (key, _), err in zip(result.estimates, result.abs_errors):
-            writer.writerow([key, repr(float(err))])
+            writer.writerow([key, _cell(err)])
     cross_mae = float(result.abs_errors.mean())
     print(f"cross-project: MAE {cross_mae:.4f} over {len(result.abs_errors)} target issues")
     return 0

@@ -165,7 +165,7 @@ def a12(sample_m, sample_n, better: str = "smaller") -> float:
     diff = x[:, None] - y[None, :]
     wins = np.count_nonzero(diff < 0) if better == "smaller" else np.count_nonzero(diff > 0)
     ties = np.count_nonzero(diff == 0)
-    return (wins + 0.5 * ties) / (x.size * y.size)
+    return float((wins + 0.5 * ties) / (x.size * y.size))
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,8 @@ def predict_points(params: ModelParams, config: ModelConfig,
                    sequences: list[list[int]], pool: Pool | None = None) -> np.ndarray:
     """Deterministic inference over token-id sequences, clamped at zero.
 
-    The sequences run as model.inference_batches, dealt to the processes
-    of `pool` (one created with (params, config)) or run here; each batch
+    The sequences run as model.inference_batches, dealt to the workers of
+    `pool` (one created with (params, config)) or run here; each batch
     is computed whole, so the bits do not depend on the process count.
     Results come back in input order.
     """
@@ -101,8 +101,11 @@ def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
             for r in split.train + split.valid
         ]
         vocab = build_vocabulary(docs, mode=model_config.tokenizer_mode)
-    if vocab.mode != model_config.tokenizer_mode:
+        seqs = [vocab.encode(doc) for doc in docs]
+    elif vocab.mode != model_config.tokenizer_mode:
         raise TrainerError("vocabulary mode does not match the model tokenizer mode")
+    else:
+        seqs = [encode_issue(r, vocab) for r in split.train + split.valid]
     vocab_hash = vocab.content_hash()
 
     rng = make_rng(config.seed)
@@ -115,9 +118,8 @@ def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     else:
         params = init_params(len(vocab), model_config, rng)
 
-    train_seqs = [encode_issue(r, vocab) for r in split.train]
+    train_seqs, valid_seqs = seqs[:len(split.train)], seqs[len(split.train):]
     train_y = np.array([r.story_points for r in split.train])
-    valid_seqs = [encode_issue(r, vocab) for r in split.valid]
     valid_y = np.array([r.story_points for r in split.valid])
     lengths = np.array([len(s) for s in train_seqs])
 

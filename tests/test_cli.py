@@ -544,7 +544,7 @@ class TestTreeArtifactBytes:
         "cart.csv": "3e8520b45841f9294073c154a80c967eae3c75cbd7ea3ffb382b1d868968852c",
         "bow-rf.csv": "9074682dfb006511c679ba1c6ae6c8b9159c495b80bc8838431e2029447c89a8",
         "lstm-rf.csv": "c4a35aaabebe14e0b55aaeeeb52d460f40e9e493ea39a3fad8a2c5276af63d85",
-        "report.csv": "98370ea822cbd0741c3a5b84ca1ab42d775bc1e694aa121997d96f3cef438607",
+        "report.csv": "29770149b0ed4ced521c405d88ab05eb2ca2416664fef9c7aad1fdb1853432fe",
     }
 
     def test_tree_estimates_and_report_match_pinned_bytes(self, prepared, tmp_path):
@@ -623,6 +623,44 @@ class TestCrossProjectCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 7  # 32-issue split leaves 7 test issues
         assert all(float(r["abs_error"]) >= 0 for r in rows)
+
+
+class TestCsvCells:
+    def test_every_numeric_cell_reads_back_as_a_float(self, prepared, tmp_path):
+        # every CSV the commands write: curves, estimates, the report and
+        # cross-project's absolute errors; only key and name columns are text
+        out = tmp_path / "run"
+        checkpoint = pretrain_checkpoint(prepared, out)
+        assert run("train", "--split-dir", prepared, "--out-dir", out, "--dim", 4,
+                   "--depth", 1, "--epochs", 2, "--batch-size", 16,
+                   "--pretrained", checkpoint) == 0
+        assert run("estimate", "--checkpoint", out / "model.ckpt", "--vocab", out / "vocab.txt",
+                   "--in", prepared / "test.jsonl", "--out", out / "lstm.csv") == 0
+        for model in ("mean", "bow-rf"):
+            assert run("baseline", "--model", model, "--split-dir", prepared,
+                       "--in", prepared / "test.jsonl", "--out", out / f"{model}.csv") == 0
+        assert run("evaluate", "--split-dir", prepared, "--estimates",
+                   *[f"{m}={out / (m + '.csv')}" for m in ("lstm", "mean", "bow-rf")],
+                   "--pairs", "lstm:mean,mean:bow-rf", "--out", out / "report.csv") == 0
+        assert run("cross-project", "--source-dir", prepared, "--target-dir", prepared,
+                   "--out-dir", out / "cross", "--dim", 4, "--depth", 1, "--epochs", 1,
+                   "--batch-size", 16) == 0
+        written = sorted(out.rglob("*.csv"))
+        assert {path.name for path in written} == {
+            "pretrain_log.csv", "train_log.csv", "lstm.csv", "mean.csv", "bow-rf.csv",
+            "report.csv", "estimates.csv", "abs_errors.csv"}
+        cells = 0
+        for path in written:
+            with path.open(newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            assert rows, path.name
+            numeric = [i for i, name in enumerate(header) if name not in ("issue_key", "model")]
+            for row in rows:
+                for i in numeric:
+                    if row[i]:  # report.csv leaves mre and pred empty on pair rows
+                        float(row[i])
+                        cells += 1
+        assert cells > 50
 
 
 class TestClusterWordsCli:

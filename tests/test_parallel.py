@@ -6,8 +6,10 @@ two-process paths run whatever the CPU count of the host.
 
 import functools
 import hashlib
+import multiprocessing
 import os
 import signal
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -75,18 +77,19 @@ class TestPool:
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_results_in_task_order(self, monkeypatch, count):
         # 3 processes: more than SHARDS and more workers than this host may
-        # have cores; the worker pipes must still close cleanly
+        # have cores; they must still shut down cleanly
         processes(monkeypatch, count)
         with deadline(60), parallel.Pool(100) as pool:
             results = pool.map(add, [(x,) for x in range(7)], 100)
             again = pool.map(add, [(x,) for x in range(3)], 100)
-            workers = [process for process, _ in pool._workers]
         assert [r for r, _ in results] == list(range(100, 107))
         assert [r for r, _ in again] == [100, 101, 102]
-        assert len(workers) == count - 1
-        assert all(not process.is_alive() for process in workers)
-        if count > 1:  # this process and a worker both ran tasks
-            assert len({pid for _, pid in results}) > 1
+        pids = {pid for _, pid in results + again}
+        if count == 1:
+            assert pids == {os.getpid()}
+        else:  # workers ran every task
+            assert os.getpid() not in pids and len(pids) <= count
+        assert multiprocessing.active_children() == []
 
     def test_one_process_forks_nothing(self, monkeypatch):
         processes(monkeypatch, 1)
@@ -99,8 +102,8 @@ class TestPool:
                                                                    bad, raised):
         processes(monkeypatch, 2)
         with deadline(60), parallel.Pool(bad) as pool:
-            # of two tasks the worker runs the last and this process the
-            # first; when both fail, the first in task order is raised
+            # when both tasks fail, the first in task order is raised,
+            # whichever worker finished first
             with pytest.raises(NumericError, match=raised):
                 pool.map(fail_on, [(0,), (1,)], bad)
             assert pool.map(fail_on, [(2,), (3,)], bad) == [2, 3]
@@ -127,11 +130,42 @@ class TestPool:
     def test_killed_worker_raises_instead_of_hanging(self, monkeypatch):
         processes(monkeypatch, 2)
         with deadline(60), parallel.Pool() as pool:
-            victim = pool._workers[0][0]
-            os.kill(victim.pid, signal.SIGKILL)
-            victim.join(10)
+            victim = pool.map(pid_of, [(0,)])[0]
+            os.kill(victim, signal.SIGKILL)
+            while alive(victim):  # until the pool has seen it die and reaped it
+                time.sleep(0.01)
             with pytest.raises(parallel.WorkerError):
                 pool.map(pid_of, [(0,), (1,)])
+        assert multiprocessing.active_children() == []
+
+    def test_worker_killed_during_a_task_raises(self, monkeypatch):
+        processes(monkeypatch, 2)
+        here = os.getpid()
+        with deadline(60), parallel.Pool(here) as pool:
+            with pytest.raises(parallel.WorkerError):
+                pool.map(shard_killing_worker, [(), ()], here)
+            with pytest.raises(parallel.WorkerError):  # a broken pool stays broken
+                pool.map(add, [(0,)], here)
+
+    @pytest.mark.parametrize("inside", ["map", "with"])
+    def test_pool_left_on_an_exception_leaves_no_process(self, monkeypatch, inside):
+        processes(monkeypatch, 2)
+        bad = {1}
+        with deadline(60), pytest.raises(NumericError):
+            with parallel.Pool(bad) as pool:
+                assert pool.map(fail_on, [(0,), (2,)], bad) == [0, 2]
+                if inside == "with":
+                    raise NumericError("outside a task")
+                pool.map(fail_on, [(0,), (1,)], bad)
+        assert multiprocessing.active_children() == []
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def sequences(seed, n, vocab=40, longest=30):
@@ -392,14 +426,28 @@ def in_worker(parent_pid):
 # The pool sends a task's function by import path, so the stand-ins patched
 # over model.shard_loss_and_grads are module-level functions.
 SHARD = model_module.shard_loss_and_grads
-WORKER_SHARD_CALLS = []  # appended to in a worker's copy of this module only
+# Calls made in workers, counted across them: a test sets a fresh
+# multiprocessing.Value here before its pool forks, so the call that fails
+# does not depend on which worker ran which shard.
+WORKER_CALLS = None
+
+
+def worker_calls(monkeypatch):
+    monkeypatch.setitem(globals(), "WORKER_CALLS", multiprocessing.Value("i", 0))
+
+
+def worker_call_number(parent_pid):
+    """1, 2, ... for the calls made in workers; 0 for a call made here."""
+    if not in_worker(parent_pid):
+        return 0
+    with WORKER_CALLS.get_lock():
+        WORKER_CALLS.value += 1
+        return WORKER_CALLS.value
 
 
 def shard_failing_in_worker(parent_pid, fail_after, *args):
-    if in_worker(parent_pid):
-        WORKER_SHARD_CALLS.append(1)
-        if len(WORKER_SHARD_CALLS) > fail_after:
-            raise NumericError("overflow in a worker")
+    if worker_call_number(parent_pid) > fail_after:
+        raise NumericError("overflow in a worker")
     return SHARD(*args)
 
 
@@ -411,13 +459,14 @@ def shard_killing_worker(parent_pid, *args):
 
 class TestShardedTraining:
     def test_worker_numeric_error_aborts_with_best_weights(self, monkeypatch, split64):
-        # 38 training issues in batches of 16: three batches an epoch, and
-        # the worker computes the second shard of each
+        # 38 training issues in batches of 16: three batches an epoch, six
+        # shards, all computed by the workers
         cfg = TrainConfig(epochs=4, batch_size=16, seed=5)
         processes(monkeypatch, 2)
         one_epoch = train(split64, MC, TrainConfig(epochs=1, batch_size=16, seed=5))
+        worker_calls(monkeypatch)
         monkeypatch.setattr(model_module, "shard_loss_and_grads",
-                            functools.partial(shard_failing_in_worker, os.getpid(), 3))
+                            functools.partial(shard_failing_in_worker, os.getpid(), 6))
         with deadline(120):
             result = train(split64, MC, cfg)
         assert result.aborted == "epoch 2: overflow in a worker"
@@ -430,27 +479,24 @@ class TestShardedTraining:
         processes(monkeypatch, 2)
         monkeypatch.setattr(model_module, "shard_loss_and_grads",
                             functools.partial(shard_killing_worker, os.getpid()))
-        with deadline(60), pytest.raises(parallel.WorkerError, match="exited with code -9"):
+        with deadline(60), pytest.raises(parallel.WorkerError):
             train(split64, MC, TrainConfig(epochs=3, batch_size=16, seed=5))
 
 
 NCE_SHARD = pretrain_module._nce_shard
-WORKER_NCE_CALLS = []  # appended to in a worker's copy of this module only
 
 
 def nce_shard_failing_in_worker(parent_pid, fail_after, params, *task):
-    if in_worker(parent_pid):
-        WORKER_NCE_CALLS.append(1)
-        if len(WORKER_NCE_CALLS) > fail_after:
-            raise NumericError("overflow in a worker")
+    if worker_call_number(parent_pid) > fail_after:
+        raise NumericError("overflow in a worker")
     return NCE_SHARD(params, *task)
 
 
 def test_worker_numeric_error_aborts_pretrain_with_best_weights(monkeypatch):
     # "a b c" repeated: 41 training sequences of one length in batches of
-    # 16, three an epoch, each cut in two shards; the worker computes the
-    # second shard of each. At this seed epoch 4 is the first to beat the
-    # initial held-out perplexity.
+    # 16, three an epoch, each cut in two shards, six shards the workers
+    # compute. At this seed epoch 4 is the first to beat the initial
+    # held-out perplexity.
     docs = [tokenize(("a b c " * 10).strip(), "word") for _ in range(45)]
     vocab = build_vocabulary(docs, min_count=1)
     seqs = [vocab.encode(d) for d in docs]
@@ -460,8 +506,9 @@ def test_worker_numeric_error_aborts_pretrain_with_best_weights(monkeypatch):
         four_epochs = pretrain(seqs, len(vocab), config,
                                PretrainConfig(epochs=4, batch_size=16, nce_samples=4), seed=5)
         assert four_epochs.best_epoch == 4
+        worker_calls(monkeypatch)
         monkeypatch.setattr(pretrain_module, "_nce_shard",
-                            functools.partial(nce_shard_failing_in_worker, os.getpid(), 12))
+                            functools.partial(nce_shard_failing_in_worker, os.getpid(), 24))
         result = pretrain(seqs, len(vocab), config,
                           PretrainConfig(epochs=8, batch_size=16, nce_samples=4), seed=5)
     assert result.aborted == "epoch 5: overflow in a worker"
@@ -505,6 +552,30 @@ def test_cli_artifacts_identical_at_one_and_two_processes(monkeypatch, tmp_path)
                                      "train_log.csv", "estimates.csv", "bow-rf.csv",
                                      "lstm-rf.csv")})
     assert digests[0] == digests[1]
+
+
+def test_cli_commands_leave_no_process(monkeypatch, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(load_bundled_corpus(), corpus)
+    split, out = tmp_path / "split", tmp_path / "out"
+    assert run_cli("prepare", "--in", corpus, "--out-dir", split, "--min-project-size", 0) == 0
+    processes(monkeypatch, 2)
+    commands = [
+        ("pretrain", "--corpus", split / "train.jsonl", "--vocab", split / "vocab.txt",
+         "--out-dir", out, "--dim", 8, "--depth", 2, "--epochs", 1, "--batch-size", 16,
+         "--nce-samples", 5),
+        ("train", "--split-dir", split, "--out-dir", out, "--dim", 8, "--depth", 2,
+         "--epochs", 1, "--batch-size", 16, "--pretrained", out / "pretrain.ckpt"),
+        ("estimate", "--checkpoint", out / "model.ckpt", "--vocab", out / "vocab.txt",
+         "--in", split / "test.jsonl", "--out", out / "estimates.csv"),
+        *(("baseline", "--model", forest, "--split-dir", split, "--in", split / "test.jsonl",
+           "--out", out / f"{forest}.csv", "--checkpoint", out / "model.ckpt")
+          for forest in ("bow-rf", "lstm-rf")),
+    ]
+    for argv in commands:
+        with deadline(120):
+            assert run_cli(*argv) == 0
+        assert multiprocessing.active_children() == [], argv[0]
 
 
 def forest_data(kind):

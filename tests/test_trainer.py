@@ -75,6 +75,16 @@ class TestTrain:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_own_vocabulary_trains_as_the_same_vocabulary_given(self, split64):
+        # with no vocabulary, train encodes the documents it built one from;
+        # with one given, it encodes each issue: the same sequences
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=5)
+        built = train(split64, MC, cfg)
+        given = train(split64, MC, cfg, vocab=built.vocab)
+        assert built.curve == given.curve
+        for name, tensor in built.checkpoint.tensors.items():
+            assert tensor.tobytes() == given.checkpoint.tensors[name].tobytes(), name
+
     def test_best_checkpoint_tracks_curve_minimum(self, trained):
         curve_maes = [row["valid_mae"] for row in trained.curve]
         assert trained.best_valid_mae == pytest.approx(min(curve_maes))
