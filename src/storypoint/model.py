@@ -143,36 +143,42 @@ def embed(token_ids, emb: np.ndarray) -> np.ndarray:
 @dataclass
 class DropoutMasks:
     """Fixed dropout masks so forward and backward see the same pattern:
-    float masks, or the bool keep bits they are made from (see
-    draw_dropout_keep), an eighth of the bytes to send to a worker."""
+    float masks, or the keep bits they are made from, packed eight to a
+    byte along the last axis (see draw_dropout_keep): a sixty-fourth of
+    the bytes to send to a worker."""
 
-    lstm_in: np.ndarray   # (B, T, d)
-    lstm_out: np.ndarray  # (B, T, d)
-    highway: np.ndarray   # (B, d)
+    lstm_in: np.ndarray   # (B, T, d); packed, (B, T, ceil(d / 8))
+    lstm_out: np.ndarray  # (B, T, d); packed, (B, T, ceil(d / 8))
+    highway: np.ndarray   # (B, d); packed, (B, ceil(d / 8))
 
     def rows(self, start: int, stop: int) -> "DropoutMasks":
         return DropoutMasks(self.lstm_in[start:stop], self.lstm_out[start:stop],
                             self.highway[start:stop])
 
     def for_steps(self, steps: int, config: ModelConfig) -> "DropoutMasks":
-        """Float masks over the first `steps` steps; keep bits are scaled
-        with the operation make_dropout_masks uses, so the bits agree."""
+        """Float masks over the first `steps` steps; packed keep bits are
+        unpacked and scaled with the operation make_dropout_masks uses, so
+        the bits agree."""
         lstm_in, lstm_out = self.lstm_in[:, :steps], self.lstm_out[:, :steps]
-        if self.highway.dtype != bool:
+        if self.highway.dtype != np.uint8:
             return DropoutMasks(lstm_in, lstm_out, self.highway)
+        d = config.embedding_dim
+        lstm_in, lstm_out, highway = (np.unpackbits(bits, axis=-1, count=d).view(bool)
+                                      for bits in (lstm_in, lstm_out, self.highway))
         return DropoutMasks(dropout_scale(lstm_in, config.dropout_lstm),
                             dropout_scale(lstm_out, config.dropout_lstm),
-                            dropout_scale(self.highway, config.dropout_highway))
+                            dropout_scale(highway, config.dropout_highway))
 
 
 def draw_dropout_keep(batch: int, steps: int, config: ModelConfig,
                       rng: np.random.Generator) -> DropoutMasks:
-    """Keep bits of a batch's three dropout masks, drawn in a fixed order."""
+    """Keep bits of a batch's three dropout masks, drawn in a fixed order
+    and packed along the last axis."""
     d = config.embedding_dim
     return DropoutMasks(
-        lstm_in=dropout_keep((batch, steps, d), config.dropout_lstm, rng),
-        lstm_out=dropout_keep((batch, steps, d), config.dropout_lstm, rng),
-        highway=dropout_keep((batch, d), config.dropout_highway, rng),
+        lstm_in=np.packbits(dropout_keep((batch, steps, d), config.dropout_lstm, rng), axis=-1),
+        lstm_out=np.packbits(dropout_keep((batch, steps, d), config.dropout_lstm, rng), axis=-1),
+        highway=np.packbits(dropout_keep((batch, d), config.dropout_highway, rng), axis=-1),
     )
 
 

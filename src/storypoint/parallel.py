@@ -1,13 +1,12 @@
 """Fork-based execution of independent tasks on the CPUs of this host.
 
-A Pool is a ProcessPoolExecutor whose worker processes fork at its first
-map. The objects a pool is created with reach the workers through the fork
-(they are the executor's initializer arguments, inherited, not pickled) and
-go to every task ahead of its own arguments, so a task that reads the model
-parameters never pickles a V x d array. `share` moves a parameter set into
-anonymous shared memory first, so the in-place updates this process makes
-between tasks (the optimizer step) are seen by the workers too. This
-process only hands out the tasks and collects their results.
+A Pool runs tasks in this process and in forked worker processes, one pipe
+each. The objects a pool is created with reach the workers through the
+fork, not through a pipe, and go to every task ahead of its own arguments,
+so a task that reads the model parameters never pickles a V x d array.
+`share` moves a parameter set into anonymous shared memory first, so the
+in-place updates this process makes between tasks (the optimizer step) are
+seen by the workers too.
 
 Which process runs a task changes the speed, never the result: callers cut
 their work into tasks that do not depend on the process count and combine
@@ -18,13 +17,12 @@ from __future__ import annotations
 
 import mmap
 import os
-from concurrent.futures import ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_all_start_methods, get_context
+from multiprocessing.connection import wait
 
 import numpy as np
 
-# Row shards per training batch, and so the most workers a pool runs.
+# Row shards per training batch, and so the most processes a pool runs.
 # shard_bounds makes one cut.
 SHARDS = 2
 
@@ -49,13 +47,12 @@ def shard_bounds(lengths) -> list[tuple[int, int]]:
 
 
 class WorkerError(RuntimeError):
-    """A worker process died, so its pool can run no more tasks."""
+    """A worker process died or could not send its result back."""
 
 
 def process_count() -> int:
-    """Processes a pool runs its tasks on: min(SHARDS, CPUs this process may
-    run on), or 1 where processes cannot be forked. One is this process;
-    more are that many forked workers."""
+    """Processes a pool runs: min(SHARDS, CPUs this process may run on),
+    or 1 where processes cannot be forked."""
     if "fork" not in get_all_start_methods():
         return 1
     try:
@@ -80,62 +77,122 @@ def share(params) -> None:
         offset += tensor.nbytes
 
 
-_shared = ()  # in a worker: the objects of the pool that forked it
-
-
-def _keep(*shared) -> None:
-    global _shared
-    _shared = shared
-
-
-def _call(fn, task: tuple):
-    return fn(*_shared, *task)
+def _serve(conn, shared, others) -> None:
+    """Worker loop: run (fn, args) messages until the parent closes the pipe."""
+    for other in others:  # the parent's pipe ends: end of file comes when it closes its own
+        other.close()
+    while True:
+        try:
+            fn, args = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, fn(*shared, *args))
+        except Exception as exc:  # raised again in the parent
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except Exception as exc:  # a result or exception that does not pickle
+            conn.send((False, WorkerError(f"cannot send back {reply[1]!r}: {exc!r}")))
 
 
 class Pool:
-    """Runs fn(*shared, *task) tasks on process_count() worker processes,
-    forked at the first map. With one process nothing is forked, and the
-    tasks run here, as they do once the pool is closed. Use it as a context
-    manager: leaving it shuts the workers down and joins them.
+    """Runs fn(*shared, *task) tasks in this process and in
+    process_count() - 1 workers forked at creation. With one process,
+    nothing is forked. Use it as a context manager: leaving it closes the
+    pipes and joins the workers (kills them when leaving on an exception).
     """
 
     def __init__(self, *shared):
         self.shared = shared
-        self._executor = None
-        count = process_count()
-        if count > 1:
-            self._executor = ProcessPoolExecutor(count, mp_context=get_context("fork"),
-                                                 initializer=_keep, initargs=shared)
+        self._workers = []  # (process, connection)
+        context = get_context("fork")
+        for _ in range(process_count() - 1):
+            ours, theirs = context.Pipe()
+            others = [ours, *(conn for _, conn in self._workers)]
+            process = context.Process(target=_serve, args=(theirs, shared, others), daemon=True)
+            process.start()
+            theirs.close()
+            self._workers.append((process, ours))
 
     def __enter__(self) -> "Pool":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(cancel_futures=True)
-        self._executor = None
+        for process, conn in self._workers:
+            if exc_type is not None:
+                process.kill()
+            conn.close()
+        for process, _ in self._workers:
+            process.join()
+        self._workers = []
 
     def map(self, fn, tasks: list[tuple], *shared) -> list:
         """fn(*shared, *task) for every task; results in task order.
 
         `shared` must be the objects the pool was created with. Tasks are
-        submitted from the last to the first, and one more than the workers
-        run waits queued for the first to finish: callers that list tasks by
-        ascending cost (length batches, the row shards of a length-sorted
-        batch) so start the longest first. If tasks fail, the first failed
-        one in task order raises its exception, once every task submitted
-        is back; a worker that dies raises WorkerError.
+        dealt from the last to the first, to whichever process is free;
+        workers take one while at least two are left, this process takes
+        the next. Callers that list tasks by ascending cost (length
+        batches, the row shards of a length-sorted batch) so start the
+        longest first. If tasks fail, the first failed one in task order
+        raises its exception, once every task handed out is back.
         """
         if len(shared) != len(self.shared) or any(a is not b for a, b in zip(shared, self.shared)):
             raise ValueError("pool tasks must use the objects the pool was created with")
-        if self._executor is None:
-            return [fn(*shared, *task) for task in tasks]
-        try:
-            futures = [self._executor.submit(_call, fn, task) for task in reversed(tasks)][::-1]
-            wait(futures)
-            return [future.result() for future in futures]
-        except BrokenProcessPool as exc:
-            raise WorkerError(f"a worker process died: {exc}") from exc
+        results = [None] * len(tasks)
+        errors = {}
+        todo = list(range(len(tasks)))
+        idle = list(self._workers)
+        busy = {}  # connection -> (process, task index)
+        while busy or (todo and not errors):
+            while idle and len(todo) > 1 and not errors:
+                process, conn = idle.pop()
+                i = todo.pop()
+                try:
+                    conn.send((fn, tasks[i]))
+                except OSError as exc:
+                    raise WorkerError(f"worker {process.pid} is gone: {exc}") from exc
+                busy[conn] = (process, i)
+            if todo and not errors:
+                i = todo.pop()
+                try:
+                    results[i] = fn(*shared, *tasks[i])
+                except Exception as exc:  # the busy workers' results are collected first
+                    errors[i] = exc
+                timeout = 0
+            else:
+                timeout = None
+            for conn in self._replies(busy, timeout):
+                process, i = busy.pop(conn)
+                try:
+                    ok, value = conn.recv()
+                except (EOFError, OSError) as exc:
+                    process.join()
+                    raise WorkerError(f"worker {process.pid} exited with code "
+                                      f"{process.exitcode} during a task") from exc
+                if ok:
+                    results[i] = value
+                else:
+                    errors[i] = value
+                idle.append((process, conn))
+        if errors:
+            raise errors[min(errors)]
+        return results
+
+    @staticmethod
+    def _replies(busy: dict, timeout: float | None) -> list:
+        """Connections of busy workers with a reply (or end of file) waiting;
+        raises WorkerError for a worker that ended without one."""
+        if not busy:
+            return []
+        ready = set(wait([*busy, *(process.sentinel for process, _ in busy.values())], timeout))
+        for conn, (process, _) in busy.items():
+            if conn not in ready and process.sentinel in ready:
+                process.join()
+                raise WorkerError(f"worker {process.pid} exited with code {process.exitcode} "
+                                  "during a task")
+        return [conn for conn in busy if conn in ready]
 
 
 def run(fn, tasks: list[tuple], *shared, pool: Pool | None = None) -> list:

@@ -121,7 +121,7 @@ def perplexity(params: ModelParams, sequences: list[list[int]],
     over the live (unpadded) positions only.
 
     Each length batch is encoded here, and its softmax chunks go out as
-    SHARDS tasks of whole chunks, dealt to the workers of `pool` (one
+    SHARDS tasks of whole chunks, dealt to the processes of `pool` (one
     created with params) or run here without one. Whole length batches are
     not dealt, as predict_points deals them: the held-out set is often one
     batch, and its softmax, not its encoding, is most of the work. A batch

@@ -54,8 +54,8 @@ def predict_points(params: ModelParams, config: ModelConfig,
                    sequences: list[list[int]], pool: Pool | None = None) -> np.ndarray:
     """Deterministic inference over token-id sequences, clamped at zero.
 
-    The sequences run as model.inference_batches, dealt to the workers of
-    `pool` (one created with (params, config)) or run here; each batch
+    The sequences run as model.inference_batches, dealt to the processes
+    of `pool` (one created with (params, config)) or run here; each batch
     is computed whole, so the bits do not depend on the process count.
     Results come back in input order.
     """

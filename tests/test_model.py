@@ -15,6 +15,7 @@ from storypoint.model import (
     batch_forward,
     batch_loss_and_grads,
     document_vectors,
+    draw_dropout_keep,
     embed,
     expected_shapes,
     inference_batches,
@@ -27,7 +28,7 @@ from storypoint.model import (
     zero_params,
 )
 from storypoint.model import _highway_forward, _lstm_backward, _lstm_forward
-from storypoint.numerics import make_rng, sigmoid
+from storypoint.numerics import dropout_keep, dropout_scale, make_rng, sigmoid
 
 LSTM_TENSORS = ("lstm_wx", "lstm_wh", "lstm_b")
 
@@ -294,6 +295,27 @@ class TestForward:
                     return loss
                 err = grad_check(f, tensor, grads[name], h=1e-4)
                 assert err < 1e-4, f"{name} (masks={masks is not None}): {err}"
+
+
+class TestDropoutKeepBits:
+    @pytest.mark.parametrize("d", [5, 8, 50])
+    def test_packed_bits_give_the_masks_of_the_bits_drawn(self, d):
+        # d = 5 and 50 leave the last byte of each row part-filled
+        config = ModelConfig(embedding_dim=d, highway_depth=1)
+        keep = draw_dropout_keep(3, 7, config, make_rng(2))
+        assert keep.lstm_in.shape == (3, 7, -(-d // 8)) and keep.highway.shape == (3, -(-d // 8))
+        rng = make_rng(2)
+        drawn = [dropout_keep((3, 7, d), config.dropout_lstm, rng),
+                 dropout_keep((3, 7, d), config.dropout_lstm, rng),
+                 dropout_keep((3, d), config.dropout_highway, rng)]
+        for steps in (7, 4):
+            masks = keep.rows(1, 3).for_steps(steps, config)
+            rates = (config.dropout_lstm, config.dropout_lstm, config.dropout_highway)
+            want = [dropout_scale(bits[1:3, :steps] if bits.ndim == 3 else bits[1:3], rate)
+                    for bits, rate in zip(drawn, rates)]
+            got = (masks.lstm_in, masks.lstm_out, masks.highway)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class TestLoss:
