@@ -352,9 +352,18 @@ def encode_backward(d_states: np.ndarray, cache: dict, params: ModelParams,
         dx = dx * masks.lstm_in
     dx *= mask[:, :, None]
     ids, inverse = np.unique(cache["ids"], return_inverse=True)
-    rows = np.zeros((len(ids), dx.shape[2]))
-    np.add.at(rows, inverse.reshape(-1), dx.reshape(-1, dx.shape[2]))
-    return ids, rows
+    return ids, scatter_rows(inverse.reshape(-1), dx.reshape(-1, dx.shape[2]), len(ids))
+
+
+def scatter_rows(index: np.ndarray, terms: np.ndarray, count: int) -> np.ndarray:
+    """The (count, d) sums of the rows of terms by index: row i adds the
+    terms[j] with index[j] == i from zero in j order, the bits of
+    np.add.at(np.zeros((count, d)), index, terms). One bincount per column,
+    not one index of every cell, which would be as large as terms."""
+    rows = np.empty((count, terms.shape[1]))
+    for j in range(terms.shape[1]):
+        rows[:, j] = np.bincount(index, weights=terms[:, j], minlength=count)
+    return rows
 
 
 def batch_forward(ids: np.ndarray, mask: np.ndarray, params: ModelParams,

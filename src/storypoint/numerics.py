@@ -133,10 +133,11 @@ def _run_epochs(params, config, batches, step, validate, label: str,
     epoch steps the weights with `loss, grads = step(batch)` for every batch
     of `batches()` (a gradient is a dense array, or row-sparse (ids, rows)
     for RmsPropState.step_rows), catches the row-sparse tensors up, then
-    scores `validate()`, lower being better. The weights are copied
-    whenever the score beats the best so far (`best_score` at first)
-    strictly; more than `patience` epochs without that end the run, and so
-    does a non-finite loss, gradient or score, keeping the best weights.
+    scores `validate()`, lower being better. The weights are copied into
+    the one best-weights set whenever the score beats the best so far
+    (`best_score` at first) strictly; more than `patience` epochs without
+    that end the run, and so does a non-finite loss, gradient or score,
+    keeping the best weights.
     Returns (best weights, curve rows (epoch, mean train loss, score, best
     score), best epoch, best score, abort reason "epoch N: ..." or None).
     """
@@ -163,7 +164,9 @@ def _run_epochs(params, config, batches, step, validate, label: str,
         except NumericError as exc:
             return best_params, curve, best_epoch, best_score, f"epoch {epoch}: {exc}"
         if score < best_score:
-            best_params, best_epoch, best_score, bad_epochs = params.copy(), epoch, score, 0
+            for name, best in best_params.tensors().items():
+                np.copyto(best, getattr(params, name))
+            best_epoch, best_score, bad_epochs = epoch, score, 0
         else:
             bad_epochs += 1
         curve.append((epoch, total / max(count, 1), score, best_score))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ModelConfig, ModelParams, _run_shards, encode, encode_backward, init_params,
-                    length_batches, pad_batch)
+                    length_batches, pad_batch, scatter_rows)
 from .numerics import _run_epochs, log_sigmoid, make_rng, sigmoid
 from .parallel import SHARDS, Pool, run, shard_bounds, share
 
@@ -76,42 +76,58 @@ def _prediction_batches(sequences: list[list[int]], batch_size: int,
         yield ids, targets, mask
 
 
-# Byte budget of one chunk of float64 logits in the exact softmax: peak memory
-# of `perplexity` and of the softmax objective is a few chunks, whatever B and T.
-SOFTMAX_CHUNK_BYTES = 16 * 2**20
-
-
-def _chunk_step(vocab_size: int) -> int:
-    """Rows per chunk of an exact softmax over vocab_size logits."""
-    return max(1, SOFTMAX_CHUNK_BYTES // (8 * vocab_size))
+# Byte budget of one block of float64 logits in the exact softmax, near a
+# core's L2 cache: peak memory of `perplexity` and of the softmax objective is
+# a few blocks, whatever B and T.
+SOFTMAX_CHUNK_BYTES = 4 * 2**20
+# BLAS computes the logits of the vocabulary rows in whole tiles of this many;
+# the rest are summed by numpy. In a ragged last row tile a BLAS kernel may
+# round by the block's row count and the BLAS thread count (OpenBLAS's
+# SkylakeX dgemm does, for the last V mod 8 logits); in a whole tile it does
+# not. (OpenBLAS also gives products of at most about 6e4 multiply-adds a
+# kernel of their own, so a tiny vocabulary can still round by block size.)
+VOCAB_TILE = 16
 
 
 def _softmax_chunks(h: np.ndarray, tgt: np.ndarray, lm_u: np.ndarray):
     """Exact full softmax of the rows of h, a bounded number of rows at a time.
 
-    Yields (rows, shifted, lse, target_logp) per chunk of _chunk_step rows:
-    `rows` slices h and tgt, `shifted` is the chunk's h @ lm_u.T minus its
+    Yields (rows, shifted, lse, target_logp) per block of rows, as many as
+    fit in SOFTMAX_CHUNK_BYTES of logits and two at least:
+    `rows` slices h and tgt, `shifted` is the block's h @ lm_u.T minus its
     row max, `lse` is log(sum(exp(shifted))) per row and `target_logp` is
-    log P(tgt). Every reduction over V is per row, so the values do not
-    depend on the chunk size. The logits and their exp live in two buffers
-    made once per call (fresh pages for every chunk cost about as much as
-    the chunk's exp), so the caller may overwrite `shifted` but is done
-    with it when it asks for the next chunk.
+    log P(tgt). A row's values do not depend on the block it is in: every
+    reduction over V is per row, and the product is a matrix-matrix one over
+    whole vocabulary tiles. A one-row block would be a matrix-vector product,
+    which rounds differently, so every block has two rows at least: a
+    one-row tail joins the block before it, and a lone row is computed
+    paired with a copy of itself. The logits and their exp live in two
+    buffers made once per call (fresh pages for every block cost about as
+    much as the block's exp), so the caller may overwrite `shifted` but is
+    done with it when it asks for the next block.
     """
-    step = _chunk_step(lm_u.shape[0])
-    logits = np.empty((min(step, len(h)), lm_u.shape[0]))
+    vocab = lm_u.shape[0]
+    tiled = vocab - vocab % VOCAB_TILE
+    step = max(2, SOFTMAX_CHUNK_BYTES // (8 * vocab))
+    starts = list(range(0, len(h), step))
+    if len(starts) > 1 and len(h) - starts[-1] == 1:
+        starts.pop()
+    logits = np.empty((min(step + 1, max(2, len(h))), vocab))
     exp = np.empty_like(logits)
-    for start in range(0, len(h), step):
-        rows = slice(start, start + step)
-        n = min(step, len(h) - start)
-        shifted = np.matmul(h[rows], lm_u.T, out=logits[:n])
+    for start, stop in zip(starts, starts[1:] + [len(h)]):
+        rows, n = slice(start, stop), stop - start
+        block = h[rows] if n > 1 else np.repeat(h[rows], 2, axis=0)
+        out = logits[:len(block)]
+        np.matmul(block, lm_u[:tiled].T, out=out[:, :tiled])
+        np.sum(block[:, None, :] * lm_u[tiled:], axis=2, out=out[:, tiled:])
+        shifted = out[:n]
         shifted -= shifted.max(axis=1, keepdims=True)
         lse = np.log(np.exp(shifted, out=exp[:n]).sum(axis=1))
         yield rows, shifted, lse, shifted[np.arange(n), tgt[rows]] - lse
 
 
 def _target_logp(params: ModelParams, h: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """log P(tgt) of the rows of h, chunk by chunk."""
+    """log P(tgt) of the rows of h, block by block."""
     return np.concatenate([logp for *_, logp in _softmax_chunks(h, tgt, params.lm_u)])
 
 
@@ -120,14 +136,15 @@ def perplexity(params: ModelParams, sequences: list[list[int]],
     """exp(mean negative log-likelihood per predicted token), full softmax
     over the live (unpadded) positions only.
 
-    Each length batch is encoded here, and its softmax chunks go out as
-    SHARDS tasks of whole chunks, dealt to the processes of `pool` (one
+    Each length batch is encoded here, and its live positions go out as
+    SHARDS near-equal row spans, dealt to the processes of `pool` (one
     created with params) or run here without one. Whole length batches are
     not dealt, as predict_points deals them: the held-out set is often one
-    batch, and its softmax, not its encoding, is most of the work. A batch
-    sums its target log-probabilities on its padded (B, T) grid and the
-    total adds the batches in batch order, so the value does not depend on
-    the process count.
+    batch, and its softmax, not its encoding, is most of the work. A row's
+    log-probability does not depend on the span or block it is computed in
+    (_softmax_chunks), a batch sums them on its padded (B, T) grid and the
+    total adds the batches in batch order, so the value depends neither on
+    the process count nor on SOFTMAX_CHUNK_BYTES.
     """
     total_nll = 0.0
     total_count = 0
@@ -135,10 +152,8 @@ def perplexity(params: ModelParams, sequences: list[list[int]],
         states, _ = encode(ids, mask, params)
         live = mask > 0
         h, tgt = states[live], targets[live]
-        step = _chunk_step(params.lm_u.shape[0])
-        span = step * -(-len(h) // (step * SHARDS))  # whole chunks, SHARDS tasks at most
-        tasks = [(h[start:start + span], tgt[start:start + span])
-                 for start in range(0, len(h), span)]
+        cuts = [len(h) * i // SHARDS for i in range(SHARDS + 1)]
+        tasks = [(h[a:b], tgt[a:b]) for a, b in zip(cuts, cuts[1:]) if b > a]
         # Summed on the padded (B, T) grid, zeros at padding, so the total
         # rounds exactly as a sum over the dense (B, T, V) form would.
         picked = np.zeros(mask.shape)
@@ -194,9 +209,8 @@ def _nce_shard(params, ids, targets, mask, target_offset, noise, noise_offset, p
     # the noise terms, as scatters into a zero (V, d) array would add them
     lm_ids, inverse = np.unique(np.concatenate([targets.reshape(-1), noise]),
                                 return_inverse=True)
-    lm_rows = np.zeros((len(lm_ids), states.shape[2]))
-    np.add.at(lm_rows, inverse[: targets.size],
-              (dd_t[:, :, None] * states).reshape(-1, states.shape[2]))
+    lm_rows = scatter_rows(inverse[: targets.size],
+                           (dd_t[:, :, None] * states).reshape(-1, states.shape[2]), len(lm_ids))
     np.add.at(lm_rows, inverse[targets.size:], np.einsum("btm,btd->md", dd_n, states))
     d_states = dd_t[:, :, None] * u_tgt + dd_n @ u_noise
     lstm = {name: np.zeros_like(getattr(params, name)) for name in LSTM_TENSORS}

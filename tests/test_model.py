@@ -25,6 +25,7 @@ from storypoint.model import (
     make_dropout_masks,
     pad_batch,
     save_checkpoint,
+    scatter_rows,
     zero_params,
 )
 from storypoint.model import _highway_forward, _lstm_backward, _lstm_forward
@@ -207,6 +208,15 @@ for name in sorted(grads):
     for part in grads[name] if isinstance(grads[name], tuple) else [grads[name]]:
         digest.update(part.tobytes())
 print(digest.hexdigest())
+
+# full-softmax log-probabilities over a vocabulary of 2003, which ends in a
+# ragged BLAS row tile, in blocks of 261 rows and a last one of 178
+from types import SimpleNamespace
+from storypoint.pretrain import _target_logp
+rng = make_rng(5)
+head = SimpleNamespace(lm_u=rng.normal(scale=0.5, size=(2003, 50)))
+logp = _target_logp(head, rng.normal(size=(700, 50)), rng.integers(0, 2003, size=700))
+print(hashlib.sha256(logp.tobytes()).hexdigest())
 """
 
 
@@ -221,6 +231,29 @@ def test_gradients_do_not_depend_on_blas_thread_count():
         assert proc.returncode == 0, proc.stderr[-3000:]
         digests.append(proc.stdout.strip())
     assert digests[0] == digests[1]
+
+
+class TestScatterRows:
+    def test_bits_of_add_at_on_repeated_ids(self):
+        rng = make_rng(9)
+        index = rng.integers(0, 6, size=200)
+        terms = rng.normal(size=(200, 5))
+        # signed zeros and infinities, also at the first term of a row and
+        # where +inf and -inf meet in one cell
+        terms[rng.integers(0, 200, size=60), rng.integers(0, 5, size=60)] = -0.0
+        terms[rng.integers(0, 200, size=30), rng.integers(0, 5, size=30)] = 0.0
+        terms[rng.integers(0, 200, size=6), rng.integers(0, 5, size=6)] = np.inf
+        terms[rng.integers(0, 200, size=6), rng.integers(0, 5, size=6)] = -np.inf
+        terms[np.flatnonzero(index == 1)[0]] = -0.0
+        terms[np.flatnonzero(index == 3)[:2], 2] = [np.inf, -np.inf]
+        index[index == 5] = 4  # row 5 gets no term
+        expected = np.zeros((6, 5))
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            np.add.at(expected, index, terms)
+            got = scatter_rows(index, terms, 6)
+        assert got.shape == (6, 5)
+        assert got.tobytes() == expected.tobytes()
+        assert np.isnan(got[3, 2]) and not got[5].any()
 
 
 class TestMeanPool:

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -183,10 +184,13 @@ class _OneWeight:
     """The least params object the epoch loop drives: one tensor, `w`."""
 
     def __init__(self, w):
-        self.w = np.array([w])
+        self.w = np.array(w, dtype=np.float64, ndmin=1)
+
+    def tensors(self):
+        return {"w": self.w}
 
     def copy(self):
-        return _OneWeight(self.w[0])
+        return _OneWeight(self.w)
 
 
 class TestRunEpochs:
@@ -243,8 +247,7 @@ class TestRunEpochs:
                                  decay=0.9, smoothing=1e-6)
         results = []
         for sparse in (False, True):
-            params = SimpleNamespace(w=np.zeros((30, 2)))
-            params.copy = lambda p=params: SimpleNamespace(w=p.w.copy())
+            params = _OneWeight(np.zeros((30, 2)))
 
             def step(batch, sparse=sparse):
                 if sparse:
@@ -258,6 +261,32 @@ class TestRunEpochs:
             results.append(params.w)
         assert np.array_equal(results[0], results[1])
         assert caught_up == [None] * 6  # every epoch ends caught up: replays stay bounded
+
+    def test_an_improving_epoch_copies_into_the_one_best_set(self):
+        # no batches; each validation sets the weights in place, then scores them
+        params = _OneWeight(np.zeros((400, 50)))
+        scores, marks = iter([2.0, 1.0, 5.0]), []
+
+        def validate():
+            marks.append(tracemalloc.get_traced_memory())  # (current, peak since the last)
+            tracemalloc.reset_peak()
+            params.w[...] = len(marks)
+            return next(scores)
+
+        config = SimpleNamespace(epochs=3, patience=5, learning_rate=0.01,
+                                 decay=0.9, smoothing=1e-6)
+        tracemalloc.start()
+        try:
+            best, _, epoch, *_ = _run_epochs(params, config, lambda: [], None, validate,
+                                             "score")
+        finally:
+            tracemalloc.stop()
+        # epochs 1 and 2 improve; their copies fall between two validations
+        for (current, _), (_, peak) in zip(marks, marks[1:]):
+            assert peak - current < params.w.nbytes
+        assert epoch == 2
+        assert best.w.tobytes() == np.full((400, 50), 2.0).tobytes()
+        assert params.w[0, 0] == 3.0
 
     def test_non_finite_loss_aborts_before_stepping(self):
         params, _, (best, curve, epoch, _, aborted) = self.run([3.0], loss=np.inf)

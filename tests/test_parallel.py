@@ -312,8 +312,9 @@ class TestDealtInferenceBytes:
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("rows", [1, 3, 7])
     def test_single_batch_perplexity_chunks(self, monkeypatch, params, count, rows):
-        # one length batch of 12 sequences, its softmax in chunks of `rows`
-        # rows: SHARDS tasks of whole chunks, the last chunk short
+        # one length batch of 12 sequences, its live rows cut into SHARDS
+        # near-equal spans and each span's softmax into blocks of `rows` rows;
+        # the expected value takes them all as one span
         monkeypatch.setattr(pretrain_module, "SOFTMAX_CHUNK_BYTES", 8 * 40 * rows)
         seqs = sequences(7, 12)
         expected = self.in_process_perplexity(params, seqs, 64)

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from storypoint.pretrain import (
     PretrainError,
     _nce_batch_step,
     _softmax_batch_step,
+    _target_logp,
     perplexity,
     pretrain,
     unigram_noise_distribution,
@@ -207,7 +209,8 @@ class TestChunkedSoftmax:
 
     @pytest.mark.parametrize("rows", [1, 2, 4, 8, 9])
     def test_perplexity_matches_hand_summation_across_chunks(self, monkeypatch, rows):
-        # 4 rows per chunk gives 4 + 4 + 1, 8 gives 8 + 1: a one-row last chunk
+        # 4 rows per block would give 4 + 4 + 1, 8 would give 8 + 1: the
+        # one-row tail joins the block before it
         monkeypatch.setattr(pretrain_module, "SOFTMAX_CHUNK_BYTES", 8 * self.V * rows)
         params = self.params(20)
         expected = hand_perplexity(params, self.SEQS)
@@ -227,9 +230,31 @@ class TestChunkedSoftmax:
             np.testing.assert_allclose(grads[name], ref, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max(), err_msg=name)
 
+    # (V, d, rows): 9 rows, so blocks of 4 and 8 would leave a one-row
+    # tail; and a vocabulary that ends in a ragged BLAS row tile, with blocks
+    # on both sides of 12 rows, where OpenBLAS's SkylakeX dgemm changes path
+    @pytest.mark.parametrize("shape", [(6, 4, 9), (1003, 50, 41)])
+    def test_target_logp_does_not_depend_on_the_block(self, monkeypatch, shape):
+        v, d, n = shape
+        rng = make_rng(v)
+        params = SimpleNamespace(lm_u=rng.normal(scale=0.5, size=(v, d)))
+        h, tgt = rng.normal(size=(n, d)), rng.integers(0, v, size=n)
+        monkeypatch.setattr(pretrain_module, "SOFTMAX_CHUNK_BYTES", 8 * v * n)
+        whole = _target_logp(params, h, tgt)
+        assert whole.shape == (n,)
+        for rows in range(1, 10):
+            monkeypatch.setattr(pretrain_module, "SOFTMAX_CHUNK_BYTES", 8 * v * rows)
+            assert _target_logp(params, h, tgt).tobytes() == whole.tobytes(), rows
+        for i in range(n):  # a single live position
+            assert _target_logp(params, h[i:i + 1], tgt[i:i + 1]).tobytes() == \
+                whole[i:i + 1].tobytes(), i
+
     def test_peak_memory_bounded_at_large_vocabulary(self):
-        # A dense (4, 60, 50k) float64 logits array alone is 96 MB.
-        v, bound = 50_000, 64 * 2**20
+        # A dense (4, 60, 50k) float64 logits array alone is 96 MB. Here: two
+        # buffers of an 11-row block of logits (4.2 MiB each) and, in the
+        # softmax step, the dense gradient of lm_u and a block's term of it
+        # (3.1 MiB each).
+        v, bound = 50_000, 16 * 2**20
         params = init_params(v, ModelConfig(embedding_dim=8), make_rng(22))
         seqs = [list(make_rng(23 + i).integers(0, v, size=61)) for i in range(4)]
         batch = prediction_batch(seqs)
