@@ -283,12 +283,16 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
+def _split_vocabulary(split_dir: Path, mode: str, path: Path | None = None):
+    """The vocabulary to train with: `path`, else the split's vocab.txt, which
+    alone may be absent (None: train then builds one)."""
+    vocab_path = path or split_dir / "vocab.txt"
+    return load_vocabulary(vocab_path, mode=mode) if path or vocab_path.exists() else None
+
+
 def cmd_train(args) -> int:
     split = _load_split(args.split_dir, with_test=False)
-    # only the default vocabulary may be absent; train then builds one
-    vocab_path = args.vocab or (args.split_dir / "vocab.txt")
-    vocab = (load_vocabulary(vocab_path, mode=args.mode)
-             if args.vocab or vocab_path.exists() else None)
+    vocab = _split_vocabulary(args.split_dir, args.mode, args.vocab)
     pretrained = load_checkpoint(args.pretrained) if args.pretrained else None
     config = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, patience=args.patience,
@@ -514,6 +518,7 @@ def cmd_cross_project(args) -> int:
     config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                          patience=args.patience, seed=args.seed)
     result = cross_project_train(source, target_test, _model_config(args), config,
+                                 vocab=_split_vocabulary(args.source_dir, args.mode),
                                  pretrained=pretrained)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     _write_estimates(args.out_dir / "estimates.csv", result.estimates)

@@ -188,7 +188,6 @@ class EvalReport:
     n: int
     mre: float | None = None
     pred: float | None = None
-    pred_level: float | None = None
     fingerprint: str | None = None
 
 
@@ -205,7 +204,6 @@ def make_report(model_name: str, actuals, estimates, mae_rguess: float,
     )
     if np.all(a > 0):
         report.mre, report.pred = mre_pred(a, e, pred_level)
-        report.pred_level = pred_level
     return report
 
 
@@ -215,22 +213,17 @@ class PairwiseComparison:
     model_b: str
     p_value: float
     a12: float
-    m: int
-    n: int
-    rank_sum: float  # combined-sample rank sum of the first model's errors
+    m: int  # paired test: both models scored the same m issues
 
 
 def compare_pair(report_a: EvalReport, report_b: EvalReport,
                  alternative: str = "a_less") -> PairwiseComparison:
     test = wilcoxon_signed_rank(report_a.abs_errors, report_b.abs_errors, alternative)
-    combined = np.concatenate([report_a.abs_errors, report_b.abs_errors])
-    ranks = _average_ranks(combined)
     return PairwiseComparison(
         model_a=report_a.model_name, model_b=report_b.model_name,
         p_value=test.p_value,
         a12=a12(report_a.abs_errors, report_b.abs_errors, better="smaller"),
-        m=report_a.n, n=report_b.n,
-        rank_sum=float(ranks[: report_a.n].sum()),
+        m=report_a.n,
     )
 
 

@@ -2,15 +2,19 @@
 
 Issues lacking the story-point field are kept with no label (they feed
 pre-training); issues with a malformed field value are skipped and counted.
+`requests` is imported only when a page is fetched, so the other commands
+do not pay for loading it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 from urllib.parse import urlparse
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 from .corpus import IssueRecord, parse_timestamp, write_corpus  # noqa: F401  (write_corpus is part of this module's surface)
 
@@ -92,6 +96,8 @@ def _server_message(response: requests.Response) -> str:
 
 def _request_page(cfg: IngestConfig, start_at: int, bucket: TokenBucket,
                   session, sleep) -> dict:
+    import requests
+
     url = f"{cfg.base_url}/rest/api/2/search"
     params = {
         "jql": cfg.jql,
@@ -164,6 +170,8 @@ def fetch_issues(cfg: IngestConfig, session: requests.Session | None = None,
     Server ordering is preserved. 4xx responses raise immediately; 5xx and
     network timeouts are retried with exponential backoff.
     """
+    import requests
+
     own_session = session is None
     session = session or requests.Session()
     bucket = TokenBucket(cfg.rate_limit, clock=clock, sleep=sleep)

@@ -202,22 +202,16 @@ def pad_batch(sequences: list[list[int]], pad_id: int = 0) -> tuple[np.ndarray, 
     return ids, mask
 
 
-def length_batches(lengths, batch_size: int,
-                   rng: np.random.Generator | None = None) -> list[np.ndarray]:
-    """Group indices of similar length into batches of at most batch_size.
-
-    Without rng the batches come in ascending length, ties in index order.
-    With rng the indices are shuffled before the stable sort, so ties keep
-    the shuffled order, and the batch order is shuffled too: epochs differ
-    while padding waste stays low.
-    """
+def length_batches(lengths, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Group indices of similar length into training batches of at most
+    batch_size. The indices are shuffled before the stable sort, so ties
+    keep the shuffled order, and the batch order is shuffled too: epochs
+    differ while padding waste stays low."""
     lengths = np.asarray(lengths)
-    order = rng.permutation(len(lengths)) if rng is not None else np.arange(len(lengths))
+    order = rng.permutation(len(lengths))
     order = order[np.argsort(lengths[order], kind="stable")]
     batches = np.split(order, range(batch_size, len(order), batch_size)) if len(order) else []
-    if rng is not None:
-        batches = [batches[i] for i in rng.permutation(len(batches))]
-    return batches
+    return [batches[i] for i in rng.permutation(len(batches))]
 
 
 def _lstm_forward(x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, dict]:

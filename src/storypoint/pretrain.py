@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelConfig, ModelParams, _run_shards, encode, encode_backward, init_params,
-                    length_batches, pad_batch, scatter_rows)
+from .model import (ModelConfig, ModelParams, _run_shards, encode, encode_backward,
+                    inference_batches, init_params, length_batches, pad_batch, scatter_rows)
 from .numerics import _run_epochs, log_sigmoid, make_rng, sigmoid
 from .parallel import SHARDS, Pool, run, shard_bounds, share
 
@@ -65,14 +65,13 @@ def unigram_noise_distribution(sequences: list[list[int]], vocab_size: int,
     return weights / weights.sum()
 
 
-def _prediction_batches(sequences: list[list[int]], batch_size: int,
-                        rng: np.random.Generator | None = None):
-    """Yield length-bucketed (inputs, targets, mask) arrays, in the batch
-    order of length_batches; position t predicts token t+1."""
-    usable = [s for s in sequences if len(s) >= 2]
-    for idx in length_batches([len(s) for s in usable], batch_size, rng):
-        ids, mask = pad_batch([usable[i][:-1] for i in idx])
-        targets, _ = pad_batch([usable[i][1:] for i in idx])
+def _prediction_batches(sequences: list[list[int]], batches):
+    """Yield padded (inputs, targets, mask) arrays for each batch of indices
+    into sequences, every one at least two tokens long; position t predicts
+    token t+1."""
+    for idx in batches:
+        ids, mask = pad_batch([sequences[i][:-1] for i in idx])
+        targets, _ = pad_batch([sequences[i][1:] for i in idx])
         yield ids, targets, mask
 
 
@@ -84,8 +83,10 @@ SOFTMAX_CHUNK_BYTES = 4 * 2**20
 # the rest are summed by numpy. In a ragged last row tile a BLAS kernel may
 # round by the block's row count and the BLAS thread count (OpenBLAS's
 # SkylakeX dgemm does, for the last V mod 8 logits); in a whole tile it does
-# not. (OpenBLAS also gives products of at most about 6e4 multiply-adds a
-# kernel of their own, so a tiny vocabulary can still round by block size.)
+# not. OpenBLAS also hands products of at most about 6e4 multiply-adds to a
+# small-matrix kernel that rounds by the block's row count, so while the whole
+# tiles times d stay under 2**16 (twice that, for a two-row block) the logits
+# come from numpy's einsum loop, which calls no BLAS.
 VOCAB_TILE = 16
 
 
@@ -98,13 +99,13 @@ def _softmax_chunks(h: np.ndarray, tgt: np.ndarray, lm_u: np.ndarray):
     row max, `lse` is log(sum(exp(shifted))) per row and `target_logp` is
     log P(tgt). A row's values do not depend on the block it is in: every
     reduction over V is per row, and the product is a matrix-matrix one over
-    whole vocabulary tiles. A one-row block would be a matrix-vector product,
-    which rounds differently, so every block has two rows at least: a
-    one-row tail joins the block before it, and a lone row is computed
-    paired with a copy of itself. The logits and their exp live in two
-    buffers made once per call (fresh pages for every block cost about as
-    much as the block's exp), so the caller may overwrite `shifted` but is
-    done with it when it asks for the next block.
+    whole vocabulary tiles (an einsum loop for a tiny vocabulary). A one-row
+    block would be a matrix-vector product, which rounds differently, so
+    every block has two rows at least: a one-row tail joins the block before
+    it, and a lone row is computed paired with a copy of itself. The logits
+    and their exp live in two buffers made once per call (fresh pages for
+    every block cost about as much as the block's exp), so the caller may
+    overwrite `shifted` but is done with it when it asks for the next block.
     """
     vocab = lm_u.shape[0]
     tiled = vocab - vocab % VOCAB_TILE
@@ -118,8 +119,11 @@ def _softmax_chunks(h: np.ndarray, tgt: np.ndarray, lm_u: np.ndarray):
         rows, n = slice(start, stop), stop - start
         block = h[rows] if n > 1 else np.repeat(h[rows], 2, axis=0)
         out = logits[:len(block)]
-        np.matmul(block, lm_u[:tiled].T, out=out[:, :tiled])
-        np.sum(block[:, None, :] * lm_u[tiled:], axis=2, out=out[:, tiled:])
+        if tiled * lm_u.shape[1] < 2**16:
+            np.einsum("nd,vd->nv", block, lm_u, out=out)
+        else:
+            np.matmul(block, lm_u[:tiled].T, out=out[:, :tiled])
+            np.sum(block[:, None, :] * lm_u[tiled:], axis=2, out=out[:, tiled:])
         shifted = out[:n]
         shifted -= shifted.max(axis=1, keepdims=True)
         lse = np.log(np.exp(shifted, out=exp[:n]).sum(axis=1))
@@ -132,24 +136,27 @@ def _target_logp(params: ModelParams, h: np.ndarray, tgt: np.ndarray) -> np.ndar
 
 
 def perplexity(params: ModelParams, sequences: list[list[int]],
-               batch_size: int = 64, pool: Pool | None = None) -> float:
+               pool: Pool | None = None) -> float:
     """exp(mean negative log-likelihood per predicted token), full softmax
     over the live (unpadded) positions only.
 
-    Each length batch is encoded here, and its live positions go out as
+    The sequences run as the model.inference_batches of their input
+    lengths. Each batch is encoded here, and its live positions go out as
     SHARDS near-equal row spans, dealt to the processes of `pool` (one
-    created with params) or run here without one. Whole length batches are
-    not dealt, as predict_points deals them: the held-out set is often one
+    created with params) or run here without one. Whole batches are not
+    dealt, as predict_points deals them: the held-out set is often one
     batch, and its softmax, not its encoding, is most of the work. A row's
     log-probability does not depend on the span or block it is computed in
     (_softmax_chunks), a batch sums them on its padded (B, T) grid and the
     total adds the batches in batch order, so the value depends neither on
     the process count nor on SOFTMAX_CHUNK_BYTES.
     """
+    usable = [s for s in sequences if len(s) >= 2]
+    batches = inference_batches([len(s) - 1 for s in usable])
     total_nll = 0.0
     total_count = 0
-    for ids, targets, mask in _prediction_batches(sequences, batch_size):
-        states, _ = encode(ids, mask, params)
+    for ids, targets, mask in _prediction_batches(usable, batches):
+        states = encode(ids, mask, params)[0]
         live = mask > 0
         h, tgt = states[live], targets[live]
         cuts = [len(h) * i // SHARDS for i in range(SHARDS + 1)]
@@ -275,6 +282,7 @@ def pretrain(sequences: list[list[int]], vocab_size: int, model_config: ModelCon
     rng = make_rng(seed)
     params = initial.copy() if initial is not None else init_params(vocab_size, model_config, rng)
     noise_dist = unigram_noise_distribution(train_seqs, vocab_size, config.noise_power)
+    lengths = [len(s) - 1 for s in train_seqs]
 
     # Workers fork once and read the parameters from shared memory, which
     # the optimizer updates in place.
@@ -287,7 +295,8 @@ def pretrain(sequences: list[list[int]], vocab_size: int, model_config: ModelCon
             return _softmax_batch_step(*batch, params)
 
         best_params, curve, best_epoch, best_ppl, aborted = _run_epochs(
-            params, config, lambda: _prediction_batches(train_seqs, config.batch_size, rng),
+            params, config, lambda: _prediction_batches(
+                train_seqs, length_batches(lengths, config.batch_size, rng)),
             step, lambda: perplexity(params, valid_seqs, pool=pool), "perplexity",
             best_score=perplexity(params, valid_seqs, pool=pool),
         )

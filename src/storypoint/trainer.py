@@ -185,12 +185,14 @@ class CrossProjectResult:
 
 def cross_project_train(source: SplitDataset, target_test: list[IssueRecord],
                         model_config: ModelConfig, config: TrainConfig,
+                        vocab: Vocabulary | None = None,
                         pretrained: Checkpoint | None = None) -> CrossProjectResult:
-    """Train on a source project's train+valid data and score another
-    project's test issues, returning per-issue absolute errors."""
+    """Train on a source project's train+valid data (with `vocab` as train
+    takes it) and score another project's test issues, returning per-issue
+    absolute errors."""
     if any(r.story_points is None for r in target_test):
         raise TrainerError("target test issues must be labeled")
-    result = train(source, model_config, config, pretrained=pretrained)
+    result = train(source, model_config, config, vocab=vocab, pretrained=pretrained)
     estimates = estimate(result.checkpoint, result.vocab, target_test)
     actuals = np.array([r.story_points for r in target_test])
     predicted = np.array([p for _, p in estimates])

@@ -3,7 +3,11 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +181,17 @@ class TestPrepare:
 
 
 class TestIngestCli:
+    def test_importing_the_cli_does_not_load_requests(self):
+        # only ingest needs the HTTP client; every other command skips its import
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, storypoint.cli; print('requests' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        assert proc.stdout.strip() == "False"
+
     def test_missing_base_url_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run("ingest", "--jql", "x", "--sp-field", "f", "--out", "o.jsonl")
@@ -623,6 +638,29 @@ class TestCrossProjectCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 7  # 32-issue split leaves 7 test issues
         assert all(float(r["abs_error"]) >= 0 for r in rows)
+
+    def test_trains_on_the_source_split_vocabulary(self, tmp_path):
+        # a 20-entry vocabulary, not the one train would build from the text:
+        # cross-project reads it as train does, so a checkpoint pre-trained
+        # on it loads, and its estimates are those of train, then estimate
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(load_bundled_corpus(), corpus_path)
+        split, pre = tmp_path / "split", tmp_path / "pre"
+        assert run("prepare", "--in", corpus_path, "--out-dir", split,
+                   "--min-project-size", 0, "--vocab-max-size", 20) == 0
+        assert run("pretrain", "--corpus", split / "train.jsonl", "--vocab", split / "vocab.txt",
+                   "--out-dir", pre, "--dim", 8, "--depth", 1, "--epochs", 1,
+                   "--nce-samples", 4) == 0
+        flags = ("--pretrained", pre / "pretrain.ckpt", "--dim", 8, "--depth", 1,
+                 "--epochs", 3, "--batch-size", 16, "--seed", 5)
+        assert run("train", "--split-dir", split, "--out-dir", tmp_path / "model", *flags) == 0
+        assert run("estimate", "--checkpoint", tmp_path / "model" / "model.ckpt",
+                   "--vocab", split / "vocab.txt", "--in", split / "test.jsonl",
+                   "--out", tmp_path / "estimates.csv") == 0
+        assert run("cross-project", "--source-dir", split, "--target-dir", split,
+                   "--out-dir", tmp_path / "cross", *flags) == 0
+        assert ((tmp_path / "cross" / "estimates.csv").read_bytes()
+                == (tmp_path / "estimates.csv").read_bytes())
 
 
 class TestCsvCells:

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import grad_check, lstm_backward_steps, lstm_forward_steps, masked_sigmoid
 from storypoint import model as model_module
+from storypoint import pretrain as pretrain_module
 from storypoint.model import (
     ModelConfig,
     ModelError,
@@ -17,6 +18,7 @@ from storypoint.model import (
     document_vectors,
     draw_dropout_keep,
     embed,
+    encode,
     expected_shapes,
     inference_batches,
     init_params,
@@ -30,6 +32,8 @@ from storypoint.model import (
 )
 from storypoint.model import _highway_forward, _lstm_backward, _lstm_forward
 from storypoint.numerics import dropout_keep, dropout_scale, make_rng, sigmoid
+from storypoint.pretrain import perplexity
+from storypoint.trainer import predict_points
 
 LSTM_TENSORS = ("lstm_wx", "lstm_wh", "lstm_b")
 
@@ -198,9 +202,10 @@ print(digest.hexdigest())
 # one NCE pre-training step on a batch of the same shape, M = 100 noise rows,
 # run as its two row shards; emb and lm_u come back row-sparse, (ids, rows)
 from storypoint.parallel import shard_bounds
+from storypoint.model import inference_batches
 from storypoint.pretrain import _nce_batch_step, _prediction_batches, unigram_noise_distribution
 noise = unigram_noise_distribution(seqs, 2000)
-(batch,) = list(_prediction_batches(seqs[:50], 50))
+(batch,) = list(_prediction_batches(seqs[:50], inference_batches(lengths[:50] - 1)))
 assert len(shard_bounds(batch[2].sum(axis=1))) == 2
 loss, grads = _nce_batch_step(*batch, params, noise, 100, rng)
 digest = hashlib.sha256(repr(loss).encode())
@@ -431,14 +436,6 @@ class TestDocumentVectors:
 
 
 class TestLengthBatches:
-    def test_without_rng_every_index_once_in_ascending_length(self):
-        lengths = [5, 1, 3, 3, 8, 2, 1]
-        batches = length_batches(lengths, 2)
-        flat = np.concatenate(batches).tolist()
-        assert sorted(flat) == list(range(len(lengths)))
-        assert [lengths[i] for i in flat] == sorted(lengths)
-        assert [len(b) for b in batches] == [2, 2, 2, 1]
-
     def test_with_rng_shuffles_sorts_then_shuffles_batches(self):
         # the draw sequence seeded training runs depend on
         lengths = np.array([4, 9, 1, 4, 7, 2, 2, 9, 5, 3])
@@ -451,7 +448,7 @@ class TestLengthBatches:
         assert [b.tolist() for b in got] == [c.tolist() for c in want]
 
     def test_empty(self):
-        assert length_batches([], 4) == []
+        assert length_batches([], 4, make_rng(0)) == []
 
 
 class TestInferenceBatches:
@@ -464,6 +461,32 @@ class TestInferenceBatches:
 
     def test_empty(self):
         assert inference_batches([]) == []
+
+    @pytest.mark.parametrize("infer", [
+        lambda params, config, seqs: predict_points(params, config, seqs),
+        lambda params, config, seqs: document_vectors(seqs, params),
+        lambda params, config, seqs: perplexity(params, seqs),
+    ], ids=["predict_points", "document_vectors", "perplexity"])
+    def test_every_forward_only_encode_is_area_capped(self, monkeypatch, infer):
+        # 70 rows of 60 to 200 tokens: 64 rows times the longest would be
+        # about three times the cap
+        rng = make_rng(40)
+        config = ModelConfig(embedding_dim=6, highway_depth=2)
+        params = init_params(30, config, rng)
+        seqs = [list(rng.integers(0, 30, size=n)) for n in rng.integers(60, 201, size=70)]
+        assert 64 * max(len(s) for s in seqs) > 2 * model_module.INFERENCE_ROW_STEPS
+        slots = []
+
+        def spy(ids, mask, *args, **kwargs):
+            slots.append((ids.size, ids.shape[1]))
+            return encode(ids, mask, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "encode", spy)
+        monkeypatch.setattr(pretrain_module, "encode", spy)
+        infer(params, config, seqs)
+        assert len(slots) > 1
+        for area, longest in slots:
+            assert area <= max(model_module.INFERENCE_ROW_STEPS, longest)
 
 
 class TestCheckpoints:

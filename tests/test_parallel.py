@@ -184,7 +184,7 @@ def test_without_a_pool_everything_runs_here(monkeypatch):
         assert np.isfinite(perplexity(params, seqs))
         loss, _, _ = batch_loss_and_grads(seqs[:9], np.ones(9), params, MC)
         assert np.isfinite(loss)
-        (batch,) = list(_prediction_batches(seqs, 64))
+        (batch,) = list(_prediction_batches(seqs, [range(len(seqs))]))
         loss, _ = _nce_batch_step(*batch, params, unigram_noise_distribution(seqs, 40), 7,
                                   make_rng(4))
         assert np.isfinite(loss)
@@ -288,9 +288,10 @@ class TestDealtInferenceBytes:
         assert got.tobytes() == expected.tobytes()
 
     @staticmethod
-    def in_process_perplexity(params, seqs, batch_size):
+    def in_process_perplexity(params, seqs):
         total_nll, total_count = 0.0, 0
-        for ids, targets, mask in _prediction_batches(seqs, batch_size):
+        batches = inference_batches([len(s) - 1 for s in seqs])
+        for ids, targets, mask in _prediction_batches(seqs, batches):
             states, _ = encode(ids, mask, params)
             live = mask > 0
             picked = np.zeros(mask.shape)
@@ -302,11 +303,13 @@ class TestDealtInferenceBytes:
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_perplexity(self, monkeypatch, params, count):
+        monkeypatch.setattr(model_module, "INFERENCE_ROW_STEPS", 5 * 28)
         seqs = sequences(6, 23)
-        expected = self.in_process_perplexity(params, seqs, 5)
+        assert len(inference_batches([len(s) - 1 for s in seqs])) >= 3
+        expected = self.in_process_perplexity(params, seqs)
         processes(monkeypatch, count)
         with deadline(60), parallel.Pool(params) as pool:
-            got = perplexity(params, seqs, batch_size=5, pool=pool)
+            got = perplexity(params, seqs, pool=pool)
         assert got == expected
 
     @pytest.mark.parametrize("count", [1, 2])
@@ -317,7 +320,7 @@ class TestDealtInferenceBytes:
         # the expected value takes them all as one span
         monkeypatch.setattr(pretrain_module, "SOFTMAX_CHUNK_BYTES", 8 * 40 * rows)
         seqs = sequences(7, 12)
-        expected = self.in_process_perplexity(params, seqs, 64)
+        expected = self.in_process_perplexity(params, seqs)
         processes(monkeypatch, count)
         with deadline(60), parallel.Pool(params) as pool:
             got = perplexity(params, seqs, pool=pool)
@@ -379,7 +382,7 @@ class TestNceShards:
     def batch(self):
         params = init_params(50, MC, make_rng(10))
         seqs = sequences(11, 30, vocab=50)
-        (batch,) = list(_prediction_batches(seqs, 64))
+        (batch,) = list(_prediction_batches(seqs, inference_batches([len(s) - 1 for s in seqs])))
         return params, batch, unigram_noise_distribution(seqs, 50)
 
     def test_shards_sum_to_the_whole_batch(self, monkeypatch):

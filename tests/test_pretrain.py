@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import densified, grad_check, log_softmax_rows, nce_loss, next_token_logprob
+from storypoint import model as model_module
 from storypoint import pretrain as pretrain_module
 from storypoint.corpus import build_vocabulary, tokenize
 from storypoint.model import (ModelConfig, _lstm_forward, embed, encode, encode_backward,
@@ -151,14 +152,16 @@ class TestPerplexity:
         assert perplexity(params, [seq]) == pytest.approx(hand_perplexity(params, [seq]),
                                                          rel=1e-10)
 
-    def test_token_weighted_across_buckets(self):
+    def test_token_weighted_across_buckets(self, monkeypatch):
         params = init_params(9, ModelConfig(embedding_dim=4), make_rng(17))
         seqs = [[1, 2, 3, 4, 5, 6], [7, 8], [2, 2, 3], [8, 1, 5, 6, 7, 3, 4, 2], [4, 6, 1, 3],
                 [5], [3, 7, 7]]
         usable = [s for s in seqs if len(s) >= 2]  # one token makes no prediction
         nll = sum((len(s) - 1) * np.log(perplexity(params, [s])) for s in usable)
         expected = np.exp(nll / sum(len(s) - 1 for s in usable))
-        assert perplexity(params, seqs, batch_size=2) == pytest.approx(expected, abs=1e-12)
+        # an area of 8 cuts the input lengths into batches [1, 2], [2, 3], [5], [7]
+        monkeypatch.setattr(model_module, "INFERENCE_ROW_STEPS", 8)
+        assert perplexity(params, seqs) == pytest.approx(expected, abs=1e-12)
 
     def test_at_least_one(self):
         params = init_params(8, ModelConfig(embedding_dim=5), make_rng(13))
@@ -170,6 +173,27 @@ class TestPerplexity:
             perplexity(params, [])
         with pytest.raises(PretrainError, match="empty"):
             perplexity(params, [[1]])  # one token makes no prediction
+
+    def test_peak_memory_bounded_by_the_inference_cut(self):
+        # 20 held-out issues of 600 input tokens: as one batch, the (T, B, 4d)
+        # gate buffer alone would be 19 MB. Cut at INFERENCE_ROW_STEPS slots,
+        # one batch's encoder arrays (the embedded inputs and their copy, the
+        # gate buffer, cells, their tanh and the outputs: 72 * d bytes a
+        # slot), the outputs and live states of the batch before (16 * d) and
+        # the softmax's two logit blocks stay under this bound.
+        d, v = 50, 500
+        params = init_params(v, ModelConfig(embedding_dim=d), make_rng(24))
+        rng = make_rng(25)
+        seqs = [list(rng.integers(0, v, size=601)) for _ in range(20)]
+        bound = (3 * 32 * d * model_module.INFERENCE_ROW_STEPS
+                 + 2 * pretrain_module.SOFTMAX_CHUNK_BYTES)
+        tracemalloc.start()
+        try:
+            perplexity(params, seqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"peak {peak / 2**20:.1f} MiB"
 
 
 def dense_softmax_step(ids, targets, mask, params):
@@ -231,9 +255,12 @@ class TestChunkedSoftmax:
                                        atol=1e-12 * np.abs(ref).max(), err_msg=name)
 
     # (V, d, rows): 9 rows, so blocks of 4 and 8 would leave a one-row
-    # tail; and a vocabulary that ends in a ragged BLAS row tile, with blocks
-    # on both sides of 12 rows, where OpenBLAS's SkylakeX dgemm changes path
-    @pytest.mark.parametrize("shape", [(6, 4, 9), (1003, 50, 41)])
+    # tail; a vocabulary that ends in a ragged BLAS row tile, with blocks
+    # on both sides of 12 rows, where OpenBLAS's SkylakeX dgemm changes path;
+    # and tiny vocabularies, whose products OpenBLAS would give its
+    # small-matrix kernel
+    @pytest.mark.parametrize("shape", [(6, 4, 9), (1003, 50, 41), (40, 50, 41),
+                                       (200, 50, 41), (600, 50, 41)])
     def test_target_logp_does_not_depend_on_the_block(self, monkeypatch, shape):
         v, d, n = shape
         rng = make_rng(v)
