@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Vocabulary
-from .parallel import SHARDS, Pool, run
+from .parallel import Pool, run, shard_bounds
 
 
 class BaselineError(ValueError):
@@ -258,9 +258,10 @@ def rf_fit(features, targets, n_trees: int = 100,
     resample into the shared training arrays instead of copying it, and
     the arrays are validated once for the whole forest.
 
-    The seeds are cut into SHARDS tasks of interleaved slices, whatever the
-    process count, and run on `pool` (created with `features, targets`)
-    or, without one, here; the trees come back in seed order.
+    The seeds are cut into the contiguous shard_bounds slices of unit
+    lengths, whatever the process count, and run on `pool` (created with
+    `features, targets`) or, without one, here; the trees come back in
+    seed order.
     """
     x, _ = _training_arrays(features, targets)
     if not _is_count(n_trees, 1):
@@ -275,9 +276,10 @@ def rf_fit(features, targets, n_trees: int = 100,
         raise BaselineError(
             f"n_features must be 'sqrt', None or an integer >= 1, got {n_features!r}")
     tree_seeds = rng.integers(0, 2**63 - 1, size=n_trees)
-    tasks = [(tree_seeds[k::SHARDS], bootstrap, n_features, min_leaf_size) for k in range(SHARDS)]
+    tasks = [(tree_seeds[a:b], bootstrap, n_features, min_leaf_size)
+             for a, b in shard_bounds([1] * n_trees)]
     grown = run(_grow_trees, tasks, features, targets, pool=pool)
-    return Forest([grown[i % SHARDS][i // SHARDS] for i in range(n_trees)])
+    return Forest([tree for trees in grown for tree in trees])
 
 
 def _forest_arrays(trees: list[list[tuple]]):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -231,17 +232,9 @@ def _escape_token(token: str) -> str:
 
 
 def _unescape_token(line: str) -> str:
-    out = []
-    i = 0
-    while i < len(line):
-        pair = line[i : i + 2]
-        if pair in _UNESCAPES:
-            out.append(_UNESCAPES[pair])
-            i += 2
-        else:
-            out.append(line[i])
-            i += 1
-    return "".join(out)
+    """Undo _escape_token, pairing backslashes left to right; a backslash
+    that starts no escape stays as it is."""
+    return re.sub(r"\\[\\nrt]", lambda m: _UNESCAPES[m.group()], line)
 
 
 # First line of a vocabulary file. No token can start a line with it: word

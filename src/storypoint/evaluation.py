@@ -44,6 +44,8 @@ def random_guess_mae(train_points, test_actuals, runs: int = 1000,
     actual = np.asarray(test_actuals, dtype=np.float64)
     if train.size == 0 or actual.size == 0:
         raise EvaluationError("need non-empty train points and test actuals")
+    if runs < 1:
+        raise EvaluationError(f"runs must be >= 1, got {runs}")
     if rng is None:
         rng = np.random.default_rng(0)
     draws = train[rng.integers(0, train.size, size=(runs, actual.size))]

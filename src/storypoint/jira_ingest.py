@@ -44,6 +44,8 @@ class IngestConfig:
             raise IngestError(f"base_url must be absolute http(s): {self.base_url!r}", "config")
         if not 1 <= self.page_size <= 1000:
             raise IngestError("page_size must lie in 1..1000", "config")
+        if self.max_issues is not None and self.max_issues < 1:
+            raise IngestError("max_issues must be >= 1", "config")
         if self.rate_limit <= 0:
             raise IngestError("rate_limit must be positive", "config")
         self.base_url = self.base_url.rstrip("/")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -72,19 +72,8 @@ class ModelParams:
     lm_u: np.ndarray       # (V, d) softmax weights, used only in pre-training
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "emb": self.emb,
-            "lstm_wx": self.lstm_wx,
-            "lstm_wh": self.lstm_wh,
-            "lstm_b": self.lstm_b,
-            "hw_gate_w": self.hw_gate_w,
-            "hw_gate_b": self.hw_gate_b,
-            "hw_trans_w": self.hw_trans_w,
-            "hw_trans_b": self.hw_trans_b,
-            "reg_w": self.reg_w,
-            "reg_b": self.reg_b,
-            "lm_u": self.lm_u,
-        }
+        """Every tensor by name, in field order."""
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     @property
     def vocab_size(self) -> int:
@@ -142,36 +131,33 @@ def embed(token_ids, emb: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DropoutMasks:
-    """Fixed dropout masks so forward and backward see the same pattern:
-    float masks, or the keep bits they are made from, packed eight to a
-    byte along the last axis (see draw_dropout_keep): a sixty-fourth of
-    the bytes to send to a worker."""
+    """Fixed dropout masks so forward and backward see the same pattern,
+    as the keep bits they are made from, packed eight to a byte along the
+    last axis: a sixty-fourth of the bytes of float masks to send to a
+    worker. for_steps makes the float masks."""
 
-    lstm_in: np.ndarray   # (B, T, d); packed, (B, T, ceil(d / 8))
-    lstm_out: np.ndarray  # (B, T, d); packed, (B, T, ceil(d / 8))
-    highway: np.ndarray   # (B, d); packed, (B, ceil(d / 8))
+    lstm_in: np.ndarray   # (B, T, ceil(d / 8))
+    lstm_out: np.ndarray  # (B, T, ceil(d / 8))
+    highway: np.ndarray   # (B, ceil(d / 8))
 
     def rows(self, start: int, stop: int) -> "DropoutMasks":
         return DropoutMasks(self.lstm_in[start:stop], self.lstm_out[start:stop],
                             self.highway[start:stop])
 
     def for_steps(self, steps: int, config: ModelConfig) -> "DropoutMasks":
-        """Float masks over the first `steps` steps; packed keep bits are
-        unpacked and scaled with the operation make_dropout_masks uses, so
-        the bits agree."""
-        lstm_in, lstm_out = self.lstm_in[:, :steps], self.lstm_out[:, :steps]
-        if self.highway.dtype != np.uint8:
-            return DropoutMasks(lstm_in, lstm_out, self.highway)
+        """Float masks over the first `steps` steps: the keep bits unpacked
+        and scaled by 1 / (1 - rate)."""
         d = config.embedding_dim
-        lstm_in, lstm_out, highway = (np.unpackbits(bits, axis=-1, count=d).view(bool)
-                                      for bits in (lstm_in, lstm_out, self.highway))
+        lstm_in, lstm_out, highway = (
+            np.unpackbits(bits, axis=-1, count=d).view(bool)
+            for bits in (self.lstm_in[:, :steps], self.lstm_out[:, :steps], self.highway))
         return DropoutMasks(dropout_scale(lstm_in, config.dropout_lstm),
                             dropout_scale(lstm_out, config.dropout_lstm),
                             dropout_scale(highway, config.dropout_highway))
 
 
-def draw_dropout_keep(batch: int, steps: int, config: ModelConfig,
-                      rng: np.random.Generator) -> DropoutMasks:
+def make_dropout_masks(batch: int, steps: int, config: ModelConfig,
+                       rng: np.random.Generator) -> DropoutMasks:
     """Keep bits of a batch's three dropout masks, drawn in a fixed order
     and packed along the last axis."""
     d = config.embedding_dim
@@ -180,11 +166,6 @@ def draw_dropout_keep(batch: int, steps: int, config: ModelConfig,
         lstm_out=np.packbits(dropout_keep((batch, steps, d), config.dropout_lstm, rng), axis=-1),
         highway=np.packbits(dropout_keep((batch, d), config.dropout_highway, rng), axis=-1),
     )
-
-
-def make_dropout_masks(batch: int, steps: int, config: ModelConfig,
-                       rng: np.random.Generator) -> DropoutMasks:
-    return draw_dropout_keep(batch, steps, config, rng).for_steps(steps, config)
 
 
 def pad_batch(sequences: list[list[int]], pad_id: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -403,8 +384,8 @@ def shard_loss_and_grads(params: ModelParams, config: ModelConfig,
     batch of batch_size rows: the gradients are those of the batch's mean
     squared error through this shard's rows.
 
-    masks holds the shard's rows of the batch's masks (float masks or keep
-    bits), over at least as many steps as the shard's longest sequence.
+    masks holds the shard's rows of the batch's keep bits, over at least as
+    many steps as the shard's longest sequence.
     Returns (sse, yhat, grads), grads as batch_backward gives them.
     """
     ids, mask = pad_batch(sequences)
@@ -464,8 +445,8 @@ def batch_loss_and_grads(sequences: list[list[int]], targets, params: ModelParam
     """Mean squared-error loss, estimates and gradients over a batch of
     token sequences.
 
-    Pass masks (float masks or the keep bits of draw_dropout_keep) to train
-    or check gradients under a fixed dropout pattern; pass none for the
+    Pass masks (the keep bits of make_dropout_masks) to train or check
+    gradients under a fixed dropout pattern; pass none for the
     inference-mode loss. The batch runs as the row shards of shard_bounds,
     on `pool` (created with (params, config)) or here, and their losses and
     gradients are summed in shard order, so the bits do not depend on the

@@ -10,7 +10,9 @@ seen by the workers too.
 
 Which process runs a task changes the speed, never the result: callers cut
 their work into tasks that do not depend on the process count and combine
-the results in task order. For a training batch that cut is shard_bounds.
+the results in task order. Every fixed task list is cut by shard_bounds:
+the row shards of a training batch, and over unit lengths the spans of a
+perplexity batch and the tree seeds of a forest.
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ from multiprocessing.connection import wait
 
 import numpy as np
 
-# Row shards per training batch, and so the most processes a pool runs.
-# shard_bounds makes one cut.
+# Tasks of a shard_bounds cut, and so the most processes a pool runs.
 SHARDS = 2
 
 
 def shard_bounds(lengths) -> list[tuple[int, int]]:
     """(start, stop) rows of the contiguous row shards of a batch whose
-    sequences have these lengths: SHARDS shards, or one for one row.
+    sequences have these lengths: SHARDS shards, or one for one row. Over
+    unit lengths, n rows split at n // 2.
 
     A shard's work grows with its padded area, rows times its longest
     sequence, so the cut goes where the larger of the two areas is least,

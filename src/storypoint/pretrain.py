@@ -11,13 +11,14 @@ objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .model import (ModelConfig, ModelParams, _run_shards, encode, encode_backward,
                     inference_batches, init_params, length_batches, pad_batch, scatter_rows)
 from .numerics import _run_epochs, log_sigmoid, make_rng, sigmoid
-from .parallel import SHARDS, Pool, run, shard_bounds, share
+from .parallel import Pool, run, shard_bounds, share
 
 
 class PretrainError(ValueError):
@@ -29,17 +30,19 @@ class PretrainConfig:
     epochs: int = 100
     batch_size: int = 50
     learning_rate: float = 0.02
-    decay: float = 0.99
-    smoothing: float = 1e-7
     nce_samples: int = 100
-    noise_power: float = 0.75
     patience: int = 10
-    validation_fraction: float = 0.1
     objective: str = "nce"  # "nce" or "softmax" (exact, slow; used as the reference route)
+    decay: ClassVar[float] = 0.99
+    smoothing: ClassVar[float] = 1e-7
+    noise_power: ClassVar[float] = 0.75
+    validation_fraction: ClassVar[float] = 0.1
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0")
         if self.nce_samples < 1:
             raise ValueError("nce_samples must be >= 1")
         if self.objective not in ("nce", "softmax"):
@@ -142,8 +145,8 @@ def perplexity(params: ModelParams, sequences: list[list[int]],
 
     The sequences run as the model.inference_batches of their input
     lengths. Each batch is encoded here, and its live positions go out as
-    SHARDS near-equal row spans, dealt to the processes of `pool` (one
-    created with params) or run here without one. Whole batches are not
+    the shard_bounds spans of unit lengths, dealt to the processes of
+    `pool` (one created with params) or run here. Whole batches are not
     dealt, as predict_points deals them: the held-out set is often one
     batch, and its softmax, not its encoding, is most of the work. A row's
     log-probability does not depend on the span or block it is computed in
@@ -159,8 +162,7 @@ def perplexity(params: ModelParams, sequences: list[list[int]],
         states = encode(ids, mask, params)[0]
         live = mask > 0
         h, tgt = states[live], targets[live]
-        cuts = [len(h) * i // SHARDS for i in range(SHARDS + 1)]
-        tasks = [(h[a:b], tgt[a:b]) for a, b in zip(cuts, cuts[1:]) if b > a]
+        tasks = [(h[a:b], tgt[a:b]) for a, b in shard_bounds([1] * len(h))]
         # Summed on the padded (B, T) grid, zeros at padding, so the total
         # rounds exactly as a sum over the dense (B, T, V) form would.
         picked = np.zeros(mask.shape)

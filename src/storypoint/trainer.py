@@ -7,6 +7,7 @@ test set happens through `estimate` after training is done.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -18,9 +19,9 @@ from .model import (
     _length_batch_rows,
     batch_forward,
     batch_loss_and_grads,
-    draw_dropout_keep,
     init_params,
     length_batches,
+    make_dropout_masks,
     pad_batch,
 )
 from .numerics import _run_epochs, make_rng
@@ -36,14 +37,16 @@ class TrainConfig:
     epochs: int = 1000
     batch_size: int = 100
     learning_rate: float = 0.01
-    decay: float = 0.9
-    smoothing: float = 1e-6
     patience: int = 50
     seed: int = 42
+    decay: ClassVar[float] = 0.9
+    smoothing: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.patience < 0:
+            raise ValueError("patience must be >= 0")
 
 
 def encode_issue(issue: IssueRecord, vocab: Vocabulary) -> list[int]:
@@ -128,7 +131,7 @@ def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     share(params)
     with Pool(params, model_config) as pool:
         def step(batch_idx):
-            masks = draw_dropout_keep(len(batch_idx), lengths[batch_idx].max(), model_config, rng)
+            masks = make_dropout_masks(len(batch_idx), lengths[batch_idx].max(), model_config, rng)
             loss, _, grads = batch_loss_and_grads(
                 [train_seqs[i] for i in batch_idx], train_y[batch_idx],
                 params, model_config, masks=masks, pool=pool, emb_rows=True,

@@ -238,6 +238,16 @@ class TestIngestCli:
                    "--out", out, "--rate-limit", 1e6) == 0
         assert capsys.readouterr().out.endswith("(0 skipped; 1 requests)\n")
 
+    @pytest.mark.parametrize("max_issues", [0, -5])
+    def test_max_issues_below_one_exits_1(self, mock_jira, tmp_path, capsys, max_issues):
+        mock_jira.script["issues"] = [jira_issue("ME-1")]
+        out = tmp_path / "capped.jsonl"
+        url = f"http://127.0.0.1:{mock_jira.server_address[1]}"
+        assert run("ingest", "--base-url", url, "--jql", "q", "--sp-field", "customfield_10002",
+                   "--out", out, "--max-issues", max_issues, "--rate-limit", 1e6) == 1
+        assert "max_issues must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_auth_error_exits_1(self, mock_jira, tmp_path, capsys):
         mock_jira.script["status"] = 403
         url = f"http://127.0.0.1:{mock_jira.server_address[1]}"
@@ -336,6 +346,18 @@ class TestTrainCli:
                    "--dim", 6, "--depth", 2, "--epochs", 1, "--vocab", missing) == 1
         assert str(missing) in capsys.readouterr().err
         assert not (tmp_path / "m" / "model.ckpt").exists()
+
+    def test_negative_patience_fails(self, prepared, tmp_path, capsys):
+        # -1 would stop training silently after the first epoch
+        assert run("train", "--split-dir", prepared, "--out-dir", tmp_path / "m",
+                   "--dim", 6, "--depth", 2, "--epochs", 3, "--patience", -1) == 1
+        assert "patience must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "m" / "model.ckpt").exists()
+        assert run("pretrain", "--corpus", prepared / "train.jsonl",
+                   "--vocab", prepared / "vocab.txt", "--out-dir", tmp_path / "p",
+                   "--dim", 6, "--depth", 2, "--epochs", 3, "--patience", -1) == 1
+        assert "patience must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "p" / "pretrain.ckpt").exists()
 
     def test_character_mode_on_word_vocabulary_fails(self, prepared, tmp_path, capsys):
         assert run("train", "--split-dir", prepared, "--out-dir", tmp_path / "m",
@@ -612,6 +634,16 @@ class TestEvaluateCli:
         assert run("evaluate", "--split-dir", prepared,
                    "--estimates", f"bad={bad}") == 1
         assert "lacks estimates" in capsys.readouterr().err
+
+    def test_zero_runs_fail(self, prepared, tmp_path, capsys):
+        est = tmp_path / "mean.csv"
+        run("baseline", "--model", "mean", "--split-dir", prepared,
+            "--in", prepared / "test.jsonl", "--out", est)
+        report = tmp_path / "report.csv"
+        assert run("evaluate", "--split-dir", prepared, "--estimates", f"mean={est}",
+                   "--runs", 0, "--out", report) == 1
+        assert "runs must be >= 1" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_duplicate_names_fail(self, prepared, tmp_path, capsys):
         est = tmp_path / "mean.csv"

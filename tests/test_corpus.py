@@ -372,10 +372,14 @@ class TestVocabularyFiles:
 
     def test_roundtrip_escaped_tokens(self, tmp_path):
         tokens = [corpus.UNK_TOKEN, corpus.EOS_TOKEN, "plain", "a\\b", "\\", "\\\\",
-                  "\\n", "\\\n", "\t", "x\ty", "\n", "\r", "\\t\\r", "trail\\"]
+                  "\\n", "\\\n", "\t", "x\ty", "\n", "\r", "\\t\\r", "trail\\",
+                  "\\\\n"]
         path = tmp_path / "vocab.txt"
         save_vocabulary(corpus.Vocabulary(tokens=tokens, mode="character"), path)
         assert load_vocabulary(path, mode="character").tokens == tokens
+        # backslashes pair left to right; one that starts no escape stays
+        path.write_text("\n".join([*tokens[:2], "lone\\", "\\\\n", "\\x"]) + "\n")
+        assert load_vocabulary(path, mode="character").tokens[2:] == ["lone\\", "\\n", "\\x"]
 
     def test_hash_changes_with_content(self):
         v1 = build_vocabulary([["a"]], min_count=1)

@@ -99,6 +99,12 @@ class TestRandomGuessMae:
         with pytest.raises(EvaluationError):
             random_guess_mae([], [1.0])
 
+    @pytest.mark.parametrize("runs", [0, -3])
+    def test_no_runs_rejected(self, runs):
+        # zero rounds would average nothing: SA = nan
+        with pytest.raises(EvaluationError, match="runs must be >= 1"):
+            random_guess_mae([1.0, 2.0], [1.0], runs=runs)
+
 
 class TestMrePred:
     def test_perfect(self):

@@ -116,6 +116,13 @@ class TestIngestConfig:
             IngestConfig(base_url="https://x.example", jql="x",
                          story_point_field="f", page_size=0)
 
+    @pytest.mark.parametrize("max_issues", [0, -5])
+    def test_max_issues_below_one_rejected(self, max_issues):
+        with pytest.raises(IngestError, match="max_issues must be >= 1") as exc:
+            IngestConfig(base_url="https://x.example", jql="x",
+                         story_point_field="f", max_issues=max_issues)
+        assert exc.value.kind == "config"
+
     def test_trailing_slash_normalized(self):
         cfg = IngestConfig(base_url="https://x.example/", jql="x", story_point_field="f")
         assert cfg.base_url == "https://x.example"

@@ -16,7 +16,6 @@ from storypoint.model import (
     batch_forward,
     batch_loss_and_grads,
     document_vectors,
-    draw_dropout_keep,
     embed,
     encode,
     expected_shapes,
@@ -118,7 +117,8 @@ def ragged_batch(lengths, d, seed, dropout):
     x = embed(ids, params.emb) * mask[:, :, None]
     d_states = rng.normal(size=x.shape) * mask[:, :, None]
     if dropout:
-        masks = make_dropout_masks(len(lengths), ids.shape[1], config, rng)
+        masks = make_dropout_masks(len(lengths), ids.shape[1], config, rng).for_steps(
+            ids.shape[1], config)
         x = x * masks.lstm_in
         d_states = d_states * masks.lstm_out
     return params, x, mask, d_states
@@ -183,7 +183,7 @@ class TestLstmCoreMatchesPerStepOracle:
 # second digest covers the NCE step's own GEMMs and einsums.
 THREAD_PROBE = """
 import hashlib
-from storypoint.model import ModelConfig, batch_loss_and_grads, draw_dropout_keep, init_params
+from storypoint.model import ModelConfig, batch_loss_and_grads, init_params, make_dropout_masks
 from storypoint.numerics import make_rng
 rng = make_rng(5)
 config = ModelConfig(embedding_dim=50, highway_depth=10)
@@ -191,7 +191,7 @@ params = init_params(2000, config, rng)
 lengths = rng.integers(50, 61, size=100)
 lengths[0] = 60
 seqs = [list(rng.integers(0, 2000, size=n)) for n in lengths]
-masks = draw_dropout_keep(100, max(lengths), config, rng)
+masks = make_dropout_masks(100, max(lengths), config, rng)
 _, _, grads = batch_loss_and_grads(seqs, rng.uniform(1, 13, size=100), params, config,
                                    masks=masks)
 digest = hashlib.sha256()
@@ -340,7 +340,7 @@ class TestDropoutKeepBits:
     def test_packed_bits_give_the_masks_of_the_bits_drawn(self, d):
         # d = 5 and 50 leave the last byte of each row part-filled
         config = ModelConfig(embedding_dim=d, highway_depth=1)
-        keep = draw_dropout_keep(3, 7, config, make_rng(2))
+        keep = make_dropout_masks(3, 7, config, make_rng(2))
         assert keep.lstm_in.shape == (3, 7, -(-d // 8)) and keep.highway.shape == (3, -(-d // 8))
         rng = make_rng(2)
         drawn = [dropout_keep((3, 7, d), config.dropout_lstm, rng),

@@ -24,7 +24,7 @@ from storypoint.cli import main
 from storypoint.corpus import (build_vocabulary, load_bundled_corpus, split_chronological,
                                tokenize, write_corpus)
 from storypoint.model import (ModelConfig, batch_forward, batch_loss_and_grads, document_vectors,
-                              draw_dropout_keep, encode, inference_batches, init_params,
+                              encode, inference_batches, init_params, make_dropout_masks,
                               pad_batch)
 from storypoint.numerics import NumericError, make_rng
 from storypoint.pretrain import (PretrainConfig, _nce_batch_step, _prediction_batches,
@@ -315,9 +315,9 @@ class TestDealtInferenceBytes:
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("rows", [1, 3, 7])
     def test_single_batch_perplexity_chunks(self, monkeypatch, params, count, rows):
-        # one length batch of 12 sequences, its live rows cut into SHARDS
-        # near-equal spans and each span's softmax into blocks of `rows` rows;
-        # the expected value takes them all as one span
+        # one length batch of 12 sequences, its live rows cut into the
+        # shard_bounds spans of unit lengths and each span's softmax into
+        # blocks of `rows` rows; the expected value takes them all as one span
         monkeypatch.setattr(pretrain_module, "SOFTMAX_CHUNK_BYTES", 8 * 40 * rows)
         seqs = sequences(7, 12)
         expected = self.in_process_perplexity(params, seqs)
@@ -334,6 +334,12 @@ class TestShards:
         assert parallel.shard_bounds([5] * 100) == [(0, 50), (50, 100)]
         assert parallel.shard_bounds([5] * 99) == [(0, 49), (49, 99)]
         assert parallel.shard_bounds([3]) == [(0, 1)]
+        # unit lengths, as perplexity spans and forest seeds cut them: n // 2
+        assert parallel.shard_bounds([1]) == [(0, 1)]
+        assert parallel.shard_bounds([1] * 2) == [(0, 1), (1, 2)]
+        assert parallel.shard_bounds([1] * 3) == [(0, 1), (1, 3)]
+        assert parallel.shard_bounds([1] * 99) == [(0, 49), (49, 99)]
+        assert parallel.shard_bounds([1] * 100) == [(0, 50), (50, 100)]
         # a long tail: 30 rows up to 400 long go alone, 70 rows up to 160 together
         tail = list(range(91, 161)) + list(range(371, 401))
         assert parallel.shard_bounds(tail) == [(0, 70), (70, 100)]
@@ -347,7 +353,7 @@ class TestShards:
 
     @staticmethod
     def keep_bits(seqs, config, seed):
-        return draw_dropout_keep(len(seqs), max(len(s) for s in seqs), config, make_rng(seed))
+        return make_dropout_masks(len(seqs), max(len(s) for s in seqs), config, make_rng(seed))
 
     def test_pool_gives_the_in_process_bytes(self, monkeypatch):
         params, config, seqs, y = self.batch()
@@ -588,14 +594,22 @@ def forest_data(kind):
 
 
 @pytest.mark.parametrize("kind", ["bow", "dense"])
-@pytest.mark.parametrize("n_trees", [1, 2, 7, 100])  # one tree leaves a task empty
+@pytest.mark.parametrize("n_trees", [1, 2, 7, 100])
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_dealt_forest_equals_forest_grown_here(monkeypatch, count, n_trees, kind):
     x, y = forest_data(kind)
     here = baselines.rf_fit(x, y, n_trees=n_trees, rng=make_rng(7))
     processes(monkeypatch, count)
+    task_counts = []
+
+    def counted_run(fn, tasks, *shared, pool=None):
+        task_counts.append(len(tasks))
+        return parallel.run(fn, tasks, *shared, pool=pool)
+
+    monkeypatch.setattr(baselines, "run", counted_run)
     with deadline(120), parallel.Pool(x, y) as pool:
         dealt = baselines.rf_fit(x, y, n_trees=n_trees, rng=make_rng(7), pool=pool)
+    assert task_counts == [min(n_trees, 2)]  # one tree is one task
     assert len(dealt.trees) == n_trees
     assert dealt.trees == here.trees
 
