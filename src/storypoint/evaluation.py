@@ -56,8 +56,10 @@ def mre_pred(actual, estimated, level: float = 25.0) -> tuple[float, float]:
     """Mean magnitude of relative error and Pred(level).
 
     Pred counts estimates whose relative error is at most level percent,
-    boundary included.
+    boundary included; the level must be finite and >= 0.
     """
+    if not (math.isfinite(level) and level >= 0):
+        raise EvaluationError(f"pred level must be finite and >= 0, got {level!r}")
     a = np.asarray(actual, dtype=np.float64)
     e = np.asarray(estimated, dtype=np.float64)
     if a.shape != e.shape or a.size == 0:
@@ -328,6 +330,8 @@ def cluster_word_embeddings(emb: np.ndarray, vocab: Vocabulary, top: int = 500,
     first entries after the two reserved tokens. Returns (token, cluster)
     pairs in vocabulary order.
     """
+    if top < 1:
+        raise EvaluationError(f"top must be >= 1, got {top}")
     if rng is None:
         rng = np.random.default_rng(0)
     words = vocab.tokens[2 : 2 + top]

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .numerics import NumericError, dropout_keep, dropout_scale, sigmoid
-from .parallel import Pool, run, shard_bounds
+from .parallel import Pool, area_batches, run, shard_bounds
 
 CHECKPOINT_MAGIC = b"SPCKPT01"
 
@@ -471,23 +471,10 @@ def batch_loss_and_grads(sequences: list[list[int]], targets, params: ModelParam
 
 
 def inference_batches(lengths) -> list[np.ndarray]:
-    """Indices of sequences with these lengths cut into inference batches of
-    padded area rows * longest <= INFERENCE_ROW_STEPS, or of one row.
-
-    The indices are sorted by length, ties in index order, and cut walking
-    down from the longest, so each batch takes as many rows as fit under
-    its own longest sequence. The batches come in ascending length and
-    depend on the lengths alone.
-    """
-    lengths = np.asarray(lengths)
-    order = np.argsort(lengths, kind="stable")
-    batches = []
-    stop = len(order)
-    while stop:
-        start = max(0, stop - max(1, INFERENCE_ROW_STEPS // max(1, lengths[order[stop - 1]])))
-        batches.append(order[start:stop])
-        stop = start
-    return batches[::-1]
+    """Indices of sequences with these lengths cut into the area_batches of
+    padded area rows * longest <= INFERENCE_ROW_STEPS: ascending length,
+    depending on the lengths alone."""
+    return area_batches(lengths, INFERENCE_ROW_STEPS)
 
 
 def _length_batch_rows(fn, sequences: list[list[int]], out: np.ndarray,

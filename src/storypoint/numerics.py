@@ -37,6 +37,13 @@ def log_sigmoid(x):
     return -np.logaddexp(0.0, -x)
 
 
+def check_learning_rate(learning_rate: float) -> None:
+    """Raise ValueError unless the rate is finite and positive: a NaN rate
+    passes `<= 0` and would train nothing."""
+    if not (np.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and positive, got {learning_rate!r}")
+
+
 class RmsPropState:
     """Per-tensor running mean of squared gradients plus step sizes.
 
@@ -50,8 +57,9 @@ class RmsPropState:
     def __init__(self, learning_rate: float, decay: float, smoothing: float):
         if not 0 < decay < 1:
             raise ValueError("decay must lie in (0, 1)")
-        if learning_rate <= 0 or smoothing <= 0:
-            raise ValueError("learning_rate and smoothing must be positive")
+        check_learning_rate(learning_rate)
+        if smoothing <= 0:
+            raise ValueError("smoothing must be positive")
         self.learning_rate = learning_rate
         self.decay = decay
         self.smoothing = smoothing

@@ -12,7 +12,9 @@ Which process runs a task changes the speed, never the result: callers cut
 their work into tasks that do not depend on the process count and combine
 the results in task order. Every fixed task list is cut by shard_bounds:
 the row shards of a training batch, and over unit lengths the spans of a
-perplexity batch and the tree seeds of a forest.
+perplexity batch and the tree seeds of a forest. Items of uneven length are
+batched by area_batches: inference batches, and the split searches of a
+forest step.
 """
 
 from __future__ import annotations
@@ -46,6 +48,26 @@ def shard_bounds(lengths) -> list[tuple[int, int]]:
     tail = rows[::-1] * np.maximum.accumulate(lengths[::-1])[-2::-1]
     cut = int(rows[np.argmin(np.maximum(head, tail))])
     return [(0, cut), (cut, len(lengths))]
+
+
+def area_batches(lengths, area: int) -> list[np.ndarray]:
+    """Indices of items with these lengths cut into batches of padded area
+    rows * longest <= area, or of one row.
+
+    The indices are sorted by length, ties in index order, and cut walking
+    down from the longest, so each batch takes as many rows as fit under
+    its own longest item. The batches come in ascending length and depend
+    on the lengths alone.
+    """
+    lengths = np.asarray(lengths)
+    order = np.argsort(lengths, kind="stable")
+    batches = []
+    stop = len(order)
+    while stop:
+        start = max(0, stop - max(1, area // max(1, lengths[order[stop - 1]])))
+        batches.append(order[start:stop])
+        stop = start
+    return batches[::-1]
 
 
 class WorkerError(RuntimeError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import (ModelConfig, ModelParams, _run_shards, encode, encode_backward,
                     inference_batches, init_params, length_batches, pad_batch, scatter_rows)
-from .numerics import _run_epochs, log_sigmoid, make_rng, sigmoid
+from .numerics import _run_epochs, check_learning_rate, log_sigmoid, make_rng, sigmoid
 from .parallel import Pool, run, shard_bounds, share
 
 
@@ -47,6 +47,7 @@ class PretrainConfig:
             raise ValueError("nce_samples must be >= 1")
         if self.objective not in ("nce", "softmax"):
             raise ValueError(f"unknown pre-training objective {self.objective!r}")
+        check_learning_rate(self.learning_rate)
 
 
 # Only these tensors learn during pre-training.

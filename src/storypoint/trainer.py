@@ -24,7 +24,7 @@ from .model import (
     make_dropout_masks,
     pad_batch,
 )
-from .numerics import _run_epochs, make_rng
+from .numerics import _run_epochs, check_learning_rate, make_rng
 from .parallel import Pool, share
 
 
@@ -47,6 +47,7 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
+        check_learning_rate(self.learning_rate)
 
 
 def encode_issue(issue: IssueRecord, vocab: Vocabulary) -> list[int]:

@@ -6,6 +6,7 @@ import unicodedata
 
 import numpy as np
 
+from storypoint.baselines import _tree_walk
 from storypoint.corpus import EOS_TOKEN
 from storypoint.numerics import log_sigmoid, sigmoid
 from storypoint.pretrain import PretrainError
@@ -171,3 +172,9 @@ def reference_tokenize(text: str) -> list[str]:
         if start < end:
             tokens.append(word[start:end])
     return tokens + [EOS_TOKEN]
+
+
+def tree_height(tree: list[tuple]) -> int:
+    """Depth of the deepest record of a tree of preorder records; 0 for a
+    lone leaf."""
+    return max(_tree_walk(tree)[0])

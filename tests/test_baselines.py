@@ -3,6 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
+from oracles import tree_height
 
 from storypoint import baselines
 from storypoint.baselines import (
@@ -205,7 +206,7 @@ class TestCart:
         full = cart_fit(x, y, min_leaf_size=1, prune_level=0)
         h = nested_height(nested(full))
         assert h >= 2
-        assert baselines._tree_height(full) == h
+        assert tree_height(full) == h
         pruned = cart_fit(x, y, min_leaf_size=1, prune_level=1)
         assert nested_height(nested(pruned)) == h - 1
         stump = cart_fit(x, y, min_leaf_size=1, prune_level=h)
@@ -226,8 +227,8 @@ class TestCart:
             n = int(rng.integers(20, 120))
             x = rng.normal(size=(n, 3))
             y = rng.choice([1.0, 2.0, 3.0, 5.0, 8.0], size=n)
-            tree = baselines._grow_tree(x, y, np.arange(n), 1, None, None)
-            heights.add(baselines._tree_height(tree))
+            tree = cart_fit(x, y, min_leaf_size=1, prune_level=0)
+            heights.add(tree_height(tree))
             for levels in range(13):
                 pruned = prune_tree(tree, levels)
                 assert nested(pruned) == oracle_prune(nested(tree), levels), levels
@@ -270,9 +271,15 @@ class TestCart:
         y = rng.normal(size=10)
         rows = np.array([4, 4, 0, 9, 2, 2, 7])
         # rf_fit grows each tree on its bootstrap rows of the shared matrix
-        assert baselines._grow_tree(x, y, rows, 1, None, None) == baselines._grow_tree(
-            x[rows], y[rows], np.arange(len(rows)), 1, None, None
+        [tree] = baselines._grow_forest(x, y, [rows], [None], None, 1)
+        assert [tree] == baselines._grow_forest(
+            x[rows], y[rows], [np.arange(len(rows))], [None], None, 1
         )
+        # and a tree grown beside others is the tree grown alone
+        together = baselines._grow_forest(x, y, [rows, np.arange(10), rows[:4]],
+                                          [None] * 3, None, 1)
+        assert together[0] == tree
+        assert together[1] == baselines._grow_forest(x, y, [np.arange(10)], [None], None, 1)[0]
 
     def test_chain_deeper_than_the_recursion_limit(self):
         # each split peels off the row with the largest target, so the tree
@@ -281,11 +288,11 @@ class TestCart:
         x = np.arange(float(n))[:, None]
         y = 100 * 0.5 ** np.arange(n)
         tree = cart_fit(x, y, min_leaf_size=1, prune_level=0)
-        height = baselines._tree_height(tree)
+        height = tree_height(tree)
         assert height > 1000
         assert cart_predict(tree, x) == list(y)
         assert cart_predict(tree, x[-1]) == y[-1]
-        assert baselines._tree_height(prune_tree(tree, 5)) == height - 5
+        assert tree_height(prune_tree(tree, 5)) == height - 5
 
     def test_deep_tree_pickles_compares_and_prints(self):
         # the chain again, from a forest: trees far deeper than the
@@ -293,15 +300,15 @@ class TestCart:
         n = 600
         x = np.arange(float(n))[:, None]
         y = 100 * 0.5 ** np.arange(n)
-        tree = max(rf_fit(x, y, n_trees=4, rng=make_rng(0)).trees, key=baselines._tree_height)
-        height = baselines._tree_height(tree)
+        tree = max(rf_fit(x, y, n_trees=4, rng=make_rng(0)).trees, key=tree_height)
+        height = tree_height(tree)
         assert height > 300
         back = pickle.loads(pickle.dumps(tree))
         assert back == tree and back is not tree
         changed = copy.deepcopy(tree)
         value, *rest = changed[-1]  # the last record in preorder is a leaf
         changed[-1] = (value + 1.0, *rest)
-        assert changed != tree and baselines._tree_height(changed) == height
+        assert changed != tree and tree_height(changed) == height
         # one tuple per record, and no numpy scalar in any of them
         assert repr(tree).count("(") == len(tree)
 
@@ -309,8 +316,9 @@ class TestCart:
 def reference_best_split(x, y, rows, feat_ids, min_leaf_size):
     """Sequential threshold scan, one feature and one threshold at a time.
 
-    This is the reference for baselines._best_split: same sorts, same prefix
-    sums, same per-candidate arithmetic, so the two must agree exactly.
+    This is the reference for each node of baselines._best_splits: same sorts,
+    same prefix sums, same per-candidate arithmetic, so the two must agree
+    exactly.
     """
     best = None
     best_sse = None
@@ -337,6 +345,18 @@ def reference_best_split(x, y, rows, feat_ids, min_leaf_size):
     return best
 
 
+def reference_best_splits(xt, yp, nodes, min_leaf_size):
+    """reference_best_split of each node, on the arrays _best_splits reads."""
+    return [reference_best_split(xt[:, :-1].T, yp[:-1], rows, feats, min_leaf_size)
+            for rows, feats in nodes]
+
+
+def best_splits(x, y, nodes, min_leaf_size):
+    """baselines._best_splits of the nodes (rows, feats) of x, y."""
+    xt, yp = baselines._padded_columns(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    return baselines._best_splits(xt, yp, nodes, min_leaf_size)
+
+
 def split_cases(seed):
     """Seeded (x, y) pairs: tied integer, 0/1 sparse, constant and dense
     columns, each with tied story-point and continuous targets."""
@@ -357,25 +377,35 @@ def split_cases(seed):
 
 class TestBestSplit:
     def test_matches_sequential_reference(self):
+        # every call mixes node lengths, each node with its own candidates
         rng = make_rng(30)
         checked = splits = 0
         for x, y in split_cases(31):
             n, p = x.shape
-            for rows in (np.arange(n), rng.integers(0, n, size=n)):
-                subset = sorted(rng.choice(p, size=max(1, p // 2), replace=False))
-                for feat_ids in (range(p), subset):
-                    for min_leaf in range(1, 6):
-                        got = baselines._best_split(x, y, rows, feat_ids, min_leaf)
-                        want = reference_best_split(x, y, rows, feat_ids, min_leaf)
-                        assert got == want, (x.shape, min_leaf, got, want)
-                        checked += 1
-                        splits += want is not None
-        assert splits > checked // 3  # the legal and the no-split cases both occur
+            for n_feats in sorted({1, max(1, p // 2), p}):
+                nodes = [(rows, sorted(rng.choice(p, size=n_feats, replace=False)))
+                         for rows in (np.arange(n), rng.integers(0, n, size=n),
+                                      rng.choice(n, size=max(1, n // 2), replace=False),
+                                      rng.integers(0, n, size=3), np.arange(n)[::-1])]
+                for min_leaf in range(1, 6):
+                    got = best_splits(x, y, nodes, min_leaf)
+                    want = [reference_best_split(x, y, rows, feats, min_leaf)
+                            for rows, feats in nodes]
+                    assert got == want, (x.shape, n_feats, min_leaf, got, want)
+                    for node, answer in zip(nodes, want):  # alone, as in a call of its own
+                        assert best_splits(x, y, [node], min_leaf) == [answer]
+                    checked += len(want)
+                    splits += sum(w is not None for w in want)
+        assert checked // 3 < splits < checked  # the legal and the no-split cases both occur
 
     def test_constant_columns_have_no_split(self):
         x = np.repeat([[1.0, 0.0, 4.0]], 8, axis=0)
         y = np.arange(8.0)
-        assert baselines._best_split(x, y, np.arange(8), range(3), 1) is None
+        assert best_splits(x, y, [(np.arange(8), range(3))], 1) == [None]
+        # nor beside a node that splits
+        x[:4, 1] = 1.0
+        nodes = [(np.arange(8), [0, 2]), (np.arange(8), [0, 1]), (np.arange(2, 8), [0, 2])]
+        assert best_splits(x, y, nodes, 1) == [None, (1, 0.5), None]
 
     def test_near_tie_keeps_first_candidate(self):
         # Both columns split rows {0,1,2} from row 3, but column 0 sums the
@@ -394,8 +424,8 @@ class TestBestSplit:
         assert 0 < first - later < 1e-12
         rows = np.arange(4)
         assert reference_best_split(x, y, rows, range(2), 1) == (0, 2.5)
-        assert baselines._best_split(x, y, rows, range(2), 1) == (0, 2.5)
-        assert baselines._best_split(x, y, rows, [1], 1) == (1, 2.5)
+        assert best_splits(x, y, [(rows, range(2)), (rows[::-1], range(2))], 1) == [(0, 2.5)] * 2
+        assert best_splits(x, y, [(rows, [1])], 1) == [(1, 2.5)]
 
     def test_equal_partitions_rank_by_scalar_pow_rounding(self):
         # Every column splits rows 0-3 from rows 4-7 but sums the targets in
@@ -407,17 +437,62 @@ class TestBestSplit:
                       for _ in range(4)], axis=1).astype(float)
         want = reference_best_split(x, y, np.arange(8), range(4), 4)
         assert want == (1, 6.5)
-        assert baselines._best_split(x, y, np.arange(8), range(4), 4) == want
+        assert best_splits(x, y, [(np.arange(8), range(4))], 4) == [want]
+
+    def test_tied_values_sum_in_row_order(self):
+        # Both columns split the same rows, column 0 with tied values and
+        # column 1 ranked in row order, so a stable sort sums the targets of
+        # both in the same order and column 0 wins the tie. A sort that
+        # reorders tied rows sums column 0 in another order, a few ulps off.
+        for seed in range(20):
+            rng = make_rng(3900 + seed)
+            y = rng.normal(size=40) * 1e4
+            left = np.sort(rng.choice(40, size=20, replace=False))
+            x = np.ones((40, 2))
+            x[:, 1] = 2.0
+            x[left, 0] = 0.0
+            x[left, 1] = np.arange(20) / 40
+            want = reference_best_split(x, y, np.arange(40), range(2), 20)
+            assert want[0] == 0
+            assert best_splits(x, y, [(np.arange(40), range(2))], 20) == [want]
 
     def test_forest_equals_reference_forest(self, monkeypatch):
         rng = make_rng(32)
         x = rng.poisson(0.08, size=(60, 400)).astype(float)
         y = rng.choice([1.0, 2.0, 3.0, 5.0, 8.0, 13.0], size=60)
         fast = rf_fit(x, y, n_trees=20, rng=make_rng(33))
-        monkeypatch.setattr(baselines, "_best_split", reference_best_split)
+        monkeypatch.setattr(baselines, "SPLIT_AREA", 1)  # one node per call
+        alone = rf_fit(x, y, n_trees=20, rng=make_rng(33))
+        monkeypatch.setattr(baselines, "_best_splits", reference_best_splits)
         slow = rf_fit(x, y, n_trees=20, rng=make_rng(33))
         assert sum(t[0][2] is not None for t in fast.trees) == 20
-        assert fast.trees == slow.trees
+        assert fast.trees == alone.trees == slow.trees
+
+    @pytest.mark.parametrize("area", [None, 2000])
+    def test_split_calls_stay_within_the_area(self, monkeypatch, area):
+        # bow-rf's shape: sparse, mostly tied counts over many words, and
+        # sqrt(p) candidates per node
+        rng = make_rng(36)
+        x = rng.poisson(0.05, size=(120, 900)).astype(float)
+        y = rng.choice([1.0, 2.0, 3.0, 5.0, 8.0], size=120)
+        if area is not None:  # below a root node's 120 rows x 30 candidates
+            monkeypatch.setattr(baselines, "SPLIT_AREA", area)
+        kernel, calls = baselines._best_splits, []
+
+        def recorded(xt, yp, nodes, min_leaf_size):
+            calls.append((len(nodes), len(nodes[0][1]) * max(len(rows) for rows, _ in nodes)))
+            return kernel(xt, yp, nodes, min_leaf_size)
+
+        monkeypatch.setattr(baselines, "_best_splits", recorded)
+        forest = rf_fit(x, y, n_trees=30, rng=make_rng(37))
+        splits = sum(record[2] is not None for tree in forest.trees for record in tree)
+        assert max(k for k, _ in calls) > 1  # nodes share calls
+        for k, per_node in calls:
+            assert k == 1 or k * per_node <= baselines.SPLIT_AREA
+        if area is None:
+            assert len(calls) < splits / 5
+        else:  # a node larger than the area has a call of its own
+            assert any(per_node > area for _, per_node in calls)
 
 
 class TestRandomForest:

@@ -347,6 +347,13 @@ class TestTrainCli:
         assert str(missing) in capsys.readouterr().err
         assert not (tmp_path / "m" / "model.ckpt").exists()
 
+    def test_nan_learning_rate_fails(self, prepared, tmp_path, capsys):
+        # a NaN rate used to train nothing and save the initial weights
+        assert run("train", "--split-dir", prepared, "--out-dir", tmp_path / "m",
+                   "--dim", 6, "--depth", 2, "--epochs", 1, "--learning-rate", "nan") == 1
+        assert "learning_rate must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "m" / "model.ckpt").exists()
+
     def test_negative_patience_fails(self, prepared, tmp_path, capsys):
         # -1 would stop training silently after the first epoch
         assert run("train", "--split-dir", prepared, "--out-dir", tmp_path / "m",
@@ -645,6 +652,17 @@ class TestEvaluateCli:
         assert "runs must be >= 1" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("level", ["-5", "nan"])
+    def test_bad_pred_level_fails(self, prepared, tmp_path, capsys, level):
+        est = tmp_path / "mean.csv"
+        run("baseline", "--model", "mean", "--split-dir", prepared,
+            "--in", prepared / "test.jsonl", "--out", est)
+        report = tmp_path / "report.csv"
+        assert run("evaluate", "--split-dir", prepared, "--estimates", f"mean={est}",
+                   "--pred-level", level, "--out", report) == 1
+        assert "pred level must be finite and >= 0" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_duplicate_names_fail(self, prepared, tmp_path, capsys):
         est = tmp_path / "mean.csv"
         run("baseline", "--model", "mean", "--split-dir", prepared,
@@ -748,6 +766,12 @@ class TestClusterWordsCli:
         assert len(lines) == 15
         clusters = {int(line.split("\t")[1]) for line in lines}
         assert clusters <= {0, 1, 2}
+        for top in (-4, 0):  # -4 used to cluster all words but the last two
+            bad = tmp_path / f"clusters{top}.txt"
+            assert run("cluster-words", "--checkpoint", pre_dir / "pretrain.ckpt",
+                       "--vocab", prepared / "vocab.txt", "--top", top, "--k", 3,
+                       "--out", bad) == 1
+            assert not bad.exists()
 
 
 class TestTestSetIsolation:

@@ -124,6 +124,14 @@ class TestMrePred:
         with pytest.raises(EvaluationError):
             mre_pred([0.0], [1.0])
 
+    @pytest.mark.parametrize("level", [-5.0, -1e-9, math.nan, math.inf])
+    def test_bad_level_rejected(self, level):
+        with pytest.raises(EvaluationError, match="pred level must be finite and >= 0"):
+            mre_pred([4.0], [4.0], level=level)
+
+    def test_zero_level_counts_exact_estimates(self):
+        assert mre_pred([4.0, 4.0], [4.0, 5.0], level=0) == (0.125, 0.5)
+
 
 def rank_with_tie_averages(values):
     """Independent tie-averaged ranking used only as a test oracle."""
@@ -376,6 +384,14 @@ class TestClusterWords:
         pairs = cluster_word_embeddings(emb, vocab, top=500, k=3, rng=make_rng(25))
         tokens = {tok for tok, _ in pairs}
         assert "<unk>" not in tokens and "<eos>" not in tokens
+
+    @pytest.mark.parametrize("top", [0, -4])
+    def test_top_below_one_rejected(self, top):
+        # a negative top would slice off the last words instead
+        vocab = self.build_vocab(6)
+        emb = np.zeros((len(vocab), 2))
+        with pytest.raises(EvaluationError, match="top must be >= 1"):
+            cluster_word_embeddings(emb, vocab, top=top, k=1, rng=make_rng(27))
 
     def test_k_exceeding_words_rejected(self):
         vocab = self.build_vocab(4)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import grad_check, log_softmax_rows, masked_sigmoid
+from storypoint.pretrain import PretrainConfig
+from storypoint.trainer import TrainConfig
 from storypoint.numerics import (
     NumericError,
     RmsPropState,
@@ -90,6 +92,18 @@ class TestRmsProp:
             RmsPropState(0.01, 1.5, 1e-6)
         with pytest.raises(ValueError):
             RmsPropState(-0.01, 0.9, 1e-6)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, 0.0])
+    @pytest.mark.parametrize("make", [
+        lambda rate: RmsPropState(rate, 0.9, 1e-6),
+        lambda rate: TrainConfig(learning_rate=rate),
+        lambda rate: PretrainConfig(learning_rate=rate),
+    ])
+    def test_learning_rate_must_be_finite_and_positive(self, make, rate):
+        # a NaN rate passes `rate <= 0`, and training would then abort on
+        # its first validation with the initial weights saved
+        with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+            make(rate)
 
 
 class TestRowSparseRmsProp:

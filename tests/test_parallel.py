@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from oracles import densified
+from oracles import densified, tree_height
 
 from storypoint import baselines
 from storypoint import model as model_module
@@ -625,5 +625,5 @@ def test_deep_forest_is_the_same_at_one_and_two_processes(monkeypatch):
         processes(monkeypatch, count)
         with deadline(120), parallel.Pool(x, y) as pool:
             forests.append(baselines.rf_fit(x, y, n_trees=4, rng=make_rng(0), pool=pool))
-    assert max(baselines._tree_height(t) for t in forests[0].trees) > 300
+    assert max(tree_height(t) for t in forests[0].trees) > 300
     assert forests[0].trees == forests[1].trees
