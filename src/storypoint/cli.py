@@ -103,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nce-samples", type=int, default=100)
     p.add_argument("--objective", choices=("nce", "softmax"), default="nce")
     p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--learning-rate", type=float, default=0.02)
     p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("train", help="supervised training on a prepared split")
@@ -154,6 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=1000)
     p.add_argument("--batch-size", type=int, default=100)
     p.add_argument("--patience", type=int, default=50)
+    p.add_argument("--learning-rate", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("cluster-words", help="k-means clusters of learned embeddings")
@@ -268,7 +270,7 @@ def cmd_pretrain(args) -> int:
     config = PretrainConfig(
         epochs=args.epochs, batch_size=args.batch_size,
         nce_samples=min(args.nce_samples, len(vocab)),
-        patience=args.patience, objective=args.objective,
+        patience=args.patience, objective=args.objective, learning_rate=args.learning_rate,
     )
     result = pretrain(sequences, len(vocab), _model_config(args), config, seed=args.seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -516,7 +518,8 @@ def cmd_cross_project(args) -> int:
     target_test = read_corpus(args.target_dir / "test.jsonl")
     pretrained = load_checkpoint(args.pretrained) if args.pretrained else None
     config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                         patience=args.patience, seed=args.seed)
+                         patience=args.patience, learning_rate=args.learning_rate,
+                         seed=args.seed)
     result = cross_project_train(source, target_test, _model_config(args), config,
                                  vocab=_split_vocabulary(args.source_dir, args.mode),
                                  pretrained=pretrained)

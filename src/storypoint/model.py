@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import NumericError, dropout_keep, dropout_scale, sigmoid
+from .numerics import NumericError, dropout_keep, sigmoid
 from .parallel import Pool, area_batches, run, shard_bounds
 
 CHECKPOINT_MAGIC = b"SPCKPT01"
@@ -134,7 +134,7 @@ class DropoutMasks:
     """Fixed dropout masks so forward and backward see the same pattern,
     as the keep bits they are made from, packed eight to a byte along the
     last axis: a sixty-fourth of the bytes of float masks to send to a
-    worker. for_steps makes the float masks."""
+    worker. for_steps unpacks them."""
 
     lstm_in: np.ndarray   # (B, T, ceil(d / 8))
     lstm_out: np.ndarray  # (B, T, ceil(d / 8))
@@ -144,16 +144,38 @@ class DropoutMasks:
         return DropoutMasks(self.lstm_in[start:stop], self.lstm_out[start:stop],
                             self.highway[start:stop])
 
-    def for_steps(self, steps: int, config: ModelConfig) -> "DropoutMasks":
-        """Float masks over the first `steps` steps: the keep bits unpacked
-        and scaled by 1 / (1 - rate)."""
+    def for_steps(self, steps: int, config: ModelConfig) -> "KeepBits":
+        """The keep bits over the first `steps` steps, unpacked, with the
+        scales 1 / (1 - rate)."""
         d = config.embedding_dim
         lstm_in, lstm_out, highway = (
             np.unpackbits(bits, axis=-1, count=d).view(bool)
             for bits in (self.lstm_in[:, :steps], self.lstm_out[:, :steps], self.highway))
-        return DropoutMasks(dropout_scale(lstm_in, config.dropout_lstm),
-                            dropout_scale(lstm_out, config.dropout_lstm),
-                            dropout_scale(highway, config.dropout_highway))
+        return KeepBits(lstm_in, lstm_out, highway, 1.0 / (1.0 - config.dropout_lstm),
+                        1.0 / (1.0 - config.dropout_highway))
+
+
+@dataclass
+class KeepBits:
+    """A shard's dropout keep bits, one bool per cell, and the scales of
+    inverted dropout. _drop applies them to an array in place, so no float
+    mask as large as the array is ever made."""
+
+    lstm_in: np.ndarray   # (B, T, d) bool
+    lstm_out: np.ndarray  # (B, T, d) bool
+    highway: np.ndarray   # (B, d) bool
+    lstm_scale: float     # 1 / (1 - dropout_lstm)
+    highway_scale: float  # 1 / (1 - dropout_highway)
+
+
+def _drop(a: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
+    """Mask a in place with keep bits and their scale, and return it. The
+    bits are those of a * numerics.dropout_scale(keep, rate): a kept cell
+    is a * scale, a dropped one a * 0.0 (a signed zero, or NaN for inf and
+    NaN)."""
+    a *= keep
+    a *= scale
+    return a
 
 
 def make_dropout_masks(batch: int, steps: int, config: ModelConfig,
@@ -204,15 +226,16 @@ def _lstm_forward(x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, dict]
     x_t @ W_x + h @ W_h + b, and then refills the slot with the gate
     activations as four contiguous (B, d) blocks, input/forget/output/
     candidate, so the elementwise work runs on contiguous memory. Cell
-    states, their tanh and the outputs go to (T, B, d) arrays; the states
-    come back as a (B, T, d) view of the outputs.
+    states and outputs go to (T, B, d) arrays, and the states come back as
+    a (B, T, d) view of the outputs. tanh(c_t) goes to one (B, d) scratch
+    buffer: the backward pass recomputes it from the same cell states.
     """
     batch, steps, d = x.shape
     gates = np.matmul(x.transpose(1, 0, 2), params.lstm_wx)
     cells = np.empty((steps, batch, d))
-    tanh_cells = np.empty((steps, batch, d))
     hidden = np.empty((steps, batch, d))
     pre = np.empty((4, batch, d))
+    tanh_c = np.empty((batch, d))
     h = np.zeros((batch, d))
     c = np.zeros((batch, d))
     for t in range(steps):
@@ -225,33 +248,37 @@ def _lstm_forward(x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, dict]
         np.tanh(pre[3], out=act[3])
         c = np.multiply(act[1], c, out=cells[t])
         c += act[0] * act[3]
-        h = np.multiply(act[2], np.tanh(c, out=tanh_cells[t]), out=hidden[t])
-    cache = {"x": x, "gates": gates, "c": cells, "tc": tanh_cells, "h": hidden}
+        h = np.multiply(act[2], np.tanh(c, out=tanh_c), out=hidden[t])
+    cache = {"x": x, "gates": gates, "c": cells, "h": hidden}
     return hidden.transpose(1, 0, 2), cache
 
 
 def _lstm_backward(d_states: np.ndarray, mask: np.ndarray, cache: dict,
-                   params: ModelParams, grads: dict[str, np.ndarray]) -> np.ndarray:
+                   params: ModelParams, grads: dict[str, np.ndarray],
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Backprop through time; returns the gradient w.r.t. the inputs.
 
-    Each step overwrites its slot of the gate buffer with the (B, 4d)
-    gradient of the gate pre-activations, so the input gradient of all
-    steps is one stacked matmul after the loop. The weight gradients stay
+    Each step recomputes tanh(c_t) from the cached cell states and
+    overwrites its slot of the gate buffer with the (B, 4d) gradient of the
+    gate pre-activations, so the input gradient of all steps is one stacked
+    matmul after the loop, one GEMM per step. It is written into `out`
+    (B, T, d) when given: encode passes the input x it made, which nothing
+    reads once the weight gradients are done. The weight gradients stay
     one GEMM per step in descending t: summed over all B*T rows at once,
     BLAS splits the reduction by thread count and the bits would follow it.
     """
-    x, gates, cells, tanh_cells, hidden = (
-        cache[k] for k in ("x", "gates", "c", "tc", "h"))
+    x, gates, cells, hidden = (cache[k] for k in ("x", "gates", "c", "h"))
     batch, steps, d = x.shape
     zeros = np.zeros((batch, d))
     dh_next = zeros
     dc_next = zeros
     dpre = np.empty((4, batch, d))
+    tc = np.empty((batch, d))
     for t in range(steps - 1, -1, -1):
         g = gates[t]
         act = g.reshape(4, batch, d)
         i_t, f_t, o_t, g_t = act
-        tc = tanh_cells[t]
+        np.tanh(cells[t], out=tc)
         dh = d_states[:, t] + dh_next
         dc = dc_next + dh * o_t * (1.0 - tc * tc)
         # sigmoid gates: (upstream * gate) * (1 - gate), one block for all three
@@ -269,7 +296,9 @@ def _lstm_backward(d_states: np.ndarray, mask: np.ndarray, cache: dict,
         grads["lstm_wh"] += (hidden[t - 1] if t > 0 else zeros).T @ g
         grads["lstm_b"] += g.sum(axis=0)
         dh_next = g @ params.lstm_wh.T
-    return np.matmul(gates, params.lstm_wx.T).transpose(1, 0, 2)
+    dx = np.empty_like(x) if out is None else out
+    np.matmul(gates, params.lstm_wx.T, out=dx.transpose(1, 0, 2))
+    return dx
 
 
 def _highway_forward(v: np.ndarray, params: ModelParams, depth: int) -> tuple[np.ndarray, dict]:
@@ -303,14 +332,15 @@ def _highway_backward(dv: np.ndarray, cache: dict, params: ModelParams,
 
 
 def encode(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
-           masks: DropoutMasks | None = None) -> tuple[np.ndarray, dict]:
+           masks: KeepBits | None = None) -> tuple[np.ndarray, dict]:
     """Embed a padded batch and run the LSTM over it: the encoder shared by
     the regressor and the language model. Returns the output states
     (B, T, d), a view of time-major memory, and the cache encode_backward
     needs."""
-    x = embed(ids, params.emb) * mask[:, :, None]
+    x = embed(ids, params.emb)
+    x *= mask[:, :, None]
     if masks is not None:
-        x = x * masks.lstm_in
+        _drop(x, masks.lstm_in, masks.lstm_scale)
     states, lstm_cache = _lstm_forward(x, params)
     return states, {"ids": ids, "mask": mask, "masks": masks, "lstm": lstm_cache}
 
@@ -320,11 +350,13 @@ def encode_backward(d_states: np.ndarray, cache: dict, params: ModelParams,
     """Accumulate the LSTM gradients of d(loss)/d(states) into grads and
     return the embedding gradient row-sparse: the batch's unique ids and a
     (U, d) array of their rows. Each row adds its positions' terms in
-    position order from zero, as a scatter into a zero (V, d) array would."""
-    mask, masks = cache["mask"], cache["masks"]
-    dx = _lstm_backward(d_states, mask, cache["lstm"], params, grads)
+    position order from zero, as a scatter into a zero (V, d) array would.
+    The input gradient is written over encode's spent input, so the cache
+    is used up."""
+    mask, masks, lstm_cache = cache["mask"], cache["masks"], cache["lstm"]
+    dx = _lstm_backward(d_states, mask, lstm_cache, params, grads, out=lstm_cache["x"])
     if masks is not None:
-        dx = dx * masks.lstm_in
+        _drop(dx, masks.lstm_in, masks.lstm_scale)
     dx *= mask[:, :, None]
     ids, inverse = np.unique(cache["ids"], return_inverse=True)
     return ids, scatter_rows(inverse.reshape(-1), dx.reshape(-1, dx.shape[2]), len(ids))
@@ -342,14 +374,17 @@ def scatter_rows(index: np.ndarray, terms: np.ndarray, count: int) -> np.ndarray
 
 
 def batch_forward(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
-                  config: ModelConfig, masks: DropoutMasks | None = None):
+                  config: ModelConfig, masks: KeepBits | None = None):
     """Forward pass over a padded batch; returns estimates and a cache."""
     states, enc_cache = encode(ids, mask, params, masks)
-    consumed = states * masks.lstm_out if masks is not None else states
     lengths = mask.sum(axis=1)
-    pooled = (consumed * mask[:, :, None]).sum(axis=1) / lengths[:, None]
+    consumed = states * mask[:, :, None]
+    if masks is not None:
+        _drop(consumed, masks.lstm_out, masks.lstm_scale)
+    pooled = consumed.sum(axis=1) / lengths[:, None]
     deep, hw_cache = _highway_forward(pooled, params, config.highway_depth)
-    deep_out = deep * masks.highway if masks is not None else deep
+    deep_out = deep if masks is None else _drop(deep.copy(), masks.highway,
+                                                masks.highway_scale)
     yhat = deep_out @ params.reg_w + params.reg_b[0]
     cache = {
         "mask": mask, "lengths": lengths, "masks": masks,
@@ -361,7 +396,7 @@ def batch_forward(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
 def batch_backward(dyhat: np.ndarray, cache: dict, params: ModelParams):
     """Gradients of a scalar loss given d(loss)/d(yhat) for the cached batch:
     a dict with every tensor in SUPERVISED_TENSORS, emb row-sparse as the
-    (ids, rows) of encode_backward."""
+    (ids, rows) of encode_backward. Uses the cache up."""
     grads = {name: np.zeros_like(getattr(params, name))
              for name in SUPERVISED_TENSORS if name != "emb"}
     mask, lengths, masks = cache["mask"], cache["lengths"], cache["masks"]
@@ -369,11 +404,11 @@ def batch_backward(dyhat: np.ndarray, cache: dict, params: ModelParams):
     grads["reg_b"] += dyhat.sum(keepdims=True)
     d_deep = dyhat[:, None] * params.reg_w[None, :]
     if masks is not None:
-        d_deep = d_deep * masks.highway
+        _drop(d_deep, masks.highway, masks.highway_scale)
     d_pooled = _highway_backward(d_deep, cache["hw"], params, grads)
     d_states = d_pooled[:, None, :] * (mask / lengths[:, None])[:, :, None]
     if masks is not None:
-        d_states = d_states * masks.lstm_out
+        _drop(d_states, masks.lstm_out, masks.lstm_scale)
     return {"emb": encode_backward(d_states, cache["encoder"], params, grads), **grads}
 
 

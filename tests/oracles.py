@@ -8,7 +8,10 @@ import numpy as np
 
 from storypoint.baselines import _tree_walk
 from storypoint.corpus import EOS_TOKEN
-from storypoint.numerics import log_sigmoid, sigmoid
+from storypoint.model import (SUPERVISED_TENSORS, _highway_backward, _highway_forward,
+                              _run_shards, embed, pad_batch)
+from storypoint.numerics import dropout_scale, log_sigmoid, sigmoid
+from storypoint.parallel import shard_bounds
 from storypoint.pretrain import PretrainError
 
 
@@ -49,13 +52,14 @@ def lstm_forward_steps(x, params):
     return states, cache
 
 
-def lstm_backward_steps(d_states, mask, cache, params, grads):
+def lstm_backward_steps(d_states, mask, cache, params, grads, out=None):
     """Backprop through time for lstm_forward_steps, one step at a time;
-    returns the gradient w.r.t. the inputs."""
+    returns the gradient w.r.t. the inputs, written into out when given
+    (step t's slot once step t is done with x)."""
     x = cache["x"]
     batch, steps, d = x.shape
     gi, gf, go, gc = (slice(k * d, (k + 1) * d) for k in range(4))
-    dx = np.zeros_like(x)
+    dx = np.zeros_like(x) if out is None else out
     dh_next = np.zeros((batch, d))
     dc_next = np.zeros((batch, d))
     for t in range(steps - 1, -1, -1):
@@ -77,6 +81,53 @@ def lstm_backward_steps(d_states, mask, cache, params, grads):
         dh_next = dpre @ params.lstm_wh.T
         dc_next = dc * f_t
     return dx
+
+
+def masked_loss_and_grads(sequences, targets, params, config, masks):
+    """batch_loss_and_grads(..., masks=masks, emb_rows=True) with float
+    dropout masks: each shard unpacks its keep bits into dropout_scale
+    masks and multiplies them in out of place, and the per-step LSTM above
+    keeps tanh(c). The shards are those of shard_bounds, summed in the same
+    order, so the bits are comparable."""
+    batch = len(sequences)
+    y = np.asarray(targets, dtype=np.float64)
+    tasks = [(sequences[a:b], y[a:b], batch, masks.rows(a, b))
+             for a, b in shard_bounds([len(s) for s in sequences])]
+    loss, grads, results = _run_shards(_masked_shard, tasks, params, config)
+    return loss / batch, np.concatenate([result[1] for result in results]), grads
+
+
+def _masked_shard(params, config, sequences, targets, batch_size, keep):
+    ids, mask = pad_batch(sequences)
+    steps, d = ids.shape[1], config.embedding_dim
+    lstm_in, lstm_out = (
+        dropout_scale(np.unpackbits(bits[:, :steps], axis=-1, count=d).view(bool),
+                      config.dropout_lstm) for bits in (keep.lstm_in, keep.lstm_out))
+    highway = dropout_scale(np.unpackbits(keep.highway, axis=-1, count=d).view(bool),
+                            config.dropout_highway)
+    x = embed(ids, params.emb) * mask[:, :, None] * lstm_in
+    states, lstm_cache = lstm_forward_steps(x, params)
+    consumed = states * lstm_out
+    lengths = mask.sum(axis=1)
+    pooled = (consumed * mask[:, :, None]).sum(axis=1) / lengths[:, None]
+    deep, hw_cache = _highway_forward(pooled, params, config.highway_depth)
+    deep_out = deep * highway
+    yhat = deep_out @ params.reg_w + params.reg_b[0]
+    diff = yhat - targets
+    dyhat = 2.0 * diff / batch_size
+    grads = {name: np.zeros_like(getattr(params, name))
+             for name in SUPERVISED_TENSORS if name != "emb"}
+    grads["reg_w"] += deep_out.T @ dyhat
+    grads["reg_b"] += dyhat.sum(keepdims=True)
+    d_deep = dyhat[:, None] * params.reg_w[None, :] * highway
+    d_pooled = _highway_backward(d_deep, hw_cache, params, grads)
+    d_states = d_pooled[:, None, :] * (mask / lengths[:, None])[:, :, None] * lstm_out
+    dx = lstm_backward_steps(d_states, mask, lstm_cache, params, grads) * lstm_in
+    dx *= mask[:, :, None]
+    ids, inverse = np.unique(ids, return_inverse=True)
+    rows = np.zeros((len(ids), d))
+    np.add.at(rows, inverse.reshape(-1), dx.reshape(-1, d))
+    return float(np.sum(diff * diff)), yhat, {"emb": (ids, rows), **grads}
 
 
 def log_softmax_rows(x):

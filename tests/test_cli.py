@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import functools
 import hashlib
 import json
 import os
@@ -25,7 +24,6 @@ from storypoint.corpus import (
     write_corpus,
 )
 from storypoint.model import load_checkpoint
-from storypoint.pretrain import PretrainConfig
 
 
 def run(*argv):
@@ -308,17 +306,14 @@ class TestTrainCli:
             for name, cell in row.items():
                 assert np.isfinite(float(cell)), (name, cell)
 
-    def test_pretrain_blow_up_keeps_checkpoint_and_log(self, prepared, tmp_path, capsys,
-                                                       monkeypatch):
+    def test_pretrain_blow_up_keeps_checkpoint_and_log(self, prepared, tmp_path, capsys):
         # a step size this large overflows the weights on the first update
-        monkeypatch.setattr(cli, "PretrainConfig",
-                            functools.partial(PretrainConfig, learning_rate=1e308))
         pre_dir = tmp_path / "pre"
         with np.errstate(all="ignore"):
             assert run("pretrain", "--corpus", prepared / "train.jsonl",
                        "--vocab", prepared / "vocab.txt", "--out-dir", pre_dir,
                        "--dim", 8, "--depth", 2, "--epochs", 3, "--batch-size", 16,
-                       "--nce-samples", 5) == 0
+                       "--nce-samples", 5, "--learning-rate", 1e308) == 0
         assert "(aborted: epoch " in capsys.readouterr().out
         log = (pre_dir / "pretrain_log.csv").read_text().splitlines()
         assert log[0] == "epoch,train_loss,valid_perplexity,best_perplexity"
@@ -353,6 +348,37 @@ class TestTrainCli:
                    "--dim", 6, "--depth", 2, "--epochs", 1, "--learning-rate", "nan") == 1
         assert "learning_rate must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "m" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["cross-project", "pretrain"])
+    def test_learning_rate_reaches_the_config(self, prepared, tmp_path, monkeypatch, command):
+        name = "TrainConfig" if command == "cross-project" else "PretrainConfig"
+        config_class, made = getattr(cli, name), []
+
+        def spy(**kwargs):
+            made.append(config_class(**kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(cli, name, spy)
+        assert run(*self._training_command(command, prepared, tmp_path),
+                   "--learning-rate", "0.05") == 0
+        assert [config.learning_rate for config in made] == [0.05]
+
+    @pytest.mark.parametrize("command", ["cross-project", "pretrain"])
+    def test_nan_learning_rate_fails_on_every_training_command(self, prepared, tmp_path,
+                                                               capsys, command):
+        assert run(*self._training_command(command, prepared, tmp_path),
+                   "--learning-rate", "nan") == 1
+        assert "learning_rate must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @staticmethod
+    def _training_command(command, prepared, tmp_path):
+        flags = ("--out-dir", tmp_path / "run", "--dim", 6, "--depth", 1, "--epochs", 1,
+                 "--batch-size", 16)
+        if command == "pretrain":
+            return ("pretrain", "--corpus", prepared / "train.jsonl",
+                    "--vocab", prepared / "vocab.txt", "--nce-samples", 5, *flags)
+        return ("cross-project", "--source-dir", prepared, "--target-dir", prepared, *flags)
 
     def test_negative_patience_fails(self, prepared, tmp_path, capsys):
         # -1 would stop training silently after the first epoch

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import grad_check, lstm_backward_steps, lstm_forward_steps, masked_sigmoid
+from oracles import (grad_check, lstm_backward_steps, lstm_forward_steps, masked_loss_and_grads,
+                     masked_sigmoid)
 from storypoint import model as model_module
 from storypoint import pretrain as pretrain_module
 from storypoint.model import (
@@ -27,9 +29,10 @@ from storypoint.model import (
     pad_batch,
     save_checkpoint,
     scatter_rows,
+    shard_loss_and_grads,
     zero_params,
 )
-from storypoint.model import _highway_forward, _lstm_backward, _lstm_forward
+from storypoint.model import _drop, _highway_forward, _lstm_backward, _lstm_forward
 from storypoint.numerics import dropout_keep, dropout_scale, make_rng, sigmoid
 from storypoint.pretrain import perplexity
 from storypoint.trainer import predict_points
@@ -119,8 +122,8 @@ def ragged_batch(lengths, d, seed, dropout):
     if dropout:
         masks = make_dropout_masks(len(lengths), ids.shape[1], config, rng).for_steps(
             ids.shape[1], config)
-        x = x * masks.lstm_in
-        d_states = d_states * masks.lstm_out
+        _drop(x, masks.lstm_in, masks.lstm_scale)
+        _drop(d_states, masks.lstm_out, masks.lstm_scale)
     return params, x, mask, d_states
 
 
@@ -175,6 +178,66 @@ class TestLstmCoreMatchesPerStepOracle:
         assert grads.keys() == ref_grads.keys()
         for name in grads:
             assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+class TestMaskedStepMatchesFloatMaskOracle:
+    """Keep bits applied in place give the bits of float masks multiplied in
+    out of place (masked_loss_and_grads in tests/oracles.py): the loss, the
+    estimates and every gradient, emb's row ids and rows included."""
+
+    @pytest.mark.parametrize("rates", [(0.2, 0.5), (0.0, 0.0)], ids=["dropout", "rate-0"])
+    @pytest.mark.parametrize("d", [5, 8, 50])
+    @pytest.mark.parametrize("case", list(LENGTHS))
+    def test_bit_identical(self, case, d, rates):
+        rng = make_rng(33)
+        config = ModelConfig(embedding_dim=d, highway_depth=3, dropout_lstm=rates[0],
+                             dropout_highway=rates[1])
+        params = init_params(60, config, rng)
+        for t in params.tensors().values():
+            t[...] = rng.uniform(-0.5, 0.5, t.shape)
+        seqs = [list(rng.integers(0, 60, size=n)) for n in LENGTHS[case]]
+        targets = rng.uniform(1.0, 13.0, size=len(seqs))
+        masks = make_dropout_masks(len(seqs), max(LENGTHS[case]), config, rng)
+        loss, yhat, grads = batch_loss_and_grads(seqs, targets, params, config, masks=masks,
+                                                 emb_rows=True)
+        ref_loss, ref_yhat, ref_grads = masked_loss_and_grads(seqs, targets, params, config,
+                                                              masks)
+        assert loss == ref_loss and yhat.tobytes() == ref_yhat.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            pairs = zip(grads[name], ref_grads[name]) if name == "emb" else [
+                (grads[name], ref_grads[name])]  # emb is (ids, rows)
+            for got, want in pairs:
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
+
+
+# One (B, T, d) float64 array of the shard below: B = 31 rows of T = 432
+# steps at d = 50, the area of the benchmark's largest training shard.
+SHARD_ARRAY_BYTES = 31 * 432 * 50 * 8
+
+
+def test_training_shard_keeps_few_arrays_per_padded_slot():
+    """A training shard peaks at 9.5 (B, T, d) float64 arrays at most, plus
+    1 MiB for the arrays that do not grow with T (weight gradients,
+    highway cache, per-step buffers): the inputs, the (T, B, 4d) gate
+    buffer, cell states, outputs and the upstream state gradient, with the
+    keep bits at one byte a cell. Float masks, a stored tanh(c) or an input
+    gradient beside the spent inputs would take it past the bound (13.2
+    arrays with all three)."""
+    rng = make_rng(34)
+    config = ModelConfig(embedding_dim=50, highway_depth=10)
+    params = init_params(500, config, rng)
+    seqs = [list(rng.integers(0, 500, size=432)) for _ in range(31)]
+    targets = rng.uniform(1.0, 13.0, size=31)
+    masks = make_dropout_masks(31, 432, config, rng)
+    tracemalloc.start()
+    try:
+        shard_loss_and_grads(params, config, seqs, targets, 31, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.5 * SHARD_ARRAY_BYTES + 2**20, peak / SHARD_ARRAY_BYTES
 
 
 # Runs in a child process, whose BLAS thread count is fixed at start-up. The
@@ -348,12 +411,26 @@ class TestDropoutKeepBits:
                  dropout_keep((3, d), config.dropout_highway, rng)]
         for steps in (7, 4):
             masks = keep.rows(1, 3).for_steps(steps, config)
-            rates = (config.dropout_lstm, config.dropout_lstm, config.dropout_highway)
-            want = [dropout_scale(bits[1:3, :steps] if bits.ndim == 3 else bits[1:3], rate)
-                    for bits, rate in zip(drawn, rates)]
+            want = [bits[1:3, :steps] if bits.ndim == 3 else bits[1:3] for bits in drawn]
             got = (masks.lstm_in, masks.lstm_out, masks.highway)
             for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                assert g.dtype == bool and g.shape == w.shape and np.array_equal(g, w)
+            assert masks.lstm_scale == 1.0 / (1.0 - config.dropout_lstm) == 1.25
+            assert masks.highway_scale == 1.0 / (1.0 - config.dropout_highway) == 2.0
+
+    def test_applied_in_place_with_the_bits_of_the_float_mask(self):
+        # finite values of both signs, signed zeros, infinities and NaN
+        rng = make_rng(3)
+        a = rng.normal(size=(4, 9, 6))
+        a.flat[:6] = [0.0, -0.0, np.inf, -np.inf, np.nan, -3.5]
+        keep = dropout_keep(a.shape, 0.5, rng)
+        keep.flat[:6] = [False, False, False, True, False, False]
+        for rate in (0.0, 0.2, 0.5, 0.7):
+            got = a.copy()
+            with np.errstate(invalid="ignore"):  # inf * 0.0
+                want = a * dropout_scale(keep, rate)
+                assert _drop(got, keep, 1.0 / (1.0 - rate)) is got
+            assert got.tobytes() == want.tobytes(), rate
 
 
 class TestLoss:
