@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import baselines, evaluation
 from .corpus import (
+    DEFAULT_MIN_PROJECT_SIZE,
     CorpusError,
     build_vocabulary,
     compose_document,
@@ -51,6 +53,11 @@ from .pretrain import PRETRAIN_TENSORS, PretrainConfig, PretrainError, pretrain
 from .trainer import TrainConfig, TrainerError, cross_project_train, encode_issue, estimate, train
 
 TOKEN_ENV_VAR = "STORYPOINT_JIRA_TOKEN"
+# The training flags, one per config field. The fields are read at import,
+# so the names TrainConfig and PretrainConfig are looked up only where a
+# command builds its config, and a wrapper bound to them sees every build.
+TRAIN_FIELDS = dataclasses.fields(TrainConfig)
+PRETRAIN_FIELDS = dataclasses.fields(PretrainConfig)
 
 
 class CliError(RuntimeError):
@@ -66,6 +73,23 @@ def _add_model_flags(parser):
 def _model_config(args) -> ModelConfig:
     return ModelConfig(embedding_dim=args.dim, highway_depth=args.depth,
                        tokenizer_mode=args.mode)
+
+
+def _add_config_flags(parser, fields):
+    """A --field-name flag per config field, typed and defaulted by the
+    field's default, with the `choices` of the field's metadata."""
+    for f in fields:
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                            default=f.default, choices=f.metadata.get("choices"))
+
+
+def _add_training_flags(parser):
+    """The flags train and cross-project share."""
+    parser.add_argument("--vocab", type=Path, default=None,
+                        help="defaults to the split's vocab.txt")
+    parser.add_argument("--pretrained", type=Path, default=None)
+    _add_model_flags(parser)
+    _add_config_flags(parser, TRAIN_FIELDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="filter, split, and summarize a corpus")
     p.add_argument("--in", dest="input", type=Path, required=True)
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--min-project-size", type=int, default=300)
+    p.add_argument("--min-project-size", type=int, default=DEFAULT_MIN_PROJECT_SIZE)
     p.add_argument("--mode", choices=("word", "character"), default="word")
     p.add_argument("--vocab-min-count", type=int, default=1)
     p.add_argument("--vocab-max-size", type=int, default=50000)
@@ -98,25 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", type=Path, required=True)
     p.add_argument("--out-dir", type=Path, required=True)
     _add_model_flags(p)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=50)
-    p.add_argument("--nce-samples", type=int, default=100)
-    p.add_argument("--objective", choices=("nce", "softmax"), default="nce")
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--learning-rate", type=float, default=0.02)
+    _add_config_flags(p, PRETRAIN_FIELDS)
     p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("train", help="supervised training on a prepared split")
     p.add_argument("--split-dir", type=Path, required=True)
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--vocab", type=Path, default=None, help="defaults to split-dir/vocab.txt")
-    p.add_argument("--pretrained", type=Path, default=None)
-    _add_model_flags(p)
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--patience", type=int, default=50)
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=42)
+    _add_training_flags(p)
 
     p = sub.add_parser("estimate", help="score issues with a trained checkpoint")
     p.add_argument("--checkpoint", type=Path, required=True)
@@ -150,13 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source-dir", type=Path, required=True)
     p.add_argument("--target-dir", type=Path, required=True)
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--pretrained", type=Path, default=None)
-    _add_model_flags(p)
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--patience", type=int, default=50)
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=42)
+    _add_training_flags(p)
 
     p = sub.add_parser("cluster-words", help="k-means clusters of learned embeddings")
     p.add_argument("--checkpoint", type=Path, required=True)
@@ -183,12 +189,16 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def _write_estimates(path: Path, estimates: list[tuple[str, float]]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["issue_key", "estimate"])
-        for key, value in estimates:
-            writer.writerow([key, _cell(value)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_estimates(path: Path, estimates, column: str = "estimate") -> None:
+    """(issue key, value) pairs under the header issue_key,<column>."""
+    _write_csv(path, ["issue_key", column], [(key, _cell(value)) for key, value in estimates])
 
 
 def _read_estimates(path: Path) -> list[tuple[str, float]]:
@@ -199,12 +209,8 @@ def _read_estimates(path: Path) -> list[tuple[str, float]]:
 
 def _write_curve(path: Path, header: list[str], curve: list[dict]) -> None:
     """One CSV row per epoch: the epoch, then the row's other values."""
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in curve:
-            epoch, *values = row.values()
-            writer.writerow([epoch, *map(_cell, values)])
+    _write_csv(path, header, [[epoch, *map(_cell, values)]
+                              for epoch, *values in map(dict.values, curve)])
 
 
 def cmd_ingest(args) -> int:
@@ -267,11 +273,8 @@ def cmd_pretrain(args) -> int:
     vocab = load_vocabulary(args.vocab, mode=args.mode)
     records = read_corpus(args.corpus)
     sequences = [encode_issue(r, vocab) for r in records]
-    config = PretrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size,
-        nce_samples=min(args.nce_samples, len(vocab)),
-        patience=args.patience, objective=args.objective, learning_rate=args.learning_rate,
-    )
+    config = PretrainConfig(**{f.name: getattr(args, f.name) for f in PRETRAIN_FIELDS}
+                            | {"nce_samples": min(args.nce_samples, len(vocab))})
     result = pretrain(sequences, len(vocab), _model_config(args), config, seed=args.seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = args.out_dir / "pretrain.ckpt"
@@ -292,15 +295,19 @@ def _split_vocabulary(split_dir: Path, mode: str, path: Path | None = None):
     return load_vocabulary(vocab_path, mode=mode) if path or vocab_path.exists() else None
 
 
+def _training_inputs(args, split_dir: Path) -> tuple[SplitDataset, dict]:
+    """What train and cross-project read alike: the split (no test manifest)
+    and the keyword arguments `train` takes beside it."""
+    split = _load_split(split_dir, with_test=False)
+    return split, dict(vocab=_split_vocabulary(split_dir, args.mode, args.vocab),
+                       pretrained=load_checkpoint(args.pretrained) if args.pretrained else None,
+                       model_config=_model_config(args),
+                       config=TrainConfig(**{f.name: getattr(args, f.name) for f in TRAIN_FIELDS}))
+
+
 def cmd_train(args) -> int:
-    split = _load_split(args.split_dir, with_test=False)
-    vocab = _split_vocabulary(args.split_dir, args.mode, args.vocab)
-    pretrained = load_checkpoint(args.pretrained) if args.pretrained else None
-    config = TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size, patience=args.patience,
-        learning_rate=args.learning_rate, seed=args.seed,
-    )
-    result = train(split, _model_config(args), config, vocab=vocab, pretrained=pretrained)
+    split, inputs = _training_inputs(args, args.split_dir)
+    result = train(split, **inputs)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = args.out_dir / "model.ckpt"
     save_checkpoint(ckpt_path, "model", result.checkpoint.config,
@@ -500,36 +507,22 @@ def cmd_evaluate(args) -> int:
           f"(random-guess MAE {mae_rguess:.4f})")
     print(table)
     if args.out:
-        with args.out.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["model", "mae", "sa", "mre", "pred", "n"])
-            for r in reports:
-                writer.writerow([r.model_name, _cell(r.mae), _cell(r.sa),
-                                 _cell(r.mre) if r.mre is not None else "",
-                                 _cell(r.pred) if r.pred is not None else "", r.n])
-            for cmp in comparisons:
-                writer.writerow([f"{cmp.model_a} vs {cmp.model_b}", _cell(cmp.p_value),
-                                 _cell(cmp.a12), "", "", cmp.m])
+        rows = [[r.model_name, _cell(r.mae), _cell(r.sa),
+                 _cell(r.mre) if r.mre is not None else "",
+                 _cell(r.pred) if r.pred is not None else "", r.n] for r in reports]
+        rows += [[f"{cmp.model_a} vs {cmp.model_b}", _cell(cmp.p_value), _cell(cmp.a12),
+                  "", "", cmp.m] for cmp in comparisons]
+        _write_csv(args.out, ["model", "mae", "sa", "mre", "pred", "n"], rows)
     return 0
 
 
 def cmd_cross_project(args) -> int:
-    source = _load_split(args.source_dir, with_test=False)
-    target_test = read_corpus(args.target_dir / "test.jsonl")
-    pretrained = load_checkpoint(args.pretrained) if args.pretrained else None
-    config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                         patience=args.patience, learning_rate=args.learning_rate,
-                         seed=args.seed)
-    result = cross_project_train(source, target_test, _model_config(args), config,
-                                 vocab=_split_vocabulary(args.source_dir, args.mode),
-                                 pretrained=pretrained)
+    source, inputs = _training_inputs(args, args.source_dir)
+    result = cross_project_train(source, read_corpus(args.target_dir / "test.jsonl"), **inputs)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     _write_estimates(args.out_dir / "estimates.csv", result.estimates)
-    with (args.out_dir / "abs_errors.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["issue_key", "abs_error"])
-        for (key, _), err in zip(result.estimates, result.abs_errors):
-            writer.writerow([key, _cell(err)])
+    keys = [key for key, _ in result.estimates]
+    _write_estimates(args.out_dir / "abs_errors.csv", zip(keys, result.abs_errors), "abs_error")
     cross_mae = float(result.abs_errors.mean())
     print(f"cross-project: MAE {cross_mae:.4f} over {len(result.abs_errors)} target issues")
     return 0
@@ -567,6 +560,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     subcommands = parser._subparsers._group_actions[0].choices
+    null = object()  # a config-file null for a flag that has a default
     # apply config-file values as defaults before the real parse
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", type=Path, default=None)
@@ -580,28 +574,29 @@ def main(argv=None) -> int:
             parser.error(f"config file must hold a JSON object, not {type(overrides).__name__}")
         renamed = {key.replace("-", "_"): value for key, value in overrides.items()}
         for sub in subcommands.values():
-            typed = {a.dest: a.type for a in sub._actions}
-            # argparse converts string defaults with the flag's type, so a
-            # value of the wrong type fails as a bad flag would
-            sub.set_defaults(**{
-                k: str(v) if typed[k] is not None and v is not None else v
-                for k, v in renamed.items() if k in typed
-            })
-            for action in sub._actions:  # a required flag the file gives is optional
-                if action.dest in renamed:
-                    action.required = False
+            for action in sub._actions:
+                value = renamed.get(action.dest)
+                if action.dest not in renamed or value is None and action.required:
+                    continue  # a required flag the file gives no value stays required
+                if value is None and action.default is not None:
+                    value = null  # refused below unless the flag is given
+                elif value is not None and action.type is not None:
+                    # argparse converts string defaults with the flag's type,
+                    # so a value of the wrong type fails as a bad flag would
+                    value = str(value)
+                action.default, action.required = value, False
     args = parser.parse_args(argv)
     sub = subcommands[args.command]
     for action in sub._actions:  # argparse checks the choices of given flags only
         value = getattr(args, action.dest, None)
+        if value is null:
+            sub.error(f"argument {action.option_strings[0]}: null in the config file, "
+                      "which only a flag that defaults to none takes")
         if action.choices is not None and value is not None and value not in action.choices:
             sub.error(f"argument {action.option_strings[0]}: invalid choice: {value!r}")
     try:
         return COMMANDS[args.command](args)
-    except IngestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CliError, CorpusError, ModelError, TrainerError, PretrainError,
+    except (IngestError, CliError, CorpusError, ModelError, TrainerError, PretrainError,
             NumericError, WorkerError, evaluation.EvaluationError, baselines.BaselineError,
             OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

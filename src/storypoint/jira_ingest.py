@@ -8,6 +8,7 @@ do not pay for loading it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -46,8 +47,8 @@ class IngestConfig:
             raise IngestError("page_size must lie in 1..1000", "config")
         if self.max_issues is not None and self.max_issues < 1:
             raise IngestError("max_issues must be >= 1", "config")
-        if self.rate_limit <= 0:
-            raise IngestError("rate_limit must be positive", "config")
+        if not (math.isfinite(self.rate_limit) and self.rate_limit > 0):  # NaN passes <= 0
+            raise IngestError("rate_limit must be finite and positive", "config")
         self.base_url = self.base_url.rstrip("/")
 
 

@@ -10,7 +10,7 @@ objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -25,6 +25,9 @@ class PretrainError(ValueError):
     pass
 
 
+OBJECTIVES = ("nce", "softmax")  # softmax is exact and slow: the reference route
+
+
 @dataclass
 class PretrainConfig:
     epochs: int = 100
@@ -32,7 +35,7 @@ class PretrainConfig:
     learning_rate: float = 0.02
     nce_samples: int = 100
     patience: int = 10
-    objective: str = "nce"  # "nce" or "softmax" (exact, slow; used as the reference route)
+    objective: str = field(default="nce", metadata={"choices": OBJECTIVES})
     decay: ClassVar[float] = 0.99
     smoothing: ClassVar[float] = 1e-7
     noise_power: ClassVar[float] = 0.75
@@ -45,7 +48,7 @@ class PretrainConfig:
             raise ValueError("patience must be >= 0")
         if self.nce_samples < 1:
             raise ValueError("nce_samples must be >= 1")
-        if self.objective not in ("nce", "softmax"):
+        if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown pre-training objective {self.objective!r}")
         check_learning_rate(self.learning_rate)
 

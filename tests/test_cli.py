@@ -16,10 +16,12 @@ from storypoint import baselines, cli
 from storypoint.cli import main
 from storypoint.corpus import (
     IssueRecord,
+    build_vocabulary,
     dataset_stats,
     filter_issues,
     load_bundled_corpus,
     read_corpus,
+    save_vocabulary,
     split_chronological,
     write_corpus,
 )
@@ -244,6 +246,15 @@ class TestIngestCli:
         assert run("ingest", "--base-url", url, "--jql", "q", "--sp-field", "customfield_10002",
                    "--out", out, "--max-issues", max_issues, "--rate-limit", 1e6) == 1
         assert "max_issues must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_rate_limit_exits_1(self, mock_jira, tmp_path, capsys):
+        mock_jira.script["issues"] = [jira_issue("ME-1")]
+        out = tmp_path / "fetched.jsonl"
+        url = f"http://127.0.0.1:{mock_jira.server_address[1]}"
+        assert run("ingest", "--base-url", url, "--jql", "q", "--sp-field", "customfield_10002",
+                   "--out", out, "--rate-limit", "nan") == 1
+        assert "rate_limit must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_auth_error_exits_1(self, mock_jira, tmp_path, capsys):
@@ -738,6 +749,77 @@ class TestCrossProjectCli:
         assert ((tmp_path / "cross" / "estimates.csv").read_bytes()
                 == (tmp_path / "estimates.csv").read_bytes())
 
+    def test_vocab_flag_as_train_takes_it(self, tmp_path):
+        # a 20-entry vocabulary outside the split: cross-project --vocab gives
+        # the estimates of train --vocab, then estimate
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(load_bundled_corpus(), corpus_path)
+        split, small = tmp_path / "split", tmp_path / "small"
+        for out, size in ((split, 50000), (small, 20)):
+            assert run("prepare", "--in", corpus_path, "--out-dir", out,
+                       "--min-project-size", 0, "--vocab-max-size", size) == 0
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes((small / "vocab.txt").read_bytes())
+        flags = ("--vocab", vocab, "--dim", 8, "--depth", 1, "--epochs", 3,
+                 "--batch-size", 16, "--seed", 5)
+        assert run("train", "--split-dir", split, "--out-dir", tmp_path / "model", *flags) == 0
+        assert (tmp_path / "model" / "vocab.txt").read_bytes() == vocab.read_bytes()
+        assert run("estimate", "--checkpoint", tmp_path / "model" / "model.ckpt",
+                   "--vocab", vocab, "--in", split / "test.jsonl",
+                   "--out", tmp_path / "estimates.csv") == 0
+        assert run("cross-project", "--source-dir", split, "--target-dir", split,
+                   "--out-dir", tmp_path / "cross", *flags) == 0
+        assert ((tmp_path / "cross" / "estimates.csv").read_bytes()
+                == (tmp_path / "estimates.csv").read_bytes())
+
+
+class TestTrainingFlagTable:
+    REQUIRED = {
+        "train": ("--split-dir", "{split}", "--out-dir", "{out}"),
+        "cross-project": ("--source-dir", "{split}", "--target-dir", "{split}",
+                          "--out-dir", "{out}"),
+        "pretrain": ("--corpus", "{split}/train.jsonl", "--vocab", "{vocab}",
+                     "--out-dir", "{out}"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_required_flags_alone_give_the_default_config(self, prepared, tmp_path,
+                                                          monkeypatch, command):
+        name = "PretrainConfig" if command == "pretrain" else "TrainConfig"
+        config_class, made = getattr(cli, name), []
+
+        def spy(**kwargs):  # record the config, then stop before any training
+            made.append(config_class(**kwargs))
+            raise cli.CliError("stopped")
+
+        monkeypatch.setattr(cli, name, spy)
+        vocab = tmp_path / "vocab.txt"  # more words than the default noise samples
+        save_vocabulary(build_vocabulary([[f"w{i}" for i in range(150)]]), vocab)
+        argv = [a.format(split=prepared, vocab=vocab, out=tmp_path / "run")
+                for a in self.REQUIRED[command]]
+        assert run(command, *argv) == 1
+        assert made == [config_class()]
+
+    def test_train_and_cross_project_take_the_same_training_flags(self):
+        subcommands = cli.build_parser()._subparsers._group_actions[0].choices
+
+        def flags(command, *own):
+            return {opt for action in subcommands[command]._actions
+                    for opt in action.option_strings} - set(own)
+
+        assert (flags("train", "--split-dir")
+                == flags("cross-project", "--source-dir", "--target-dir"))
+        assert {"--vocab", "--pretrained", "--learning-rate", "--seed"} <= flags("train")
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: storypoint {command}")
+
 
 class TestCsvCells:
     def test_every_numeric_cell_reads_back_as_a_float(self, prepared, tmp_path):
@@ -894,6 +976,26 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert "--model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, other", [("model", ("--out", "x.csv")),
+                                             ("out", ("--model", "mean"))])
+    def test_null_leaves_a_required_flag_required(self, prepared, tmp_path, capsys, flag,
+                                                  other):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({flag: None}))
+        with pytest.raises(SystemExit) as exc:
+            run("--config", config, "baseline", "--split-dir", prepared,
+                "--in", prepared / "test.jsonl", *other)
+        assert exc.value.code == 2
+        assert f"--{flag}" in capsys.readouterr().err
+
+    def test_null_is_taken_by_a_flag_that_defaults_to_none(self, prepared, tmp_path):
+        # an explicit flag also wins over a null
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"vocab": None, "pretrained": None, "seed": None}))
+        assert run("--config", config, "train", "--split-dir", prepared,
+                   "--out-dir", tmp_path / "m", "--dim", 6, "--depth", 2, "--epochs", 1,
+                   "--seed", 3) == 0
+
     def test_bad_config_file_exits_2(self, tmp_path):
         config = tmp_path / "broken.json"
         config.write_text("{not json")
@@ -905,6 +1007,9 @@ class TestConfigFile:
         ("[1, 2]", "must hold a JSON object, not list"),
         ('{"epochs": 1.5}', "argument --epochs: invalid int value: '1.5'"),
         ('{"mode": "bogus"}', "argument --mode: invalid choice: 'bogus'"),
+        ('{"seed": null}', "argument --seed: null in the config file"),
+        ('{"epochs": null}', "argument --epochs: null in the config file"),
+        ('{"mode": null}', "argument --mode: null in the config file"),
     ])
     def test_malformed_config_exits_2(self, prepared, tmp_path, capsys, content, message):
         config = tmp_path / "config.json"

@@ -123,6 +123,14 @@ class TestIngestConfig:
                          story_point_field="f", max_issues=max_issues)
         assert exc.value.kind == "config"
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -2.0])
+    def test_rate_limit_must_be_finite_and_positive(self, rate):
+        # a NaN rate passes `<= 0`, and TokenBucket.acquire then never sleeps
+        with pytest.raises(IngestError, match="rate_limit must be finite and positive") as exc:
+            IngestConfig(base_url="https://x.example", jql="x",
+                         story_point_field="f", rate_limit=rate)
+        assert exc.value.kind == "config"
+
     def test_trailing_slash_normalized(self):
         cfg = IngestConfig(base_url="https://x.example/", jql="x", story_point_field="f")
         assert cfg.base_url == "https://x.example"
