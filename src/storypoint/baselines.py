@@ -58,13 +58,8 @@ def bow_vectorize(tokens: list[str], vocab: Vocabulary) -> np.ndarray:
     The end-of-sequence sentinel is a tokenizer artifact, not a word, so it
     is left out of the counts.
     """
-    vec = np.zeros(len(vocab), dtype=np.float64)
-    eos = vocab.tokens[vocab.eos_id]
-    for tok in tokens:
-        if tok == eos:
-            continue
-        vec[vocab.index.get(tok, vocab.unk_id)] += 1.0
-    return vec
+    ids = np.array(vocab.encode(tokens), dtype=np.intp)
+    return np.bincount(ids[ids != vocab.eos_id], minlength=len(vocab)).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

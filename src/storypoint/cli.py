@@ -1,8 +1,9 @@
 """Command-line pipeline: ingest, prepare, pretrain, train, estimate,
 baseline, evaluate, cross-project, cluster-words.
 
-A JSON config file (--config) supplies defaults for any long flag name
-(dashes as underscores); explicit flags win. Artifacts are deterministic
+A JSON config file (--config) supplies defaults for the long flags of the
+subcommand, each key a flag name with dashes or underscores; explicit flags
+win, and a key that names no flag is a bad flag. Artifacts are deterministic
 given identical inputs, flags, and seed. Exit codes: 0 success, 1 runtime
 or transport failure, 2 bad flags.
 """
@@ -24,6 +25,7 @@ import numpy as np
 from . import baselines, evaluation
 from .corpus import (
     DEFAULT_MIN_PROJECT_SIZE,
+    TOKENIZER_MODES,
     CorpusError,
     build_vocabulary,
     compose_document,
@@ -67,12 +69,10 @@ class CliError(RuntimeError):
 def _add_model_flags(parser):
     parser.add_argument("--dim", type=int, default=50, help="embedding size")
     parser.add_argument("--depth", type=int, default=10, help="highway layer count")
-    parser.add_argument("--mode", choices=("word", "character"), default="word")
 
 
 def _model_config(args) -> ModelConfig:
-    return ModelConfig(embedding_dim=args.dim, highway_depth=args.depth,
-                       tokenizer_mode=args.mode)
+    return ModelConfig(embedding_dim=args.dim, highway_depth=args.depth)
 
 
 def _add_config_flags(parser, fields):
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", type=Path, required=True)
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--min-project-size", type=int, default=DEFAULT_MIN_PROJECT_SIZE)
-    p.add_argument("--mode", choices=("word", "character"), default="word")
+    p.add_argument("--mode", choices=TOKENIZER_MODES, default="word")
     p.add_argument("--vocab-min-count", type=int, default=1)
     p.add_argument("--vocab-max-size", type=int, default=50000)
 
@@ -146,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="feature table (required for cbr/cart/ols/lasso)")
     p.add_argument("--checkpoint", type=Path, default=None,
                    help="text-feature checkpoint (required for lstm-rf)")
-    p.add_argument("--mode", choices=("word", "character"), default="word")
     p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("evaluate", help="compare estimate files on the test split")
@@ -270,11 +269,10 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    vocab = load_vocabulary(args.vocab, mode=args.mode)
+    vocab = load_vocabulary(args.vocab)
     records = read_corpus(args.corpus)
     sequences = [encode_issue(r, vocab) for r in records]
-    config = PretrainConfig(**{f.name: getattr(args, f.name) for f in PRETRAIN_FIELDS}
-                            | {"nce_samples": min(args.nce_samples, len(vocab))})
+    config = PretrainConfig(**{f.name: getattr(args, f.name) for f in PRETRAIN_FIELDS})
     result = pretrain(sequences, len(vocab), _model_config(args), config, seed=args.seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = args.out_dir / "pretrain.ckpt"
@@ -288,18 +286,18 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _split_vocabulary(split_dir: Path, mode: str, path: Path | None = None):
+def _split_vocabulary(split_dir: Path, path: Path | None = None):
     """The vocabulary to train with: `path`, else the split's vocab.txt, which
-    alone may be absent (None: train then builds one)."""
+    alone may be absent (None: train then builds a word-mode one)."""
     vocab_path = path or split_dir / "vocab.txt"
-    return load_vocabulary(vocab_path, mode=mode) if path or vocab_path.exists() else None
+    return load_vocabulary(vocab_path) if path or vocab_path.exists() else None
 
 
 def _training_inputs(args, split_dir: Path) -> tuple[SplitDataset, dict]:
     """What train and cross-project read alike: the split (no test manifest)
     and the keyword arguments `train` takes beside it."""
     split = _load_split(split_dir, with_test=False)
-    return split, dict(vocab=_split_vocabulary(split_dir, args.mode, args.vocab),
+    return split, dict(vocab=_split_vocabulary(split_dir, args.vocab),
                        pretrained=load_checkpoint(args.pretrained) if args.pretrained else None,
                        model_config=_model_config(args),
                        config=TrainConfig(**{f.name: getattr(args, f.name) for f in TRAIN_FIELDS}))
@@ -323,7 +321,7 @@ def cmd_train(args) -> int:
 
 def cmd_estimate(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    vocab = load_vocabulary(args.vocab, mode=checkpoint.config.tokenizer_mode)
+    vocab = load_vocabulary(args.vocab)
     issues = read_corpus(args.input)
     pairs = estimate(checkpoint, vocab, issues)
     _write_estimates(args.out, pairs)
@@ -383,7 +381,7 @@ def _issues(args, partitions):  # mean, median and random read no features
 
 
 def _bow_rows(args, partitions):
-    vocab = load_vocabulary(args.split_dir / "vocab.txt", mode=args.mode)
+    vocab = load_vocabulary(args.split_dir / "vocab.txt")
     return [np.array([baselines.bow_vectorize(tokenize(compose_document(r), vocab.mode), vocab)
                       for r in records]).reshape(len(records), len(vocab))
             for records in partitions]
@@ -393,7 +391,7 @@ def _lstm_rows(args, partitions):
     if args.checkpoint is None:
         raise CliError("lstm-rf needs --checkpoint (text-feature weights)")
     checkpoint = load_checkpoint(args.checkpoint)
-    vocab = load_vocabulary(args.split_dir / "vocab.txt", mode=checkpoint.config.tokenizer_mode)
+    vocab = load_vocabulary(args.split_dir / "vocab.txt")
     if vocab.content_hash() != checkpoint.vocab_hash:
         raise CliError("checkpoint vocabulary does not match the split vocabulary")
     params = checkpoint.to_params()
@@ -530,7 +528,7 @@ def cmd_cross_project(args) -> int:
 
 def cmd_cluster_words(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    vocab = load_vocabulary(args.vocab, mode=checkpoint.config.tokenizer_mode)
+    vocab = load_vocabulary(args.vocab)
     if vocab.content_hash() != checkpoint.vocab_hash:
         raise CliError("checkpoint vocabulary does not match --vocab")
     pairs = evaluation.cluster_word_embeddings(
@@ -561,30 +559,36 @@ def main(argv=None) -> int:
     parser = build_parser()
     subcommands = parser._subparsers._group_actions[0].choices
     null = object()  # a config-file null for a flag that has a default
-    # apply config-file values as defaults before the real parse
+    # apply config-file values as defaults of the subcommand's flags before
+    # the real parse, which reports a missing or unknown subcommand
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", type=Path, default=None)
+    probe.add_argument("command", nargs="?")
     pre, _ = probe.parse_known_args(argv)
-    if pre.config is not None:
+    sub = subcommands.get(pre.command)
+    if pre.config is not None and sub is not None:
         try:
             overrides = json.loads(Path(pre.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config file: {exc}")
         if not isinstance(overrides, dict):
             parser.error(f"config file must hold a JSON object, not {type(overrides).__name__}")
-        renamed = {key.replace("-", "_"): value for key, value in overrides.items()}
-        for sub in subcommands.values():
-            for action in sub._actions:
-                value = renamed.get(action.dest)
-                if action.dest not in renamed or value is None and action.required:
-                    continue  # a required flag the file gives no value stays required
-                if value is None and action.default is not None:
-                    value = null  # refused below unless the flag is given
-                elif value is not None and action.type is not None:
-                    # argparse converts string defaults with the flag's type,
-                    # so a value of the wrong type fails as a bad flag would
-                    value = str(value)
-                action.default, action.required = value, False
+        flags = {option[2:].replace("-", "_"): action for action in sub._actions
+                 if action.dest != "help" for option in action.option_strings
+                 if option.startswith("--")}
+        for key, value in overrides.items():
+            action = flags.get(key.replace("-", "_"))
+            if action is None:
+                sub.error(f"config file key {key!r} names no flag of {pre.command}")
+            if value is None and action.required:
+                continue  # a required flag the file gives no value stays required
+            if value is None and action.default is not None:
+                value = null  # refused below unless the flag is given
+            elif value is not None and action.type is not None:
+                # argparse converts string defaults with the flag's type,
+                # so a value of the wrong type fails as a bad flag would
+                value = str(value)
+            action.default, action.required = value, False
     args = parser.parse_args(argv)
     sub = subcommands[args.command]
     for action in sub._actions:  # argparse checks the choices of given flags only

@@ -22,6 +22,7 @@ EOS_TOKEN = "<eos>"
 
 MAX_STORY_POINTS = 100.0
 DEFAULT_MIN_PROJECT_SIZE = 300
+TOKENIZER_MODES = ("word", "character")
 
 
 class CorpusError(ValueError):
@@ -249,17 +250,16 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-def load_vocabulary(path: str | Path, mode: str = "word") -> Vocabulary:
-    """Read a vocabulary file for a caller that tokenizes in `mode`.
+def load_vocabulary(path: str | Path) -> Vocabulary:
+    """Read a vocabulary file in the tokenizer mode its header names.
 
-    Raises CorpusError when the file's mode header names another mode; a
-    file without the header is read as `mode`.
+    Raises CorpusError when the first line is not a mode header.
     """
     lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if lines[0].startswith(MODE_HEADER):
-        header = lines.pop(0)[len(MODE_HEADER):]
-        if header != mode:
-            raise CorpusError(f"vocabulary file {path} is for {header!r} tokens, not {mode!r}")
+    mode = lines.pop(0)[len(MODE_HEADER):] if lines[0].startswith(MODE_HEADER) else None
+    if mode not in TOKENIZER_MODES:
+        raise CorpusError(f"vocabulary file {path} does not start with a line "
+                          + " or ".join(MODE_HEADER + m for m in TOKENIZER_MODES))
     tokens = [_unescape_token(line) if "\\" in line else line for line in lines if line != ""]
     if len(tokens) < 2 or tokens[0] != UNK_TOKEN or tokens[1] != EOS_TOKEN:
         raise CorpusError(f"vocabulary file {path} lacks reserved tokens")

@@ -39,7 +39,6 @@ class ModelConfig:
     highway_depth: int = 10
     dropout_lstm: float = 0.2
     dropout_highway: float = 0.5
-    tokenizer_mode: str = "word"
 
     def __post_init__(self):
         if self.embedding_dim < 1:
@@ -52,7 +51,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelConfig":
-        return cls(**obj)
+        # older checkpoints also name the tokenizer mode, which their
+        # vocabulary hash already fixes
+        return cls(**{key: value for key, value in obj.items() if key != "tokenizer_mode"})
 
 
 @dataclass
@@ -170,9 +171,9 @@ class KeepBits:
 
 def _drop(a: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
     """Mask a in place with keep bits and their scale, and return it. The
-    bits are those of a * numerics.dropout_scale(keep, rate): a kept cell
-    is a * scale, a dropped one a * 0.0 (a signed zero, or NaN for inf and
-    NaN)."""
+    bits are those of a times the float mask keep / (1 - rate): a kept
+    cell is a * scale, a dropped one a * 0.0 (a signed zero, or NaN for inf
+    and NaN)."""
     a *= keep
     a *= scale
     return a

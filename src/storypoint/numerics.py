@@ -191,8 +191,3 @@ def dropout_keep(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
     if rate == 0:
         return np.ones(shape, dtype=bool)
     return rng.random(shape) >= rate
-
-
-def dropout_scale(keep: np.ndarray, rate: float) -> np.ndarray:
-    """The mask of some keep bits: 1/(1-rate) where kept, else 0."""
-    return keep.astype(np.float64) / (1.0 - rate)

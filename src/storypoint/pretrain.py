@@ -10,6 +10,7 @@ objective.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -65,10 +66,8 @@ def unigram_noise_distribution(sequences: list[list[int]], vocab_size: int,
     Add-one smoothing keeps every vocabulary entry sampleable so targets
     absent from the noise-fitting corpus still get a finite noise odds term.
     """
-    counts = np.ones(vocab_size, dtype=np.float64)
-    for seq in sequences:
-        np.add.at(counts, np.asarray(seq, dtype=np.int64), 1.0)
-    weights = counts**power
+    ids = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64)
+    weights = (np.bincount(ids, minlength=vocab_size) + 1.0) ** power
     return weights / weights.sum()
 
 

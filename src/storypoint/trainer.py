@@ -91,23 +91,19 @@ def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     """Fit the regressor on split.train, keeping the weights of the epoch
     with the best validation MAE (early stopping and aborts: `numerics._run_epochs`).
 
-    The vocabulary comes from train+valid text only; pass one explicitly to
-    reuse the vocabulary a pre-training run was built on (the hashes must
-    match the pretrained checkpoint).
+    Without `vocab`, a word-mode vocabulary is built from train+valid text
+    only; pass one to train in its tokenizer mode or to reuse the vocabulary
+    a pre-training run was built on (the hashes must match the pretrained
+    checkpoint).
     """
     if not split.train or not split.valid:
         raise TrainerError("split must have non-empty train and valid partitions")
     if any(r.story_points is None for r in split.train + split.valid):
         raise TrainerError("training requires labeled issues")
     if vocab is None:
-        docs = [
-            tokenize(compose_document(r), model_config.tokenizer_mode)
-            for r in split.train + split.valid
-        ]
-        vocab = build_vocabulary(docs, mode=model_config.tokenizer_mode)
+        docs = [tokenize(compose_document(r)) for r in split.train + split.valid]
+        vocab = build_vocabulary(docs)
         seqs = [vocab.encode(doc) for doc in docs]
-    elif vocab.mode != model_config.tokenizer_mode:
-        raise TrainerError("vocabulary mode does not match the model tokenizer mode")
     else:
         seqs = [encode_issue(r, vocab) for r in split.train + split.valid]
     vocab_hash = vocab.content_hash()
@@ -168,8 +164,6 @@ def estimate(checkpoint: Checkpoint, vocab: Vocabulary,
                            f"not a {checkpoint.kind!r} one")
     if vocab.content_hash() != checkpoint.vocab_hash:
         raise TrainerError("vocabulary does not match the checkpoint")
-    if vocab.mode != checkpoint.config.tokenizer_mode:
-        raise TrainerError("vocabulary mode does not match the checkpoint")
     if not issues:
         return []
     params = checkpoint.to_params()

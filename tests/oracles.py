@@ -10,7 +10,7 @@ from storypoint.baselines import _tree_walk
 from storypoint.corpus import EOS_TOKEN
 from storypoint.model import (SUPERVISED_TENSORS, _highway_backward, _highway_forward,
                               _run_shards, embed, pad_batch)
-from storypoint.numerics import dropout_scale, log_sigmoid, sigmoid
+from storypoint.numerics import log_sigmoid, sigmoid
 from storypoint.parallel import shard_bounds
 from storypoint.pretrain import PretrainError
 
@@ -81,6 +81,11 @@ def lstm_backward_steps(d_states, mask, cache, params, grads, out=None):
         dh_next = dpre @ params.lstm_wh.T
         dc_next = dc * f_t
     return dx
+
+
+def dropout_scale(keep, rate):
+    """The float mask of some keep bits: 1/(1-rate) where kept, else 0."""
+    return keep.astype(np.float64) / (1.0 - rate)
 
 
 def masked_loss_and_grads(sequences, targets, params, config, masks):

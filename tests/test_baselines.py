@@ -25,7 +25,8 @@ from storypoint.baselines import (
     rf_fit,
     rf_predict,
 )
-from storypoint.corpus import EOS_TOKEN, build_vocabulary
+from storypoint.corpus import (EOS_TOKEN, build_vocabulary, compose_document,
+                               load_bundled_corpus, tokenize)
 from storypoint.numerics import make_rng
 
 
@@ -97,6 +98,16 @@ class TestBagOfWords:
         vocab = build_vocabulary([["a"]], min_count=1)
         vec = bow_vectorize(["mystery", "a"], vocab)
         assert vec[vocab.unk_id] == 1
+
+    def test_counts_equal_those_of_a_token_loop(self):
+        docs = [tokenize(compose_document(r)) for r in load_bundled_corpus()]
+        vocab = build_vocabulary(docs[:40], min_count=1)  # later issues hold unknown words
+        for doc in docs:
+            want = np.zeros(len(vocab))
+            for tok in doc:
+                if tok != EOS_TOKEN:
+                    want[vocab.index.get(tok, vocab.unk_id)] += 1.0
+            np.testing.assert_array_equal(bow_vectorize(doc, vocab), want)
 
 
 def oracle_cart(x, y, rows, min_leaf):

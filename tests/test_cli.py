@@ -20,6 +20,7 @@ from storypoint.corpus import (
     dataset_stats,
     filter_issues,
     load_bundled_corpus,
+    load_vocabulary,
     read_corpus,
     save_vocabulary,
     split_chronological,
@@ -56,6 +57,16 @@ def prepared(tmp_path):
     out = tmp_path / "out"
     assert run("prepare", "--in", corpus_path, "--out-dir", out,
                "--min-project-size", 0) == 0
+    return out
+
+
+@pytest.fixture
+def prepared_characters(tmp_path):
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_corpus(load_bundled_corpus(), corpus_path)
+    out = tmp_path / "characters"
+    assert run("prepare", "--in", corpus_path, "--out-dir", out,
+               "--min-project-size", 0, "--mode", "character") == 0
     return out
 
 
@@ -174,8 +185,6 @@ class TestPrepare:
                    for name in ("train", "valid", "test")) == 10
 
     def test_vocab_is_reusable(self, prepared):
-        from storypoint.corpus import load_vocabulary
-
         vocab = load_vocabulary(prepared / "vocab.txt")
         assert "easy" in vocab.index
 
@@ -403,11 +412,24 @@ class TestTrainCli:
         assert "patience must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "p" / "pretrain.ckpt").exists()
 
-    def test_character_mode_on_word_vocabulary_fails(self, prepared, tmp_path, capsys):
-        assert run("train", "--split-dir", prepared, "--out-dir", tmp_path / "m",
-                   "--dim", 6, "--depth", 2, "--epochs", 1, "--mode", "character") == 1
-        assert "'word' tokens, not 'character'" in capsys.readouterr().err
-        assert not (tmp_path / "m" / "model.ckpt").exists()
+    def test_character_mode_on_word_vocabulary_fails(self, prepared, prepared_characters,
+                                                     tmp_path, capsys):
+        # the vocabulary hash a checkpoint records covers the tokenizer mode
+        assert run("train", "--split-dir", prepared_characters, "--out-dir", tmp_path / "m",
+                   "--dim", 6, "--depth", 2, "--epochs", 1) == 0
+        assert run("estimate", "--checkpoint", tmp_path / "m" / "model.ckpt",
+                   "--vocab", prepared / "vocab.txt", "--in", prepared / "test.jsonl",
+                   "--out", tmp_path / "est.csv") == 1
+        assert "vocabulary does not match the checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "est.csv").exists()
+
+    def test_nce_samples_above_the_vocabulary_size_fail(self, prepared, tmp_path, capsys):
+        # the default of 100 noise samples exceeds the 39 entries
+        assert run("pretrain", "--corpus", prepared / "train.jsonl",
+                   "--vocab", prepared / "vocab.txt", "--out-dir", tmp_path / "p",
+                   "--dim", 6, "--depth", 2, "--epochs", 1) == 1
+        assert "nce_samples may not exceed the vocabulary size" in capsys.readouterr().err
+        assert not (tmp_path / "p" / "pretrain.ckpt").exists()
 
     def test_pretrained_dim_mismatch_fails(self, prepared, tmp_path, capsys):
         pre_dir = tmp_path / "pre"
@@ -419,6 +441,81 @@ class TestTrainCli:
                    "--dim", 8, "--depth", 2, "--epochs", 1,
                    "--pretrained", pre_dir / "pretrain.ckpt") == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestTokenizerMode:
+    """The vocabulary file's #mode= header is the one source of the mode."""
+
+    def test_character_pipeline_takes_the_mode_from_the_vocabulary(
+            self, prepared_characters, tmp_path):
+        split, vocab_path = prepared_characters, prepared_characters / "vocab.txt"
+        vocab = load_vocabulary(vocab_path)
+        assert vocab.mode == "character" and all(len(t) == 1 for t in vocab.tokens[2:])
+        model = ("--dim", 6, "--depth", 2, "--epochs", 1, "--batch-size", 16)
+        assert run("pretrain", "--corpus", split / "train.jsonl", "--vocab", vocab_path,
+                   "--out-dir", tmp_path / "pre", "--nce-samples", 5, *model) == 0
+        assert run("train", "--split-dir", split, "--out-dir", tmp_path / "m",
+                   "--pretrained", tmp_path / "pre" / "pretrain.ckpt", *model) == 0
+        for name in ("pre/pretrain.ckpt", "m/model.ckpt"):
+            assert load_checkpoint(tmp_path / name).vocab_hash == vocab.content_hash()
+        assert (tmp_path / "m" / "vocab.txt").read_bytes() == vocab_path.read_bytes()
+        assert run("estimate", "--checkpoint", tmp_path / "m" / "model.ckpt",
+                   "--vocab", vocab_path, "--in", split / "test.jsonl",
+                   "--out", tmp_path / "est.csv") == 0
+        assert run("baseline", "--model", "bow-rf", "--split-dir", split,
+                   "--in", split / "test.jsonl", "--out", tmp_path / "bow.csv") == 0
+        test_keys = [r.issue_key for r in read_corpus(split / "test.jsonl")]
+        for name in ("est.csv", "bow.csv"):
+            with (tmp_path / name).open() as fh:
+                assert [row["issue_key"] for row in csv.DictReader(fh)] == test_keys
+
+    UNRECOGNIZED = "unrecognized arguments: --mode word"
+
+    @pytest.mark.parametrize("command, argv, message", [
+        ("pretrain", ("--corpus", "c.jsonl", "--vocab", "v.txt", "--out-dir", "o"),
+         UNRECOGNIZED),
+        ("train", ("--split-dir", "s", "--out-dir", "o"), UNRECOGNIZED),
+        ("cross-project", ("--source-dir", "s", "--target-dir", "t", "--out-dir", "o"),
+         UNRECOGNIZED),
+        # argparse reads --mode as an abbreviation of baseline's --model
+        ("baseline", ("--model", "mean", "--split-dir", "s", "--in", "t.jsonl",
+                      "--out", "o.csv"), "argument --model: invalid choice: 'word'"),
+    ])
+    def test_mode_flag_exits_2(self, command, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(command, *argv, "--mode", "word")
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_vocabulary_without_a_mode_header_fails(self, prepared, tmp_path, capsys):
+        headless = tmp_path / "vocab.txt"
+        lines = (prepared / "vocab.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[0] == "#mode=word\n"
+        headless.write_text("".join(lines[1:]), encoding="utf-8")
+        assert run("train", "--split-dir", prepared, "--out-dir", tmp_path / "m",
+                   "--vocab", headless, "--dim", 6, "--depth", 2, "--epochs", 1) == 1
+        assert "does not start with a line #mode=word or #mode=character" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "m").exists()
+
+    def test_checkpoint_that_records_a_tokenizer_mode_still_loads(self, prepared, tmp_path):
+        # checkpoints written while ModelConfig held the mode name it in the header
+        assert run("train", "--split-dir", prepared, "--out-dir", tmp_path / "m",
+                   "--dim", 6, "--depth", 2, "--epochs", 1) == 0
+        current = tmp_path / "m" / "model.ckpt"
+        data = current.read_bytes()
+        end = 16 + int.from_bytes(data[8:16], "big")
+        header = json.loads(data[16:end])
+        header["config"]["tokenizer_mode"] = "word"
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        older = tmp_path / "older.ckpt"
+        older.write_bytes(data[:8] + len(blob).to_bytes(8, "big") + blob + data[end:])
+        assert b',"tokenizer_mode":"word"}' in older.read_bytes()
+        assert load_checkpoint(older).config == load_checkpoint(current).config
+        for ckpt, out in ((current, "new.csv"), (older, "old.csv")):
+            assert run("estimate", "--checkpoint", ckpt, "--vocab", prepared / "vocab.txt",
+                       "--in", prepared / "test.jsonl", "--out", tmp_path / out) == 0
+        assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
 
 
 class TestBaselineCli:
@@ -1006,10 +1103,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("content, message", [
         ("[1, 2]", "must hold a JSON object, not list"),
         ('{"epochs": 1.5}', "argument --epochs: invalid int value: '1.5'"),
-        ('{"mode": "bogus"}', "argument --mode: invalid choice: 'bogus'"),
         ('{"seed": null}', "argument --seed: null in the config file"),
         ('{"epochs": null}', "argument --epochs: null in the config file"),
-        ('{"mode": null}', "argument --mode: null in the config file"),
     ])
     def test_malformed_config_exits_2(self, prepared, tmp_path, capsys, content, message):
         config = tmp_path / "config.json"
@@ -1019,3 +1114,45 @@ class TestConfigFile:
                 "--out-dir", tmp_path / "m")
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"mode": "bogus"}', "argument --mode: invalid choice: 'bogus'"),
+        ('{"mode": null}', "argument --mode: null in the config file"),
+    ])
+    def test_malformed_mode_on_prepare_exits_2(self, tmp_path, capsys, content, message):
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            run("--config", config, "prepare", "--in", tmp_path / "c.jsonl",
+                "--out-dir", tmp_path / "o")
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_keys_are_flag_names_with_dashes_or_underscores(self, tmp_path):
+        corpus_path = tmp_path / "corpus.jsonl"
+        write_corpus(load_bundled_corpus(), corpus_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"in": str(corpus_path), "out-dir": str(tmp_path / "a"),
+                                      "min_project_size": 0}))
+        assert run("--config", config, "prepare") == 0
+        assert run("prepare", "--in", corpus_path, "--out-dir", tmp_path / "b",
+                   "--min-project-size", 0) == 0
+        for name in ("vocab.txt", "stats.json", "train.jsonl"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("prepare", {"input": "c.jsonl"}),
+        ("prepare", {"min-project-sise": 0}),
+        ("train", {"mode": "word"}),
+    ])
+    def test_key_that_names_no_flag_exits_2(self, tmp_path, capsys, command, overrides):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(overrides))
+        argv = {"prepare": ("--in", "c.jsonl", "--out-dir", "o"),
+                "train": ("--split-dir", "s", "--out-dir", "o")}[command]
+        with pytest.raises(SystemExit) as exc:
+            run("--config", config, command, *argv)
+        assert exc.value.code == 2
+        key, = overrides
+        assert f"config file key {key!r} names no flag of {command}" in (
+            capsys.readouterr().err)

@@ -366,7 +366,7 @@ class TestVocabularyFiles:
         vocab = build_vocabulary(docs, min_count=1, mode="character")
         path = tmp_path / "vocab.txt"
         save_vocabulary(vocab, path)
-        loaded = load_vocabulary(path, mode="character")
+        loaded = load_vocabulary(path)
         assert loaded.tokens == vocab.tokens
         assert loaded.mode == "character"
 
@@ -376,33 +376,33 @@ class TestVocabularyFiles:
                   "\\\\n"]
         path = tmp_path / "vocab.txt"
         save_vocabulary(corpus.Vocabulary(tokens=tokens, mode="character"), path)
-        assert load_vocabulary(path, mode="character").tokens == tokens
+        assert load_vocabulary(path).tokens == tokens
         # backslashes pair left to right; one that starts no escape stays
-        path.write_text("\n".join([*tokens[:2], "lone\\", "\\\\n", "\\x"]) + "\n")
-        assert load_vocabulary(path, mode="character").tokens[2:] == ["lone\\", "\\n", "\\x"]
+        path.write_text("\n".join(["#mode=character", *tokens[:2], "lone\\", "\\\\n", "\\x"])
+                        + "\n")
+        assert load_vocabulary(path).tokens[2:] == ["lone\\", "\\n", "\\x"]
 
     def test_hash_changes_with_content(self):
         v1 = build_vocabulary([["a"]], min_count=1)
         v2 = build_vocabulary([["b"]], min_count=1)
         assert v1.content_hash() != v2.content_hash()
 
-    def test_mode_header_must_match_the_callers_mode(self, tmp_path):
+    def test_mode_comes_from_the_header(self, tmp_path):
         path = tmp_path / "vocab.txt"
-        save_vocabulary(build_vocabulary([["alpha"]], min_count=1), path)
-        with pytest.raises(CorpusError, match="'word' tokens, not 'character'"):
-            load_vocabulary(path, mode="character")
-        chars = build_vocabulary([tokenize("ab", "character")], min_count=1, mode="character")
-        save_vocabulary(chars, path)
-        with pytest.raises(CorpusError):
-            load_vocabulary(path)
-        assert load_vocabulary(path, mode="character").tokens == chars.tokens
+        for mode in corpus.TOKENIZER_MODES:
+            vocab = build_vocabulary([tokenize("ab ab", mode)], min_count=1, mode=mode)
+            save_vocabulary(vocab, path)
+            loaded = load_vocabulary(path)
+            assert loaded.mode == mode and loaded.tokens == vocab.tokens
+            assert loaded.content_hash() == vocab.content_hash()
 
-    def test_file_without_header_takes_the_callers_mode(self, tmp_path):
+    def test_file_without_a_mode_header_is_refused(self, tmp_path):
         path = tmp_path / "vocab.txt"
-        path.write_text("<unk>\n<eos>\na\nb\n", encoding="utf-8")
-        for mode in ("word", "character"):
-            loaded = load_vocabulary(path, mode=mode)
-            assert loaded.tokens == ["<unk>", "<eos>", "a", "b"] and loaded.mode == mode
+        for text in ("<unk>\n<eos>\na\nb\n", "#mode=bogus\n<unk>\n<eos>\n", ""):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(CorpusError, match="does not start with a line "
+                                                  "#mode=word or #mode=character"):
+                load_vocabulary(path)
 
 
 class TestBundledCorpus:

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import (grad_check, lstm_backward_steps, lstm_forward_steps, masked_loss_and_grads,
-                     masked_sigmoid)
+from oracles import (dropout_scale, grad_check, lstm_backward_steps, lstm_forward_steps,
+                     masked_loss_and_grads, masked_sigmoid)
 from storypoint import model as model_module
 from storypoint import pretrain as pretrain_module
 from storypoint.model import (
@@ -33,7 +33,7 @@ from storypoint.model import (
     zero_params,
 )
 from storypoint.model import _drop, _highway_forward, _lstm_backward, _lstm_forward
-from storypoint.numerics import dropout_keep, dropout_scale, make_rng, sigmoid
+from storypoint.numerics import dropout_keep, make_rng, sigmoid
 from storypoint.pretrain import perplexity
 from storypoint.trainer import predict_points
 

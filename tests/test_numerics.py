@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import grad_check, log_softmax_rows, masked_sigmoid
+from oracles import dropout_scale, grad_check, log_softmax_rows, masked_sigmoid
 from storypoint.pretrain import PretrainConfig
 from storypoint.trainer import TrainConfig
 from storypoint.numerics import (
@@ -12,7 +12,6 @@ from storypoint.numerics import (
     RmsPropState,
     _run_epochs,
     dropout_keep,
-    dropout_scale,
     log_sigmoid,
     make_rng,
     sigmoid,

@@ -354,6 +354,16 @@ class TestPretrain:
         assert np.all(q > 0)
         assert q[2] > q[3]
 
+    def test_noise_distribution_is_that_of_add_one_counts(self):
+        seqs = [[2, 2, 7], [], np.array([0, 9, 2]), [9]]
+        counts = np.ones(10)
+        for seq in seqs:
+            np.add.at(counts, np.asarray(seq, dtype=np.int64), 1.0)
+        weights = counts**0.75
+        np.testing.assert_array_equal(unigram_noise_distribution(seqs, 10),
+                                      weights / weights.sum())
+        np.testing.assert_array_equal(unigram_noise_distribution([], 4), np.full(4, 0.25))
+
     def test_numeric_blow_up_aborts_with_best_weights(self):
         vocab, seqs = periodic_corpus(copies=10, periods=2)
         config = ModelConfig(embedding_dim=5)
