@@ -93,14 +93,17 @@ def _add_training_flags(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: an abbreviated or removed flag must not
+    # parse as another one (--mode as --model)
     parser = argparse.ArgumentParser(
-        prog="storypoint", description="Story-point estimation pipeline"
+        prog="storypoint", description="Story-point estimation pipeline", allow_abbrev=False
     )
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON file with default values for any flag")
-    sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(
+        parser.add_subparsers(dest="command", required=True).add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("ingest", help="fetch issues from a JIRA server")
+    p = add_parser("ingest", help="fetch issues from a JIRA server")
     p.add_argument("--base-url", required=True)
     p.add_argument("--jql", required=True)
     p.add_argument("--sp-field", required=True, help="story-point custom field id")
@@ -109,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-issues", type=int, default=None)
     p.add_argument("--rate-limit", type=float, default=2.0)
 
-    p = sub.add_parser("prepare", help="filter, split, and summarize a corpus")
+    p = add_parser("prepare", help="filter, split, and summarize a corpus")
     p.add_argument("--in", dest="input", type=Path, required=True)
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--min-project-size", type=int, default=DEFAULT_MIN_PROJECT_SIZE)
@@ -117,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-min-count", type=int, default=1)
     p.add_argument("--vocab-max-size", type=int, default=50000)
 
-    p = sub.add_parser("pretrain", help="language-model pre-training")
+    p = add_parser("pretrain", help="language-model pre-training")
     p.add_argument("--corpus", type=Path, required=True, help="issues for unsupervised training")
     p.add_argument("--vocab", type=Path, required=True)
     p.add_argument("--out-dir", type=Path, required=True)
@@ -125,18 +128,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, PRETRAIN_FIELDS)
     p.add_argument("--seed", type=int, default=42)
 
-    p = sub.add_parser("train", help="supervised training on a prepared split")
+    p = add_parser("train", help="supervised training on a prepared split")
     p.add_argument("--split-dir", type=Path, required=True)
     p.add_argument("--out-dir", type=Path, required=True)
     _add_training_flags(p)
 
-    p = sub.add_parser("estimate", help="score issues with a trained checkpoint")
+    p = add_parser("estimate", help="score issues with a trained checkpoint")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--vocab", type=Path, required=True)
     p.add_argument("--in", dest="input", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
 
-    p = sub.add_parser("baseline", help="fit a baseline and score issues")
+    p = add_parser("baseline", help="fit a baseline and score issues")
     p.add_argument("--model", choices=BASELINES, required=True)
     p.add_argument("--split-dir", type=Path, required=True)
     p.add_argument("--in", dest="input", type=Path, required=True,
@@ -148,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="text-feature checkpoint (required for lstm-rf)")
     p.add_argument("--seed", type=int, default=42)
 
-    p = sub.add_parser("evaluate", help="compare estimate files on the test split")
+    p = add_parser("evaluate", help="compare estimate files on the test split")
     p.add_argument("--split-dir", type=Path, required=True)
     p.add_argument("--estimates", nargs="+", required=True, metavar="NAME=PATH")
     p.add_argument("--pairs", default="", help="comma-separated NAME:NAME pairs")
@@ -157,13 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", type=Path, default=None, help="also write rows as CSV")
 
-    p = sub.add_parser("cross-project", help="train on one project, test on another")
+    p = add_parser("cross-project", help="train on one project, test on another")
     p.add_argument("--source-dir", type=Path, required=True)
     p.add_argument("--target-dir", type=Path, required=True)
     p.add_argument("--out-dir", type=Path, required=True)
     _add_training_flags(p)
 
-    p = sub.add_parser("cluster-words", help="k-means clusters of learned embeddings")
+    p = add_parser("cluster-words", help="k-means clusters of learned embeddings")
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--vocab", type=Path, required=True)
     p.add_argument("--top", type=int, default=500)
@@ -201,9 +204,29 @@ def _write_estimates(path: Path, estimates, column: str = "estimate") -> None:
 
 
 def _read_estimates(path: Path) -> list[tuple[str, float]]:
+    """(issue_key, estimate) rows of an estimates CSV. A missing column, an
+    estimate that is not a finite number and a repeated issue_key are
+    refused, naming the file and the line."""
+    pairs, seen = [], set()
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        return [(row["issue_key"], float(row["estimate"])) for row in reader]
+        for column in ("issue_key", "estimate"):
+            if column not in (reader.fieldnames or []):
+                raise CliError(f"{path}: no {column} column")
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            key, cell = row["issue_key"], row["estimate"]
+            try:
+                value = float(cell)
+            except (TypeError, ValueError):  # TypeError: a row short of cells
+                raise CliError(f"{where}: estimate {cell!r} is not a number") from None
+            if not np.isfinite(value):
+                raise CliError(f"{where}: estimate {cell!r} is not finite")
+            if key in seen:
+                raise CliError(f"{where}: issue_key {key!r} is repeated")
+            seen.add(key)
+            pairs.append((key, value))
+    return pairs
 
 
 def _write_curve(path: Path, header: list[str], curve: list[dict]) -> None:
@@ -561,7 +584,7 @@ def main(argv=None) -> int:
     null = object()  # a config-file null for a flag that has a default
     # apply config-file values as defaults of the subcommand's flags before
     # the real parse, which reports a missing or unknown subcommand
-    probe = argparse.ArgumentParser(add_help=False)
+    probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config", type=Path, default=None)
     probe.add_argument("command", nargs="?")
     pre, _ = probe.parse_known_args(argv)

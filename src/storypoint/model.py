@@ -145,13 +145,17 @@ class DropoutMasks:
         return DropoutMasks(self.lstm_in[start:stop], self.lstm_out[start:stop],
                             self.highway[start:stop])
 
-    def for_steps(self, steps: int, config: ModelConfig) -> "KeepBits":
-        """The keep bits over the first `steps` steps, unpacked, with the
-        scales 1 / (1 - rate)."""
-        d = config.embedding_dim
+    def for_steps(self, mask: np.ndarray, config: ModelConfig) -> "KeepBits":
+        """The keep bits of a padded batch with this (B, T) 0/1 mask,
+        unpacked, the LSTM's cleared at padding, with the scales
+        1 / (1 - rate)."""
+        d, steps = config.embedding_dim, mask.shape[1]
         lstm_in, lstm_out, highway = (
             np.unpackbits(bits, axis=-1, count=d).view(bool)
             for bits in (self.lstm_in[:, :steps], self.lstm_out[:, :steps], self.highway))
+        live = mask[:, :, None] > 0
+        lstm_in &= live
+        lstm_out &= live
         return KeepBits(lstm_in, lstm_out, highway, 1.0 / (1.0 - config.dropout_lstm),
                         1.0 / (1.0 - config.dropout_highway))
 
@@ -160,7 +164,8 @@ class DropoutMasks:
 class KeepBits:
     """A shard's dropout keep bits, one bool per cell, and the scales of
     inverted dropout. _drop applies them to an array in place, so no float
-    mask as large as the array is ever made."""
+    mask as large as the array is ever made. The LSTM's bits are cleared
+    at padding, so one multiply applies the mask and the dropout."""
 
     lstm_in: np.ndarray   # (B, T, d) bool
     lstm_out: np.ndarray  # (B, T, d) bool
@@ -169,14 +174,31 @@ class KeepBits:
     highway_scale: float  # 1 / (1 - dropout_highway)
 
 
-def _drop(a: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
-    """Mask a in place with keep bits and their scale, and return it. The
-    bits are those of a times the float mask keep / (1 - rate): a kept
-    cell is a * scale, a dropped one a * 0.0 (a signed zero, or NaN for inf
-    and NaN)."""
-    a *= keep
-    a *= scale
-    return a
+def _drop(a: np.ndarray, keep: np.ndarray, scale: float,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """Mask a with keep bits and their scale, in place or into `out`, and
+    return the result. The bits are those of a times the float mask
+    keep / (1 - rate): a kept cell is a * scale, a dropped one a * 0.0 (a
+    signed zero, or NaN for inf and NaN). A scale of 1.0 is not multiplied
+    in: it changes no bit."""
+    out = np.multiply(a, keep, out=a if out is None else out)
+    if scale != 1.0:
+        out *= scale
+    return out
+
+
+def _packed_keep(shape: tuple, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """dropout_keep(shape, rate, rng) packed along the last axis, drawn
+    INFERENCE_ROW_STEPS rows of the last axis at a time: the same stream in
+    the same order, so the same bits and the same next draw, with no
+    float array larger than a block."""
+    d = shape[-1]
+    rows = math.prod(shape[:-1])
+    packed = np.empty((rows, -(-d // 8)), dtype=np.uint8)
+    for start in range(0, rows, INFERENCE_ROW_STEPS):
+        stop = min(start + INFERENCE_ROW_STEPS, rows)
+        packed[start:stop] = np.packbits(dropout_keep((stop - start, d), rate, rng), axis=-1)
+    return packed.reshape(*shape[:-1], packed.shape[1])
 
 
 def make_dropout_masks(batch: int, steps: int, config: ModelConfig,
@@ -185,9 +207,9 @@ def make_dropout_masks(batch: int, steps: int, config: ModelConfig,
     and packed along the last axis."""
     d = config.embedding_dim
     return DropoutMasks(
-        lstm_in=np.packbits(dropout_keep((batch, steps, d), config.dropout_lstm, rng), axis=-1),
-        lstm_out=np.packbits(dropout_keep((batch, steps, d), config.dropout_lstm, rng), axis=-1),
-        highway=np.packbits(dropout_keep((batch, d), config.dropout_highway, rng), axis=-1),
+        lstm_in=_packed_keep((batch, steps, d), config.dropout_lstm, rng),
+        lstm_out=_packed_keep((batch, steps, d), config.dropout_lstm, rng),
+        highway=_packed_keep((batch, d), config.dropout_highway, rng),
     )
 
 
@@ -218,23 +240,50 @@ def length_batches(lengths, batch_size: int, rng: np.random.Generator) -> list[n
     return [batches[i] for i in rng.permutation(len(batches))]
 
 
-def _lstm_forward(x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, dict]:
-    """Run the LSTM over x (B, T, d); returns output states and a cache.
+@dataclass
+class _LstmInputs:
+    """The LSTM inputs of a padded batch, kept as what makes them instead
+    of as a (B, T, d) array: the embedding rows of ids times keep bits (the
+    0/1 mask, or dropout bits cleared at padding) and their scale. at(t)
+    makes one step with the multiplies of the whole array, so its bits are
+    those of the whole array's step t."""
+
+    ids: np.ndarray   # (B, T)
+    mask: np.ndarray  # (B, T) 0/1
+    emb: np.ndarray   # (V, d)
+    keep: np.ndarray  # (B, T, d) or (B, T, 1) bool
+    scale: float
+
+    def at(self, t: int | None = None) -> np.ndarray:
+        """The inputs of step t (B, d), or of every step (B, T, d) when t
+        is None; only the latter checks the ids."""
+        if t is None:
+            return _drop(embed(self.ids, self.emb), self.keep, self.scale)
+        return _drop(self.emb[self.ids[:, t]], self.keep[:, t], self.scale)
+
+
+def _lstm_forward(inputs: _LstmInputs, params: ModelParams, emit) -> dict:
+    """Run the LSTM over the inputs, handing each output state h_t (B, d)
+    to emit(t, h_t) in t order; returns the cache _lstm_backward needs.
+    h_t lives in one buffer that the next step overwrites, so emit copies
+    what it keeps.
 
     The work is time-major. One stacked matmul writes the input projection
-    of every step into a (T, B, 4d) gate buffer. Each step adds its
+    of every step into a (T, B, 4d) gate buffer, and the inputs are then
+    released: the backward pass rebuilds each step's. Each step adds its
     recurrent term and bias to its slot, rounding exactly as
     x_t @ W_x + h @ W_h + b, and then refills the slot with the gate
     activations as four contiguous (B, d) blocks, input/forget/output/
     candidate, so the elementwise work runs on contiguous memory. Cell
-    states and outputs go to (T, B, d) arrays, and the states come back as
-    a (B, T, d) view of the outputs. tanh(c_t) goes to one (B, d) scratch
-    buffer: the backward pass recomputes it from the same cell states.
+    states go to a (T, B, d) array, the cache with the gate buffer; tanh(c_t)
+    and h_t go to (B, d) buffers, which the backward pass recomputes from
+    the same cell states and output gates.
     """
+    x = inputs.at()
     batch, steps, d = x.shape
     gates = np.matmul(x.transpose(1, 0, 2), params.lstm_wx)
+    del x
     cells = np.empty((steps, batch, d))
-    hidden = np.empty((steps, batch, d))
     pre = np.empty((4, batch, d))
     tanh_c = np.empty((batch, d))
     h = np.zeros((batch, d))
@@ -249,38 +298,42 @@ def _lstm_forward(x: np.ndarray, params: ModelParams) -> tuple[np.ndarray, dict]
         np.tanh(pre[3], out=act[3])
         c = np.multiply(act[1], c, out=cells[t])
         c += act[0] * act[3]
-        h = np.multiply(act[2], np.tanh(c, out=tanh_c), out=hidden[t])
-    cache = {"x": x, "gates": gates, "c": cells, "h": hidden}
-    return hidden.transpose(1, 0, 2), cache
+        np.multiply(act[2], np.tanh(c, out=tanh_c), out=h)
+        emit(t, h)
+    return {"gates": gates, "c": cells}
 
 
-def _lstm_backward(d_states: np.ndarray, mask: np.ndarray, cache: dict,
-                   params: ModelParams, grads: dict[str, np.ndarray],
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Backprop through time; returns the gradient w.r.t. the inputs.
+def _lstm_backward(d_state, cache: dict, inputs: _LstmInputs, params: ModelParams,
+                   grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Backprop through time, given d_state(t), the gradient w.r.t. the
+    output state h_t (B, d), which may be overwritten once used. Returns
+    the gradient w.r.t. the inputs, time-major (T, B, d).
 
-    Each step recomputes tanh(c_t) from the cached cell states and
+    Each step takes tanh(c_t) from the step before it in this loop, and
+    recomputes tanh(c_{t-1}) and h_{t-1} = o_{t-1} * tanh(c_{t-1}) from the
+    cached cell states and output gates, and its input x_t from `inputs`:
+    the same operations on the same values, so the same bits. It then
     overwrites its slot of the gate buffer with the (B, 4d) gradient of the
     gate pre-activations, so the input gradient of all steps is one stacked
-    matmul after the loop, one GEMM per step. It is written into `out`
-    (B, T, d) when given: encode passes the input x it made, which nothing
-    reads once the weight gradients are done. The weight gradients stay
-    one GEMM per step in descending t: summed over all B*T rows at once,
-    BLAS splits the reduction by thread count and the bits would follow it.
+    matmul after the loop, one GEMM per step, written over the spent cell
+    states. The weight gradients stay one GEMM per step in descending t:
+    summed over all B*T rows at once, BLAS splits the reduction by thread
+    count and the bits would follow it.
     """
-    x, gates, cells, hidden = (cache[k] for k in ("x", "gates", "c", "h"))
-    batch, steps, d = x.shape
+    gates, cells = cache["gates"], cache["c"]
+    steps, batch, d = cells.shape
     zeros = np.zeros((batch, d))
     dh_next = zeros
     dc_next = zeros
     dpre = np.empty((4, batch, d))
-    tc = np.empty((batch, d))
+    tc = np.tanh(cells[steps - 1])
+    tc_prev = np.empty((batch, d))
+    h_prev = np.empty((batch, d))
     for t in range(steps - 1, -1, -1):
         g = gates[t]
         act = g.reshape(4, batch, d)
         i_t, f_t, o_t, g_t = act
-        np.tanh(cells[t], out=tc)
-        dh = d_states[:, t] + dh_next
+        dh = d_state(t) + dh_next
         dc = dc_next + dh * o_t * (1.0 - tc * tc)
         # sigmoid gates: (upstream * gate) * (1 - gate), one block for all three
         np.multiply(dc, g_t, out=dpre[0])
@@ -290,16 +343,18 @@ def _lstm_backward(d_states: np.ndarray, mask: np.ndarray, cache: dict,
         dpre[:3] *= 1.0 - act[:3]
         np.multiply(dc, i_t, out=dpre[3])
         dpre[3] *= 1.0 - g_t * g_t
-        dpre *= mask[:, t][:, None]  # padded steps contribute nothing
+        dpre *= inputs.mask[:, t][:, None]  # padded steps contribute nothing
         dc_next = dc * f_t  # f_t is a view into g: read it before g is overwritten
         g.reshape(batch, 4, d)[...] = dpre.transpose(1, 0, 2)
-        grads["lstm_wx"] += x[:, t].T @ g
-        grads["lstm_wh"] += (hidden[t - 1] if t > 0 else zeros).T @ g
+        if t > 0:
+            np.tanh(cells[t - 1], out=tc_prev)
+            np.multiply(gates[t - 1].reshape(4, batch, d)[2], tc_prev, out=h_prev)
+        grads["lstm_wx"] += inputs.at(t).T @ g
+        grads["lstm_wh"] += (h_prev if t > 0 else zeros).T @ g
         grads["lstm_b"] += g.sum(axis=0)
         dh_next = g @ params.lstm_wh.T
-    dx = np.empty_like(x) if out is None else out
-    np.matmul(gates, params.lstm_wx.T, out=dx.transpose(1, 0, 2))
-    return dx
+        tc, tc_prev = tc_prev, tc
+    return np.matmul(gates, params.lstm_wx.T, out=cells)
 
 
 def _highway_forward(v: np.ndarray, params: ModelParams, depth: int) -> tuple[np.ndarray, dict]:
@@ -333,64 +388,89 @@ def _highway_backward(dv: np.ndarray, cache: dict, params: ModelParams,
 
 
 def encode(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
-           masks: KeepBits | None = None) -> tuple[np.ndarray, dict]:
+           masks: KeepBits | None = None, pooled: bool = False) -> tuple[np.ndarray, dict]:
     """Embed a padded batch and run the LSTM over it: the encoder shared by
-    the regressor and the language model. Returns the output states
-    (B, T, d), a view of time-major memory, and the cache encode_backward
-    needs."""
-    x = embed(ids, params.emb)
-    x *= mask[:, :, None]
-    if masks is not None:
-        _drop(x, masks.lstm_in, masks.lstm_scale)
-    states, lstm_cache = _lstm_forward(x, params)
-    return states, {"ids": ids, "mask": mask, "masks": masks, "lstm": lstm_cache}
+    the regressor and the language model. Returns the output and the cache
+    encode_backward needs. The output is the states, batch-major (B, T, d),
+    or with `pooled` their mean over each row's steps (B, d), each state
+    times its dropout keep bits first when masks are given.
+
+    Neither the inputs nor, when pooled, the states are kept: the pooled
+    sum adds each step's term to a zero (B, d) array in t order, the bits
+    of the (B, T, d) terms' sum(axis=1) for d >= 2 (numpy sums a
+    (B, T, 1) array pairwise, so at d = 1 the last bits may differ)."""
+    if masks is None:
+        live = (mask > 0)[:, :, None]
+        keep_in, keep_out, scale = live, live, 1.0
+    else:
+        keep_in, keep_out, scale = masks.lstm_in, masks.lstm_out, masks.lstm_scale
+    inputs = _LstmInputs(ids, mask, params.emb, keep_in, scale)
+    batch, steps = ids.shape
+    if pooled:
+        out = np.zeros((batch, params.dim))
+        term = np.empty_like(out)
+
+        def emit(t, h):
+            np.add(out, _drop(h, keep_out[:, t], scale, out=term), out=out)
+    else:
+        out = np.empty((batch, steps, params.dim))
+
+        def emit(t, h):
+            out[:, t] = h
+    lstm_cache = _lstm_forward(inputs, params, emit)
+    if pooled:
+        out /= mask.sum(axis=1)[:, None]
+    return out, {"inputs": inputs, "keep_out": keep_out, "lstm": lstm_cache}
 
 
-def encode_backward(d_states: np.ndarray, cache: dict, params: ModelParams,
+def encode_backward(d_out: np.ndarray, cache: dict, params: ModelParams,
                     grads: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate the LSTM gradients of d(loss)/d(states) into grads and
+    """Accumulate the LSTM gradients of d(loss)/d(output) into grads and
     return the embedding gradient row-sparse: the batch's unique ids and a
-    (U, d) array of their rows. Each row adds its positions' terms in
-    position order from zero, as a scatter into a zero (V, d) array would.
-    The input gradient is written over encode's spent input, so the cache
-    is used up."""
-    mask, masks, lstm_cache = cache["mask"], cache["masks"], cache["lstm"]
-    dx = _lstm_backward(d_states, mask, lstm_cache, params, grads, out=lstm_cache["x"])
-    if masks is not None:
-        _drop(dx, masks.lstm_in, masks.lstm_scale)
-    dx *= mask[:, :, None]
-    ids, inverse = np.unique(cache["ids"], return_inverse=True)
-    return ids, scatter_rows(inverse.reshape(-1), dx.reshape(-1, dx.shape[2]), len(ids))
+    (U, d) array of their rows. d_out has the shape of encode's output:
+    (B, T, d) per position, or (B, d) for the pooled mean, whose per-step
+    gradients are made one step at a time. Each row adds its positions'
+    terms in position order from zero, as a scatter into a zero (V, d)
+    array would. The input gradient is written over the spent cell
+    states, so the cache is used up."""
+    inputs, keep_out = cache["inputs"], cache["keep_out"]
+    if d_out.ndim == 2:
+        weights = inputs.mask / inputs.mask.sum(axis=1)[:, None]
+        term = np.empty_like(d_out)
+
+        def d_state(t):
+            np.multiply(d_out, weights[:, t, None], out=term)
+            return _drop(term, keep_out[:, t], inputs.scale)
+    else:
+        def d_state(t):
+            return d_out[:, t]
+    dx = _lstm_backward(d_state, cache["lstm"], inputs, params, grads).transpose(1, 0, 2)
+    _drop(dx, inputs.keep, inputs.scale)
+    ids, inverse = np.unique(inputs.ids, return_inverse=True)
+    return ids, scatter_rows(inverse.reshape(-1), dx, len(ids))
 
 
 def scatter_rows(index: np.ndarray, terms: np.ndarray, count: int) -> np.ndarray:
-    """The (count, d) sums of the rows of terms by index: row i adds the
-    terms[j] with index[j] == i from zero in j order, the bits of
-    np.add.at(np.zeros((count, d)), index, terms). One bincount per column,
-    not one index of every cell, which would be as large as terms."""
-    rows = np.empty((count, terms.shape[1]))
-    for j in range(terms.shape[1]):
-        rows[:, j] = np.bincount(index, weights=terms[:, j], minlength=count)
+    """The (count, d) sums of the rows of terms (..., d), taken in C order,
+    by index: row i adds the terms[j] with index[j] == i from zero in j
+    order, the bits of np.add.at(np.zeros((count, d)), index, terms). One
+    bincount per column, not one index of every cell, which would be as
+    large as terms."""
+    rows = np.empty((count, terms.shape[-1]))
+    for j in range(terms.shape[-1]):
+        rows[:, j] = np.bincount(index, weights=terms[..., j].reshape(-1), minlength=count)
     return rows
 
 
 def batch_forward(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
                   config: ModelConfig, masks: KeepBits | None = None):
     """Forward pass over a padded batch; returns estimates and a cache."""
-    states, enc_cache = encode(ids, mask, params, masks)
-    lengths = mask.sum(axis=1)
-    consumed = states * mask[:, :, None]
-    if masks is not None:
-        _drop(consumed, masks.lstm_out, masks.lstm_scale)
-    pooled = consumed.sum(axis=1) / lengths[:, None]
+    pooled, enc_cache = encode(ids, mask, params, masks, pooled=True)
     deep, hw_cache = _highway_forward(pooled, params, config.highway_depth)
     deep_out = deep if masks is None else _drop(deep.copy(), masks.highway,
                                                 masks.highway_scale)
     yhat = deep_out @ params.reg_w + params.reg_b[0]
-    cache = {
-        "mask": mask, "lengths": lengths, "masks": masks,
-        "encoder": enc_cache, "hw": hw_cache, "deep_out": deep_out,
-    }
+    cache = {"masks": masks, "encoder": enc_cache, "hw": hw_cache, "deep_out": deep_out}
     return yhat, cache
 
 
@@ -400,17 +480,14 @@ def batch_backward(dyhat: np.ndarray, cache: dict, params: ModelParams):
     (ids, rows) of encode_backward. Uses the cache up."""
     grads = {name: np.zeros_like(getattr(params, name))
              for name in SUPERVISED_TENSORS if name != "emb"}
-    mask, lengths, masks = cache["mask"], cache["lengths"], cache["masks"]
+    masks = cache["masks"]
     grads["reg_w"] += cache["deep_out"].T @ dyhat
     grads["reg_b"] += dyhat.sum(keepdims=True)
     d_deep = dyhat[:, None] * params.reg_w[None, :]
     if masks is not None:
         _drop(d_deep, masks.highway, masks.highway_scale)
     d_pooled = _highway_backward(d_deep, cache["hw"], params, grads)
-    d_states = d_pooled[:, None, :] * (mask / lengths[:, None])[:, :, None]
-    if masks is not None:
-        _drop(d_states, masks.lstm_out, masks.lstm_scale)
-    return {"emb": encode_backward(d_states, cache["encoder"], params, grads), **grads}
+    return {"emb": encode_backward(d_pooled, cache["encoder"], params, grads), **grads}
 
 
 def shard_loss_and_grads(params: ModelParams, config: ModelConfig,
@@ -426,7 +503,7 @@ def shard_loss_and_grads(params: ModelParams, config: ModelConfig,
     """
     ids, mask = pad_batch(sequences)
     if masks is not None:
-        masks = masks.for_steps(ids.shape[1], config)
+        masks = masks.for_steps(mask, config)
     yhat, cache = batch_forward(ids, mask, params, config, masks)
     diff = yhat - np.asarray(targets, dtype=np.float64)
     with np.errstate(over="ignore"):  # overflow is detected, not a bug
@@ -536,9 +613,7 @@ def document_vectors(sequences: list[list[int]], params: ModelParams,
 
 
 def _vector_batch(params: ModelParams, sequences: list[list[int]]) -> np.ndarray:
-    ids, mask = pad_batch(sequences)
-    states, _ = encode(ids, mask, params)
-    return (states * mask[:, :, None]).sum(axis=1) / mask.sum(axis=1)[:, None]
+    return encode(*pad_batch(sequences), params, pooled=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -619,4 +694,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise ModelError(
                 f"{path}: tensor {name} has shape {value.shape}, expected {expected[name]}"
             )
+        if not np.all(np.isfinite(value)):
+            raise ModelError(f"{path}: tensor {name} has a non-finite value")
     return Checkpoint(kind=kind, config=config, vocab_hash=vocab_hash, tensors=tensors)

@@ -205,10 +205,7 @@ def _nce_shard(params, ids, targets, mask, target_offset, noise, noise_offset, p
     """Summed NCE loss and gradients of one row shard of a batch with
     `positions` live positions; target_offset and noise_offset are the
     log(M * q) of its targets and of the noise ids."""
-    states, cache = encode(ids, mask, params)
-    # encode returns a time-major view; the (B, T, M) x (B, T, d) einsum
-    # below runs about 2.5x faster on batch-major memory
-    states = np.ascontiguousarray(states)
+    states, cache = encode(ids, mask, params)  # batch-major, as the einsums below want
     u_tgt = params.lm_u[targets]                      # (B, T, d)
     u_noise = params.lm_u[noise]                      # (M, d)
     delta_t = np.einsum("btd,btd->bt", states, u_tgt) - target_offset

@@ -8,9 +8,9 @@ import numpy as np
 
 from storypoint.baselines import _tree_walk
 from storypoint.corpus import EOS_TOKEN
-from storypoint.model import (SUPERVISED_TENSORS, _highway_backward, _highway_forward,
-                              _run_shards, embed, pad_batch)
-from storypoint.numerics import log_sigmoid, sigmoid
+from storypoint.model import (SUPERVISED_TENSORS, DropoutMasks, _highway_backward,
+                              _highway_forward, _lstm_forward, _run_shards, embed, pad_batch)
+from storypoint.numerics import dropout_keep, log_sigmoid, sigmoid
 from storypoint.parallel import shard_bounds
 from storypoint.pretrain import PretrainError
 
@@ -27,17 +27,42 @@ def masked_sigmoid(x):
     return out
 
 
-def lstm_forward_steps(x, params):
-    """The LSTM over x (B, T, d) one step at a time, each gate on its own
-    slice, keeping per-step lists of every intermediate."""
-    batch, steps, d = x.shape
+class ArrayInputs:
+    """LSTM inputs given as a (B, T, d) array, with the at(t) and mask of
+    the encoder's own inputs, so the cores can run on any x."""
+
+    def __init__(self, x, mask=None):
+        self.x = x
+        self.mask = np.ones(x.shape[:2]) if mask is None else mask
+
+    def at(self, t=None):
+        return self.x if t is None else self.x[:, t]
+
+
+def run_lstm(x, params, forward=None, mask=None):
+    """Run an LSTM core (model._lstm_forward by default) over the array x
+    (B, T, d); returns the states (B, T, d), the cache and the inputs."""
+    inputs = ArrayInputs(x, mask)
+    states = np.empty(x.shape)
+
+    def emit(t, h):
+        states[:, t] = h
+
+    cache = (forward or _lstm_forward)(inputs, params, emit)
+    return states, cache, inputs
+
+
+def lstm_forward_steps(inputs, params, emit):
+    """The LSTM one step at a time, each gate on its own slice, each step's
+    input made by inputs.at(t) and projected on its own, keeping per-step
+    lists of every intermediate; hands each h_t to emit(t, h_t)."""
+    (batch, steps), d = inputs.mask.shape, params.dim
     gi, gf, go, gc = (slice(k * d, (k + 1) * d) for k in range(4))
     h = np.zeros((batch, d))
     c = np.zeros((batch, d))
-    states = np.empty((batch, steps, d))
-    cache = {"x": x, "i": [], "f": [], "o": [], "g": [], "c": [], "tc": [], "h_prev": []}
+    cache = {"i": [], "f": [], "o": [], "g": [], "c": [], "tc": [], "h_prev": []}
     for t in range(steps):
-        pre = x[:, t] @ params.lstm_wx + h @ params.lstm_wh + params.lstm_b
+        pre = inputs.at(t) @ params.lstm_wx + h @ params.lstm_wh + params.lstm_b
         i_t = masked_sigmoid(pre[:, gi])
         f_t = masked_sigmoid(pre[:, gf])
         o_t = masked_sigmoid(pre[:, go])
@@ -46,27 +71,27 @@ def lstm_forward_steps(x, params):
         c = f_t * c + i_t * g_t
         tc = np.tanh(c)
         h = o_t * tc
-        states[:, t] = h
+        emit(t, h)
         for key, val in (("i", i_t), ("f", f_t), ("o", o_t), ("g", g_t), ("c", c), ("tc", tc)):
             cache[key].append(val)
-    return states, cache
+    return cache
 
 
-def lstm_backward_steps(d_states, mask, cache, params, grads, out=None):
-    """Backprop through time for lstm_forward_steps, one step at a time;
-    returns the gradient w.r.t. the inputs, written into out when given
-    (step t's slot once step t is done with x)."""
-    x = cache["x"]
-    batch, steps, d = x.shape
+def lstm_backward_steps(d_state, cache, inputs, params, grads):
+    """Backprop through time for lstm_forward_steps, one step at a time,
+    given d_state(t), the gradient w.r.t. h_t; returns the gradient w.r.t.
+    the inputs, time-major (T, B, d) as the core returns it."""
+    mask = inputs.mask
+    (batch, steps), d = mask.shape, params.dim
     gi, gf, go, gc = (slice(k * d, (k + 1) * d) for k in range(4))
-    dx = np.zeros_like(x) if out is None else out
+    dx = np.zeros((steps, batch, d))
     dh_next = np.zeros((batch, d))
     dc_next = np.zeros((batch, d))
     for t in range(steps - 1, -1, -1):
         i_t, f_t, o_t, g_t = cache["i"][t], cache["f"][t], cache["o"][t], cache["g"][t]
         tc = cache["tc"][t]
         c_prev = cache["c"][t - 1] if t > 0 else np.zeros((batch, d))
-        dh = d_states[:, t] + dh_next
+        dh = d_state(t) + dh_next
         dc = dc_next + dh * o_t * (1.0 - tc * tc)
         dpre = np.empty((batch, 4 * d))
         dpre[:, gi] = dc * g_t * i_t * (1.0 - i_t)
@@ -74,13 +99,23 @@ def lstm_backward_steps(d_states, mask, cache, params, grads, out=None):
         dpre[:, go] = dh * tc * o_t * (1.0 - o_t)
         dpre[:, gc] = dc * i_t * (1.0 - g_t * g_t)
         dpre *= mask[:, t : t + 1]
-        grads["lstm_wx"] += x[:, t].T @ dpre
+        grads["lstm_wx"] += inputs.at(t).T @ dpre
         grads["lstm_wh"] += cache["h_prev"][t].T @ dpre
         grads["lstm_b"] += dpre.sum(axis=0)
-        dx[:, t] = dpre @ params.lstm_wx.T
+        dx[t] = dpre @ params.lstm_wx.T
         dh_next = dpre @ params.lstm_wh.T
         dc_next = dc * f_t
     return dx
+
+
+def whole_array_dropout_masks(batch, steps, config, rng):
+    """make_dropout_masks drawing each mask as one whole float array."""
+    d = config.embedding_dim
+    return DropoutMasks(
+        lstm_in=np.packbits(dropout_keep((batch, steps, d), config.dropout_lstm, rng), axis=-1),
+        lstm_out=np.packbits(dropout_keep((batch, steps, d), config.dropout_lstm, rng), axis=-1),
+        highway=np.packbits(dropout_keep((batch, d), config.dropout_highway, rng), axis=-1),
+    )
 
 
 def dropout_scale(keep, rate):
@@ -111,7 +146,7 @@ def _masked_shard(params, config, sequences, targets, batch_size, keep):
     highway = dropout_scale(np.unpackbits(keep.highway, axis=-1, count=d).view(bool),
                             config.dropout_highway)
     x = embed(ids, params.emb) * mask[:, :, None] * lstm_in
-    states, lstm_cache = lstm_forward_steps(x, params)
+    states, lstm_cache, inputs = run_lstm(x, params, lstm_forward_steps, mask)
     consumed = states * lstm_out
     lengths = mask.sum(axis=1)
     pooled = (consumed * mask[:, :, None]).sum(axis=1) / lengths[:, None]
@@ -127,7 +162,8 @@ def _masked_shard(params, config, sequences, targets, batch_size, keep):
     d_deep = dyhat[:, None] * params.reg_w[None, :] * highway
     d_pooled = _highway_backward(d_deep, hw_cache, params, grads)
     d_states = d_pooled[:, None, :] * (mask / lengths[:, None])[:, :, None] * lstm_out
-    dx = lstm_backward_steps(d_states, mask, lstm_cache, params, grads) * lstm_in
+    dx = lstm_backward_steps(lambda t: d_states[:, t], lstm_cache, inputs, params,
+                             grads).transpose(1, 0, 2) * lstm_in
     dx *= mask[:, :, None]
     ids, inverse = np.unique(ids, return_inverse=True)
     rows = np.zeros((len(ids), d))

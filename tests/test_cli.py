@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -26,7 +27,7 @@ from storypoint.corpus import (
     split_chronological,
     write_corpus,
 )
-from storypoint.model import load_checkpoint
+from storypoint.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 
 
 def run(*argv):
@@ -355,6 +356,19 @@ class TestTrainCli:
         assert "'pretrain'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_estimate_refuses_a_non_finite_tensor(self, prepared, tmp_path, capsys):
+        vocab = load_vocabulary(prepared / "vocab.txt")
+        config = ModelConfig(embedding_dim=8, highway_depth=2)
+        params = init_params(len(vocab), config, np.random.default_rng(0))
+        params.reg_w[3] = np.nan
+        checkpoint = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint, "model", config, vocab.content_hash(), params.tensors())
+        out = tmp_path / "est.csv"
+        assert run("estimate", "--checkpoint", checkpoint, "--vocab", prepared / "vocab.txt",
+                   "--in", prepared / "test.jsonl", "--out", out) == 1
+        assert "tensor reg_w has a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_vocab_file_fails(self, prepared, tmp_path, capsys):
         missing = tmp_path / "no-such-vocab.txt"
         assert run("train", "--split-dir", prepared, "--out-dir", tmp_path / "m",
@@ -477,9 +491,9 @@ class TestTokenizerMode:
         ("train", ("--split-dir", "s", "--out-dir", "o"), UNRECOGNIZED),
         ("cross-project", ("--source-dir", "s", "--target-dir", "t", "--out-dir", "o"),
          UNRECOGNIZED),
-        # argparse reads --mode as an abbreviation of baseline's --model
+        # not an abbreviation of baseline's --model
         ("baseline", ("--model", "mean", "--split-dir", "s", "--in", "t.jsonl",
-                      "--out", "o.csv"), "argument --model: invalid choice: 'word'"),
+                      "--out", "o.csv"), UNRECOGNIZED),
     ])
     def test_mode_flag_exits_2(self, command, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -776,6 +790,35 @@ class TestEvaluateCli:
                    "--estimates", f"bad={bad}") == 1
         assert "lacks estimates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, line, message", [
+        # the probes of a mean baseline's 13 test estimates, edited
+        (lambda rows: rows + [f"{rows[1].split(',')[0]},99.0"], 15, "is repeated"),
+        (lambda rows: rows[:3] + [rows[3].split(",")[0] + ",nan"] + rows[4:], 4,
+         "is not finite"),
+        (lambda rows: rows[:3] + [rows[3].split(",")[0] + ",three"] + rows[4:], 4,
+         "is not a number"),
+        (lambda rows: rows[:3] + [rows[3].split(",")[0]] + rows[4:], 4, "is not a number"),
+        (lambda rows: ["issue_key,est"] + rows[1:], None, "no estimate column"),
+        (lambda rows: ["key,estimate"] + rows[1:], None, "no issue_key column"),
+        (lambda rows: [], None, "no issue_key column"),
+    ], ids=["duplicate-key", "nan", "unparsable", "short-row", "no-estimate-column",
+            "no-key-column", "empty"])
+    def test_malformed_estimates_are_refused(self, prepared, tmp_path, capsys, edit, line,
+                                             message):
+        est = tmp_path / "mean.csv"
+        assert run("baseline", "--model", "mean", "--split-dir", prepared,
+                   "--in", prepared / "test.jsonl", "--out", est) == 0
+        rows = est.read_text().splitlines()
+        assert len(rows) == 14
+        est.write_text("".join(row + "\n" for row in edit(rows)))
+        report = tmp_path / "report.csv"
+        assert run("evaluate", "--split-dir", prepared, "--estimates", f"mean={est}",
+                   "--out", report) == 1
+        err = capsys.readouterr().err
+        assert message in err and str(est) in err
+        assert line is None or f"line {line}:" in err
+        assert not report.exists()
+
     def test_zero_runs_fail(self, prepared, tmp_path, capsys):
         est = tmp_path / "mean.csv"
         run("baseline", "--model", "mean", "--split-dir", prepared,
@@ -916,6 +959,42 @@ class TestHelp:
             main([command, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: storypoint {command}")
+
+
+class TestNoAbbreviations:
+    @pytest.mark.parametrize("argv, flag", [
+        (["baseline", "--mode", "bow-rf", "--split-dir", "s", "--in", "i", "--out", "o"],
+         "--mode"),
+        (["train", "--epoch", "3", "--split-dir", "s", "--out-dir", "o"], "--epoch"),
+        (["--conf", "c.json", "train", "--split-dir", "s", "--out-dir", "o"], "--conf"),
+    ], ids=["baseline-mode", "train-epoch", "config"])
+    def test_an_abbreviated_flag_is_a_bad_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_every_benchmark_argv_parses(self, tmp_path, monkeypatch):
+        # the argv perfbench/workload.py builds for every workload, timed and
+        # smoke sizes, main and probe passes
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        bench = importlib.import_module("run")
+        workload = importlib.import_module("workload")
+        parser = cli.build_parser()
+        argvs = []
+        for sizes in (bench.SIZES, bench.SMOKE_SIZES):
+            for name, size in sizes.items():
+                spec = {"workload": name, "work": str(tmp_path),
+                        "baselines": bench.SMOKE_BASELINES,
+                        "sizes": {"dim": 50, "depth": 10, "min_project_size": 300, **size}}
+                argvs.append(workload._prepare_argv(spec, tmp_path / "split"))
+                for probe in (False, True):
+                    argvs += [argv for _, argv in workload._stages(
+                        spec, tmp_path / "split", tmp_path / "out", probe)]
+        assert {argv[0] for argv in argvs} == {"prepare", "train", "estimate", "pretrain",
+                                              "baseline", "evaluate"}
+        for argv in argvs:
+            assert parser.parse_args(argv).command == argv[0]
 
 
 class TestCsvCells:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import (dropout_scale, grad_check, lstm_backward_steps, lstm_forward_steps,
-                     masked_loss_and_grads, masked_sigmoid)
+                     masked_loss_and_grads, masked_sigmoid, run_lstm, whole_array_dropout_masks)
 from storypoint import model as model_module
 from storypoint import pretrain as pretrain_module
 from storypoint.model import (
@@ -32,7 +32,7 @@ from storypoint.model import (
     shard_loss_and_grads,
     zero_params,
 )
-from storypoint.model import _drop, _highway_forward, _lstm_backward, _lstm_forward
+from storypoint.model import _drop, _highway_forward, _lstm_backward
 from storypoint.numerics import dropout_keep, make_rng, sigmoid
 from storypoint.pretrain import perplexity
 from storypoint.trainer import predict_points
@@ -75,7 +75,7 @@ class TestLstmEncode:
     def test_zero_params_give_zero_states(self):
         params = zero_params(8, ModelConfig(embedding_dim=5))
         x = make_rng(0).normal(size=(7, 5))
-        states = _lstm_forward(x[None], params)[0][0]
+        states = run_lstm(x[None], params)[0][0]
         np.testing.assert_array_equal(states, np.zeros((7, 5)))
 
     def test_single_step_matches_cell_oracle(self):
@@ -90,20 +90,19 @@ class TestLstmEncode:
         g = np.tanh(pre[3 * d :])
         c = i * g  # c_0 = 0, so the forget path contributes nothing
         expected = o * np.tanh(c)
-        np.testing.assert_allclose(_lstm_forward(x[None], params)[0][0, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(run_lstm(x[None], params)[0][0, 0], expected, atol=1e-12)
 
     def test_sum_of_states_gradients_pass_grad_check(self):
         params = small_params(seed=5)
         x = make_rng(6).normal(size=(1, 6, params.dim)) * 0.5
         mask = np.ones((1, 6))
 
-        states, cache = _lstm_forward(x, params)
+        states, cache, inputs = run_lstm(x, params, mask=mask)
         grads = {name: np.zeros_like(getattr(params, name)) for name in LSTM_TENSORS}
-        _lstm_backward(np.ones_like(states), mask, cache, params, grads)
+        _lstm_backward(lambda t: np.ones_like(states[:, t]), cache, inputs, params, grads)
         for name in LSTM_TENSORS:
             def f(_):
-                s, _c = _lstm_forward(x, params)
-                return float(s.sum())
+                return float(run_lstm(x, params)[0].sum())
             err = grad_check(f, getattr(params, name), grads[name], h=1e-4)
             assert err < 1e-4, f"{name}: {err}"
 
@@ -121,7 +120,7 @@ def ragged_batch(lengths, d, seed, dropout):
     d_states = rng.normal(size=x.shape) * mask[:, :, None]
     if dropout:
         masks = make_dropout_masks(len(lengths), ids.shape[1], config, rng).for_steps(
-            ids.shape[1], config)
+            mask, config)
         _drop(x, masks.lstm_in, masks.lstm_scale)
         _drop(d_states, masks.lstm_out, masks.lstm_scale)
     return params, x, mask, d_states
@@ -148,12 +147,13 @@ class TestLstmCoreMatchesPerStepOracle:
     def test_bit_identical(self, case, dropout):
         d = 50 if case == "B100-d50" else 6
         params, x, mask, d_states = ragged_batch(LENGTHS[case], d, 31, dropout)
-        states, cache = _lstm_forward(x, params)
-        ref_states, ref_cache = lstm_forward_steps(x, params)
+        states, cache, inputs = run_lstm(x, params, mask=mask)
+        ref_states, ref_cache, _ = run_lstm(x, params, lstm_forward_steps, mask)
         grads = {name: np.zeros_like(getattr(params, name)) for name in LSTM_TENSORS}
         ref_grads = {name: np.zeros_like(getattr(params, name)) for name in LSTM_TENSORS}
-        dx = _lstm_backward(d_states, mask, cache, params, grads)
-        ref_dx = lstm_backward_steps(d_states, mask, ref_cache, params, ref_grads)
+        dx = _lstm_backward(lambda t: d_states[:, t], cache, inputs, params, grads)
+        ref_dx = lstm_backward_steps(lambda t: d_states[:, t], ref_cache, inputs, params,
+                                     ref_grads)
         assert np.array_equal(states, ref_states)
         assert np.array_equal(dx, ref_dx)
         for name in LSTM_TENSORS:
@@ -218,13 +218,14 @@ SHARD_ARRAY_BYTES = 31 * 432 * 50 * 8
 
 
 def test_training_shard_keeps_few_arrays_per_padded_slot():
-    """A training shard peaks at 9.5 (B, T, d) float64 arrays at most, plus
+    """A training shard peaks at 6 (B, T, d) float64 arrays at most, plus
     1 MiB for the arrays that do not grow with T (weight gradients,
-    highway cache, per-step buffers): the inputs, the (T, B, 4d) gate
-    buffer, cell states, outputs and the upstream state gradient, with the
-    keep bits at one byte a cell. Float masks, a stored tanh(c) or an input
-    gradient beside the spent inputs would take it past the bound (13.2
-    arrays with all three)."""
+    highway cache, per-step buffers): the (T, B, 4d) gate buffer and the
+    cell states, with the keep bits at one byte a cell, and the inputs
+    only until their projection. A stored input, stored outputs or a
+    (B, T, d) state gradient would each take it past the bound (8.5 arrays
+    with all three, 13.2 with float masks, a stored tanh(c) and an input
+    gradient beside the spent inputs as well)."""
     rng = make_rng(34)
     config = ModelConfig(embedding_dim=50, highway_depth=10)
     params = init_params(500, config, rng)
@@ -237,7 +238,7 @@ def test_training_shard_keeps_few_arrays_per_padded_slot():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9.5 * SHARD_ARRAY_BYTES + 2**20, peak / SHARD_ARRAY_BYTES
+    assert peak <= 6 * SHARD_ARRAY_BYTES + 2**20, peak / SHARD_ARRAY_BYTES
 
 
 # Runs in a child process, whose BLAS thread count is fixed at start-up. The
@@ -328,7 +329,7 @@ class TestMeanPool:
     def test_singleton(self):
         params = small_params(seed=22)
         (vec,) = document_vectors([[3]], params)
-        states, _ = _lstm_forward(embed([3], params.emb)[None], params)
+        states = run_lstm(embed([3], params.emb)[None], params)[0]
         np.testing.assert_array_equal(vec, states[0, 0])
 
     def test_empty_rejected(self):
@@ -410,13 +411,50 @@ class TestDropoutKeepBits:
                  dropout_keep((3, 7, d), config.dropout_lstm, rng),
                  dropout_keep((3, d), config.dropout_highway, rng)]
         for steps in (7, 4):
-            masks = keep.rows(1, 3).for_steps(steps, config)
-            want = [bits[1:3, :steps] if bits.ndim == 3 else bits[1:3] for bits in drawn]
+            mask = np.ones((2, steps))
+            mask[1, steps - 2:] = 0.0  # padding clears the LSTM's bits
+            masks = keep.rows(1, 3).for_steps(mask, config)
+            live = mask[:, :, None] > 0
+            want = [drawn[0][1:3, :steps] & live, drawn[1][1:3, :steps] & live, drawn[2][1:3]]
             got = (masks.lstm_in, masks.lstm_out, masks.highway)
             for g, w in zip(got, want):
                 assert g.dtype == bool and g.shape == w.shape and np.array_equal(g, w)
             assert masks.lstm_scale == 1.0 / (1.0 - config.dropout_lstm) == 1.25
             assert masks.highway_scale == 1.0 / (1.0 - config.dropout_highway) == 2.0
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2, 0.5])
+    @pytest.mark.parametrize("d", [5, 8, 50])
+    def test_row_blocks_draw_the_bits_of_whole_arrays(self, monkeypatch, d, rate):
+        # 100 x 50 = 5000 slots: two blocks of INFERENCE_ROW_STEPS, then 17
+        # blocks of 300, the last part-filled; the highway draws 100 rows
+        config = ModelConfig(embedding_dim=d, highway_depth=1, dropout_lstm=rate,
+                             dropout_highway=rate)
+        want_rng = make_rng(3)
+        want = whole_array_dropout_masks(100, 50, config, want_rng)
+        for block in (model_module.INFERENCE_ROW_STEPS, 300):
+            monkeypatch.setattr(model_module, "INFERENCE_ROW_STEPS", block)
+            rng = make_rng(3)
+            got = make_dropout_masks(100, 50, config, rng)
+            for name in ("lstm_in", "lstm_out", "highway"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.dtype == w.dtype and g.shape == w.shape, name
+                assert g.tobytes() == w.tobytes(), name
+            assert rng.bit_generator.state == want_rng.bit_generator.state  # the next draw
+
+    def test_draw_holds_one_block_of_doubles(self):
+        """The (100, 432, 50) masks of the benchmark's longest batch, drawn
+        whole, took 18.8 MiB (a float64 array, its bool compare and the
+        first mask); in blocks of INFERENCE_ROW_STEPS rows of d doubles
+        the draw needs 1.8 MiB above the 0.6 MiB of masks it returns."""
+        config = ModelConfig(embedding_dim=50, highway_depth=1)
+        tracemalloc.start()
+        try:
+            masks = make_dropout_masks(100, 432, config, make_rng(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = masks.lstm_in.nbytes + masks.lstm_out.nbytes + masks.highway.nbytes
+        assert peak - kept <= 2 * 2**20, (peak - kept) / 2**20
 
     def test_applied_in_place_with_the_bits_of_the_float_mask(self):
         # finite values of both signs, signed zeros, infinities and NaN
@@ -498,7 +536,7 @@ class TestDocumentVectors:
         seqs = [[1, 2, 3], [4, 5], [1]]
         vecs = document_vectors(seqs, params)
         for seq, vec in zip(seqs, vecs):
-            expected = _lstm_forward(embed(seq, params.emb)[None], params)[0][0].mean(axis=0)
+            expected = run_lstm(embed(seq, params.emb)[None], params)[0][0].mean(axis=0)
             np.testing.assert_allclose(vec, expected, atol=1e-12)
 
     def test_order_preserved_across_buckets(self, monkeypatch):
@@ -508,7 +546,7 @@ class TestDocumentVectors:
         seqs = [[1, 2, 3, 4, 5, 6], [7], [2, 3, 4], [5, 6], [1, 7, 2, 6, 3, 5, 4], [4, 4, 4]]
         vecs = document_vectors(seqs, params)
         for seq, vec in zip(seqs, vecs):
-            expected = _lstm_forward(embed(seq, params.emb)[None], params)[0][0].mean(axis=0)
+            expected = run_lstm(embed(seq, params.emb)[None], params)[0][0].mean(axis=0)
             np.testing.assert_allclose(vec, expected, atol=1e-12)
 
 
@@ -615,6 +653,15 @@ class TestCheckpoints:
         restored = loaded.to_params(rng=make_rng(0))
         np.testing.assert_array_equal(restored.emb, params.emb)
         assert restored.reg_w.shape == (params.dim,)
+
+    def test_non_finite_tensor_rejected(self, tmp_path):
+        params = small_params(seed=25)
+        params.reg_w[2] = np.nan
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(path, "model", ModelConfig(embedding_dim=params.dim), "h",
+                        params.tensors())
+        with pytest.raises(ModelError, match="tensor reg_w has a non-finite value"):
+            load_checkpoint(path)
 
     def _saved(self, tmp_path):
         params = small_params(seed=24)

@@ -4,18 +4,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import densified, grad_check, log_softmax_rows, nce_loss, next_token_logprob
+from oracles import (densified, grad_check, log_softmax_rows, nce_loss, next_token_logprob,
+                     run_lstm)
 from storypoint import model as model_module
 from storypoint import pretrain as pretrain_module
 from storypoint.corpus import build_vocabulary, tokenize
-from storypoint.model import (ModelConfig, _lstm_forward, embed, encode, encode_backward,
-                              init_params, pad_batch)
+from storypoint.model import (ModelConfig, embed, encode, encode_backward, init_params,
+                              pad_batch)
 from storypoint.numerics import make_rng
 from storypoint.pretrain import (
     PRETRAIN_TENSORS,
     PretrainConfig,
     PretrainError,
     _nce_batch_step,
+    _nce_shard,
+    _prediction_batches,
     _softmax_batch_step,
     _target_logp,
     perplexity,
@@ -99,8 +102,7 @@ class TestNceLoss:
         loss_batch, grads = _nce_batch_step(ids, targets, mask, params, q, m, make_rng(7))
         grads = densified(grads, params)
         # recompute via the single-position form on the same state and noise
-        from storypoint.model import _lstm_forward, embed
-        states, _ = _lstm_forward(embed(ids, params.emb), params)
+        states = run_lstm(embed(ids, params.emb), params)[0]
         loss_single, _, du_rows = nce_loss(states[0, 0], params.lm_u, 5, noise, q)
         assert loss_batch == pytest.approx(loss_single)
         for row, grad in du_rows.items():
@@ -123,11 +125,37 @@ class TestNceLoss:
                 np.testing.assert_array_equal(grads["lm_u"][row], 0.0)
 
 
+    def test_shard_keeps_few_arrays_per_padded_slot(self):
+        """An NCE shard of B = 25 rows of T = 150 positions at d = 50 with
+        M = 100 noise rows peaks at 15.5 (B, T, d) float64 arrays at most:
+        the gate buffer and cell states (5 arrays), the outputs, the target
+        rows of lm_u, the state gradient and the (B, T, M) noise terms (two
+        arrays each at M = 100). A stored input or a contiguous copy of the
+        outputs would take it past the bound (17 arrays with both)."""
+        rng = make_rng(26)
+        v, m = 13_000, 100
+        params = init_params(v, ModelConfig(embedding_dim=50), rng)
+        seqs = [list(rng.integers(0, v, size=151)) for _ in range(25)]
+        q = unigram_noise_distribution(seqs, v)
+        ids, targets, mask = next(_prediction_batches(seqs, [np.arange(25)]))
+        noise = rng.choice(v, size=m, p=q)
+        task = (ids, targets, mask, np.log(m * q[targets]), noise, np.log(m * q[noise]),
+                mask.sum())
+        tracemalloc.start()
+        try:
+            _nce_shard(params, *task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array_bytes = 25 * 150 * 50 * 8
+        assert peak <= 15.5 * array_bytes, peak / array_bytes
+
+
 def hand_perplexity(params, seqs):
     """Token-weighted perplexity of seqs, one softmax per position."""
     nll, count = 0.0, 0
     for seq in seqs:
-        states = _lstm_forward(embed(seq[:-1], params.emb)[None], params)[0][0]
+        states = run_lstm(embed(seq[:-1], params.emb)[None], params)[0][0]
         for t, target in enumerate(seq[1:]):
             logits = params.lm_u @ states[t]
             probs = np.exp(logits - logits.max())
@@ -177,8 +205,8 @@ class TestPerplexity:
     def test_peak_memory_bounded_by_the_inference_cut(self):
         # 20 held-out issues of 600 input tokens: as one batch, the (T, B, 4d)
         # gate buffer alone would be 19 MB. Cut at INFERENCE_ROW_STEPS slots,
-        # one batch's encoder arrays (the embedded inputs and their copy, the
-        # gate buffer, cells, their tanh and the outputs: 72 * d bytes a
+        # one batch's encoder arrays (the embedded inputs until their
+        # projection, the gate buffer, cells and the outputs: 56 * d bytes a
         # slot), the outputs and live states of the batch before (16 * d) and
         # the softmax's two logit blocks stay under this bound.
         d, v = 50, 500
