@@ -51,7 +51,7 @@ from .model import (
 )
 from .numerics import NumericError, make_rng
 from .parallel import Pool, WorkerError
-from .pretrain import PRETRAIN_TENSORS, PretrainConfig, PretrainError, pretrain
+from .pretrain import PretrainConfig, PretrainError, pretrain
 from .trainer import TrainConfig, TrainerError, cross_project_train, encode_issue, estimate, train
 
 TOKEN_ENV_VAR = "STORYPOINT_JIRA_TOKEN"
@@ -203,10 +203,11 @@ def _write_estimates(path: Path, estimates, column: str = "estimate") -> None:
     _write_csv(path, ["issue_key", column], [(key, _cell(value)) for key, value in estimates])
 
 
-def _read_estimates(path: Path) -> list[tuple[str, float]]:
-    """(issue_key, estimate) rows of an estimates CSV. A missing column, an
-    estimate that is not a finite number and a repeated issue_key are
-    refused, naming the file and the line."""
+def _read_estimates(path: Path, keys) -> list[tuple[str, float]]:
+    """(issue_key, estimate) rows of an estimates CSV of the issues `keys`.
+    A missing column, an estimate that is not a finite number, a repeated
+    issue_key and one not in `keys` are refused, naming the file and the
+    line."""
     pairs, seen = [], set()
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -224,6 +225,8 @@ def _read_estimates(path: Path) -> list[tuple[str, float]]:
                 raise CliError(f"{where}: estimate {cell!r} is not finite")
             if key in seen:
                 raise CliError(f"{where}: issue_key {key!r} is repeated")
+            if key not in keys:
+                raise CliError(f"{where}: issue_key {key!r} is not in the test split")
             seen.add(key)
             pairs.append((key, value))
     return pairs
@@ -299,8 +302,8 @@ def cmd_pretrain(args) -> int:
     result = pretrain(sequences, len(vocab), _model_config(args), config, seed=args.seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = args.out_dir / "pretrain.ckpt"
-    tensors = {name: getattr(result.params, name) for name in PRETRAIN_TENSORS}
-    save_checkpoint(ckpt_path, "pretrain", _model_config(args), vocab.content_hash(), tensors)
+    save_checkpoint(ckpt_path, "pretrain", _model_config(args), vocab.content_hash(),
+                    result.params.checkpoint_tensors())
     _write_curve(args.out_dir / "pretrain_log.csv",
                  ["epoch", "train_loss", "valid_perplexity", "best_perplexity"], result.curve)
     note = f" (aborted: {result.aborted})" if result.aborted else ""
@@ -505,7 +508,7 @@ def cmd_evaluate(args) -> int:
         name, _, path = spec_item.partition("=")
         if any(r.model_name == name for r in reports):
             raise CliError(f"--estimates names {name!r} twice")
-        pairs = _read_estimates(Path(path))
+        pairs = _read_estimates(Path(path), actual_by_key)
         by_key = dict(pairs)
         missing = [k for k in actual_by_key if k not in by_key]
         if missing:

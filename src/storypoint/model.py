@@ -70,7 +70,6 @@ class ModelParams:
     hw_trans_b: np.ndarray # (d,)
     reg_w: np.ndarray      # (d,)
     reg_b: np.ndarray      # (1,)
-    lm_u: np.ndarray       # (V, d) softmax weights, used only in pre-training
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Every tensor by name, in field order."""
@@ -85,12 +84,7 @@ class ModelParams:
         return self.emb.shape[1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(**{k: v.copy() for k, v in self.tensors().items()})
-
-
-# The tensors the supervised loss reaches: all but the pre-training head lm_u.
-SUPERVISED_TENSORS = ("emb", "lstm_wx", "lstm_wh", "lstm_b", "hw_gate_w", "hw_gate_b",
-                      "hw_trans_w", "hw_trans_b", "reg_w", "reg_b")
+        return type(self)(**{k: v.copy() for k, v in self.tensors().items()})
 
 
 def expected_shapes(vocab_size: int, d: int) -> dict[str, tuple]:
@@ -105,16 +99,22 @@ def expected_shapes(vocab_size: int, d: int) -> dict[str, tuple]:
         "hw_trans_b": (d,),
         "reg_w": (d,),
         "reg_b": (1,),
-        "lm_u": (vocab_size, d),
     }
 
 
 def init_params(vocab_size: int, config: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    """Uniform(-0.05, 0.05) initialization for every tensor."""
+    """Uniform(-0.05, 0.05) initialization for every tensor, in field order.
+
+    The generator then skips the V*d draws of a (V, d) tensor, where the
+    pre-training head is drawn (pretrain.init_language_model). So whatever
+    is drawn next, such as the dropout masks of training, comes from the
+    same place in the stream with or without the head."""
     shapes = expected_shapes(vocab_size, config.embedding_dim)
-    return ModelParams(
+    params = ModelParams(
         **{k: rng.uniform(-INIT_SCALE, INIT_SCALE, s) for k, s in shapes.items()}
     )
+    rng.bit_generator.advance(vocab_size * config.embedding_dim)
+    return params
 
 
 def zero_params(vocab_size: int, config: ModelConfig) -> ModelParams:
@@ -476,10 +476,10 @@ def batch_forward(ids: np.ndarray, mask: np.ndarray, params: ModelParams,
 
 def batch_backward(dyhat: np.ndarray, cache: dict, params: ModelParams):
     """Gradients of a scalar loss given d(loss)/d(yhat) for the cached batch:
-    a dict with every tensor in SUPERVISED_TENSORS, emb row-sparse as the
-    (ids, rows) of encode_backward. Uses the cache up."""
-    grads = {name: np.zeros_like(getattr(params, name))
-             for name in SUPERVISED_TENSORS if name != "emb"}
+    a dict with every ModelParams tensor, emb row-sparse as the (ids, rows)
+    of encode_backward. Uses the cache up."""
+    grads = {field.name: np.zeros_like(getattr(params, field.name))
+             for field in fields(ModelParams) if field.name != "emb"}
     masks = cache["masks"]
     grads["reg_w"] += cache["deep_out"].T @ dyhat
     grads["reg_b"] += dyhat.sum(keepdims=True)
@@ -621,6 +621,12 @@ def _vector_batch(params: ModelParams, sequences: list[list[int]]) -> np.ndarray
 # Plain little-endian float64 payloads keep the bytes reproducible.
 # ---------------------------------------------------------------------------
 
+# The encoder a pre-training checkpoint holds and `train --pretrained`
+# starts from. pretrain also writes its softmax head lm_u there, which no
+# ModelParams holds; a model checkpoint holds every ModelParams tensor.
+PRETRAIN_TENSORS = ("emb", "lstm_wx", "lstm_wh", "lstm_b")
+
+
 @dataclass
 class Checkpoint:
     kind: str  # "model" or "pretrain"
@@ -628,16 +634,14 @@ class Checkpoint:
     vocab_hash: str
     tensors: dict[str, np.ndarray]
 
-    def to_params(self, rng: np.random.Generator | None = None) -> ModelParams:
-        """Materialize full ModelParams; missing tensors (partial pre-train
-        checkpoints) are drawn from the standard initialization."""
-        vocab_size = self.tensors["emb"].shape[0]
-        if rng is not None:
-            params = init_params(vocab_size, self.config, rng)
-        else:
-            params = zero_params(vocab_size, self.config)
-        for name, value in self.tensors.items():
-            getattr(params, name)[...] = value
+    def to_params(self) -> ModelParams:
+        """The checkpoint's ModelParams: tensors it lacks (the highway and
+        regressor of a pre-training checkpoint) are zeros, and a head lm_u,
+        not a ModelParams tensor, is left out."""
+        params = zero_params(self.tensors["emb"].shape[0], self.config)
+        for name, tensor in params.tensors().items():
+            if name in self.tensors:
+                tensor[...] = self.tensors[name]
         return params
 
 
@@ -684,9 +688,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         offset = end
     if offset != len(data):
         raise ModelError(f"{path} has {len(data) - offset} trailing bytes")
-    if "emb" not in tensors:
-        raise ModelError(f"{path} lacks an embedding tensor")
+    if kind not in ("model", "pretrain"):
+        raise ModelError(f"{path}: unknown checkpoint kind {kind!r}")
+    required = PRETRAIN_TENSORS if kind == "pretrain" else [f.name for f in fields(ModelParams)]
+    missing = [name for name in required if name not in tensors]
+    if missing:
+        raise ModelError(f"{path}: {kind} checkpoint lacks {', '.join(missing)}")
     expected = expected_shapes(tensors["emb"].shape[0], config.embedding_dim)
+    expected["lm_u"] = expected["emb"]  # the head pretrain writes; older model checkpoints too
     for name, value in tensors.items():
         if name not in expected:
             raise ModelError(f"{path}: unknown tensor {name!r}")

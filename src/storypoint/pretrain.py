@@ -16,8 +16,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .model import (ModelConfig, ModelParams, _run_shards, encode, encode_backward,
-                    inference_batches, init_params, length_batches, pad_batch, scatter_rows)
+from .model import (INIT_SCALE, PRETRAIN_TENSORS, ModelConfig, ModelParams, _run_shards, encode,
+                    encode_backward, inference_batches, init_params, length_batches, pad_batch,
+                    scatter_rows)
 from .numerics import _run_epochs, check_learning_rate, log_sigmoid, make_rng, sigmoid
 from .parallel import Pool, run, shard_bounds, share
 
@@ -54,9 +55,31 @@ class PretrainConfig:
         check_learning_rate(self.learning_rate)
 
 
-# Only these tensors learn during pre-training.
-PRETRAIN_TENSORS = ("emb", "lstm_wx", "lstm_wh", "lstm_b", "lm_u")
 LSTM_TENSORS = ("lstm_wx", "lstm_wh", "lstm_b")
+
+
+@dataclass
+class LanguageModelParams(ModelParams):
+    """ModelParams and the language model's softmax head. Pre-training
+    trains the head and the encoder, PRETRAIN_TENSORS; the highway and
+    regressor tensors ride along untouched."""
+
+    lm_u: np.ndarray  # (V, d) output word vectors
+
+    def checkpoint_tensors(self) -> dict[str, np.ndarray]:
+        """What pretrain.ckpt holds: the encoder and the head."""
+        return {name: getattr(self, name) for name in (*PRETRAIN_TENSORS, "lm_u")}
+
+
+def init_language_model(vocab_size: int, config: ModelConfig,
+                        rng: np.random.Generator) -> LanguageModelParams:
+    """The weights pretrain starts from: init_params, and the head drawn
+    from the V*d values init_params skips, so the generator ends where
+    init_params leaves it."""
+    params = init_params(vocab_size, config, rng)
+    rng.bit_generator.advance(-vocab_size * config.embedding_dim)
+    lm_u = rng.uniform(-INIT_SCALE, INIT_SCALE, (vocab_size, config.embedding_dim))
+    return LanguageModelParams(**params.tensors(), lm_u=lm_u)
 
 
 def unigram_noise_distribution(sequences: list[list[int]], vocab_size: int,
@@ -136,12 +159,12 @@ def _softmax_chunks(h: np.ndarray, tgt: np.ndarray, lm_u: np.ndarray):
         yield rows, shifted, lse, shifted[np.arange(n), tgt[rows]] - lse
 
 
-def _target_logp(params: ModelParams, h: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+def _target_logp(params: LanguageModelParams, h: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """log P(tgt) of the rows of h, block by block."""
     return np.concatenate([logp for *_, logp in _softmax_chunks(h, tgt, params.lm_u)])
 
 
-def perplexity(params: ModelParams, sequences: list[list[int]],
+def perplexity(params: LanguageModelParams, sequences: list[list[int]],
                pool: Pool | None = None) -> float:
     """exp(mean negative log-likelihood per predicted token), full softmax
     over the live (unpadded) positions only.
@@ -254,7 +277,7 @@ def _softmax_batch_step(ids, targets, mask, params):
 
 @dataclass
 class PretrainResult:
-    params: ModelParams
+    params: LanguageModelParams
     curve: list[dict]
     best_epoch: int
     best_perplexity: float
@@ -262,8 +285,7 @@ class PretrainResult:
 
 
 def pretrain(sequences: list[list[int]], vocab_size: int, model_config: ModelConfig,
-             config: PretrainConfig, seed: int = 42,
-             initial: ModelParams | None = None) -> PretrainResult:
+             config: PretrainConfig, seed: int = 42) -> PretrainResult:
     """Train the language model and return the best weights by validation
     perplexity (early stopping and aborts: `numerics._run_epochs`).
 
@@ -282,7 +304,7 @@ def pretrain(sequences: list[list[int]], vocab_size: int, model_config: ModelCon
     valid_seqs = usable[len(usable) - n_valid :]
 
     rng = make_rng(seed)
-    params = initial.copy() if initial is not None else init_params(vocab_size, model_config, rng)
+    params = init_language_model(vocab_size, model_config, rng)
     noise_dist = unigram_noise_distribution(train_seqs, vocab_size, config.noise_power)
     lengths = [len(s) - 1 for s in train_seqs]
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .corpus import IssueRecord, SplitDataset, Vocabulary, build_vocabulary, compose_document, tokenize
 from .model import (
+    PRETRAIN_TENSORS,
     Checkpoint,
     ModelConfig,
     ModelParams,
@@ -94,7 +95,7 @@ def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     Without `vocab`, a word-mode vocabulary is built from train+valid text
     only; pass one to train in its tokenizer mode or to reuse the vocabulary
     a pre-training run was built on (the hashes must match the pretrained
-    checkpoint).
+    checkpoint, whose PRETRAIN_TENSORS the run starts from).
     """
     if not split.train or not split.valid:
         raise TrainerError("split must have non-empty train and valid partitions")
@@ -109,14 +110,14 @@ def train(split: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     vocab_hash = vocab.content_hash()
 
     rng = make_rng(config.seed)
+    params = init_params(len(vocab), model_config, rng)
     if pretrained is not None:
         if pretrained.vocab_hash != vocab_hash:
             raise TrainerError("pretrained checkpoint was built on a different vocabulary")
         if pretrained.config.embedding_dim != model_config.embedding_dim:
             raise TrainerError("pretrained checkpoint has a different embedding size")
-        params = pretrained.to_params(rng)
-    else:
-        params = init_params(len(vocab), model_config, rng)
+        for name in PRETRAIN_TENSORS:  # the encoder starts from the checkpoint's
+            getattr(params, name)[...] = pretrained.tensors[name]
 
     train_seqs, valid_seqs = seqs[:len(split.train)], seqs[len(split.train):]
     train_y = np.array([r.story_points for r in split.train])

@@ -3,13 +3,14 @@ clarity rather than speed, so the batched library code can be checked
 against them."""
 
 import unicodedata
+from dataclasses import fields
 
 import numpy as np
 
 from storypoint.baselines import _tree_walk
 from storypoint.corpus import EOS_TOKEN
-from storypoint.model import (SUPERVISED_TENSORS, DropoutMasks, _highway_backward,
-                              _highway_forward, _lstm_forward, _run_shards, embed, pad_batch)
+from storypoint.model import (DropoutMasks, ModelParams, _highway_backward, _highway_forward,
+                              _lstm_forward, _run_shards, embed, pad_batch)
 from storypoint.numerics import dropout_keep, log_sigmoid, sigmoid
 from storypoint.parallel import shard_bounds
 from storypoint.pretrain import PretrainError
@@ -108,6 +109,17 @@ def lstm_backward_steps(d_state, cache, inputs, params, grads):
     return dx
 
 
+def initial_draws(vocab_size, d, rng):
+    """Every initial tensor, the pre-training head lm_u last, each drawn
+    Uniform(-0.05, 0.05) straight after the one before: the stream that
+    init_params, which skips the head's draws, and init_language_model,
+    which goes back for them, must keep between them."""
+    shapes = {"emb": (vocab_size, d), "lstm_wx": (d, 4 * d), "lstm_wh": (d, 4 * d),
+              "lstm_b": (4 * d,), "hw_gate_w": (d, d), "hw_gate_b": (d,), "hw_trans_w": (d, d),
+              "hw_trans_b": (d,), "reg_w": (d,), "reg_b": (1,), "lm_u": (vocab_size, d)}
+    return {name: rng.uniform(-0.05, 0.05, shape) for name, shape in shapes.items()}
+
+
 def whole_array_dropout_masks(batch, steps, config, rng):
     """make_dropout_masks drawing each mask as one whole float array."""
     d = config.embedding_dim
@@ -155,8 +167,8 @@ def _masked_shard(params, config, sequences, targets, batch_size, keep):
     yhat = deep_out @ params.reg_w + params.reg_b[0]
     diff = yhat - targets
     dyhat = 2.0 * diff / batch_size
-    grads = {name: np.zeros_like(getattr(params, name))
-             for name in SUPERVISED_TENSORS if name != "emb"}
+    grads = {field.name: np.zeros_like(getattr(params, field.name))
+             for field in fields(ModelParams) if field.name != "emb"}
     grads["reg_w"] += deep_out.T @ dyhat
     grads["reg_b"] += dyhat.sum(keepdims=True)
     d_deep = dyhat[:, None] * params.reg_w[None, :] * highway

@@ -89,8 +89,6 @@ def test_criterion_1_gradient_suite():
 
         _, _, grads = batch_loss_and_grads(seqs, targets, params, config)
         for name, tensor in params.tensors().items():
-            if name == "lm_u":
-                continue
             worst = max(worst, best_central_difference_error(loss_fn, tensor, grads[name]))
     elapsed = time.monotonic() - start
     report(1, "full-stack gradients match central differences",

@@ -369,6 +369,20 @@ class TestTrainCli:
         assert "tensor reg_w has a non-finite value" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_estimate_refuses_an_incomplete_model_checkpoint(self, prepared, tmp_path, capsys):
+        # missing weights are not read as zeros, which would score every issue 0.0
+        vocab = load_vocabulary(prepared / "vocab.txt")
+        config = ModelConfig(embedding_dim=8, highway_depth=2)
+        params = init_params(len(vocab), config, np.random.default_rng(0))
+        checkpoint = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint, "model", config, vocab.content_hash(), {"emb": params.emb})
+        out = tmp_path / "est.csv"
+        assert run("estimate", "--checkpoint", checkpoint, "--vocab", prepared / "vocab.txt",
+                   "--in", prepared / "test.jsonl", "--out", out) == 1
+        assert ("model checkpoint lacks lstm_wx, lstm_wh, lstm_b, hw_gate_w, hw_gate_b, "
+                "hw_trans_w, hw_trans_b, reg_w, reg_b") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_vocab_file_fails(self, prepared, tmp_path, capsys):
         missing = tmp_path / "no-such-vocab.txt"
         assert run("train", "--split-dir", prepared, "--out-dir", tmp_path / "m",
@@ -526,6 +540,24 @@ class TestTokenizerMode:
         older.write_bytes(data[:8] + len(blob).to_bytes(8, "big") + blob + data[end:])
         assert b',"tokenizer_mode":"word"}' in older.read_bytes()
         assert load_checkpoint(older).config == load_checkpoint(current).config
+        for ckpt, out in ((current, "new.csv"), (older, "old.csv")):
+            assert run("estimate", "--checkpoint", ckpt, "--vocab", prepared / "vocab.txt",
+                       "--in", prepared / "test.jsonl", "--out", tmp_path / out) == 0
+        assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
+
+    def test_model_checkpoint_with_a_pretraining_head_still_loads(self, prepared, tmp_path):
+        # model checkpoints written while ModelParams held the head lm_u carry
+        # it too; it is ignored
+        assert run("train", "--split-dir", prepared, "--out-dir", tmp_path / "m",
+                   "--dim", 6, "--depth", 2, "--epochs", 1) == 0
+        current = tmp_path / "m" / "model.ckpt"
+        loaded = load_checkpoint(current)
+        assert "lm_u" not in loaded.tensors
+        head = np.random.default_rng(0).uniform(-0.05, 0.05, loaded.tensors["emb"].shape)
+        older = tmp_path / "older.ckpt"
+        save_checkpoint(older, "model", loaded.config, loaded.vocab_hash,
+                        {**loaded.tensors, "lm_u": head})
+        assert set(load_checkpoint(older).tensors) == {*loaded.tensors, "lm_u"}
         for ckpt, out in ((current, "new.csv"), (older, "old.csv")):
             assert run("estimate", "--checkpoint", ckpt, "--vocab", prepared / "vocab.txt",
                        "--in", prepared / "test.jsonl", "--out", tmp_path / out) == 0
@@ -798,11 +830,13 @@ class TestEvaluateCli:
         (lambda rows: rows[:3] + [rows[3].split(",")[0] + ",three"] + rows[4:], 4,
          "is not a number"),
         (lambda rows: rows[:3] + [rows[3].split(",")[0]] + rows[4:], 4, "is not a number"),
+        (lambda rows: rows[:5] + ["NOT-IN-SPLIT-1,3.0"] + rows[5:], 6,
+         "issue_key 'NOT-IN-SPLIT-1' is not in the test split"),
         (lambda rows: ["issue_key,est"] + rows[1:], None, "no estimate column"),
         (lambda rows: ["key,estimate"] + rows[1:], None, "no issue_key column"),
         (lambda rows: [], None, "no issue_key column"),
-    ], ids=["duplicate-key", "nan", "unparsable", "short-row", "no-estimate-column",
-            "no-key-column", "empty"])
+    ], ids=["duplicate-key", "nan", "unparsable", "short-row", "stray-key",
+            "no-estimate-column", "no-key-column", "empty"])
     def test_malformed_estimates_are_refused(self, prepared, tmp_path, capsys, edit, line,
                                              message):
         est = tmp_path / "mean.csv"

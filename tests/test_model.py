@@ -13,6 +13,7 @@ from oracles import (dropout_scale, grad_check, lstm_backward_steps, lstm_forwar
 from storypoint import model as model_module
 from storypoint import pretrain as pretrain_module
 from storypoint.model import (
+    PRETRAIN_TENSORS,
     ModelConfig,
     ModelError,
     batch_forward,
@@ -34,7 +35,7 @@ from storypoint.model import (
 )
 from storypoint.model import _drop, _highway_forward, _lstm_backward
 from storypoint.numerics import dropout_keep, make_rng, sigmoid
-from storypoint.pretrain import perplexity
+from storypoint.pretrain import init_language_model, perplexity
 from storypoint.trainer import predict_points
 
 LSTM_TENSORS = ("lstm_wx", "lstm_wh", "lstm_b")
@@ -247,11 +248,12 @@ def test_training_shard_keeps_few_arrays_per_padded_slot():
 # second digest covers the NCE step's own GEMMs and einsums.
 THREAD_PROBE = """
 import hashlib
-from storypoint.model import ModelConfig, batch_loss_and_grads, init_params, make_dropout_masks
+from storypoint.model import ModelConfig, batch_loss_and_grads, make_dropout_masks
 from storypoint.numerics import make_rng
+from storypoint.pretrain import init_language_model
 rng = make_rng(5)
 config = ModelConfig(embedding_dim=50, highway_depth=10)
-params = init_params(2000, config, rng)
+params = init_language_model(2000, config, rng)
 lengths = rng.integers(50, 61, size=100)
 lengths[0] = 60
 seqs = [list(rng.integers(0, 2000, size=n)) for n in lengths]
@@ -390,8 +392,6 @@ class TestForward:
         for masks in (None, fixed):
             _, _, grads = batch_loss_and_grads(seqs, targets, params, config, masks=masks)
             for name, tensor in params.tensors().items():
-                if name == "lm_u":
-                    continue
                 def f(_):
                     loss, _, _g = batch_loss_and_grads(seqs, targets, params, config, masks=masks)
                     return loss
@@ -587,7 +587,7 @@ class TestInferenceBatches:
         # about three times the cap
         rng = make_rng(40)
         config = ModelConfig(embedding_dim=6, highway_depth=2)
-        params = init_params(30, config, rng)
+        params = init_language_model(30, config, rng)
         seqs = [list(rng.integers(0, 30, size=n)) for n in rng.integers(60, 201, size=70)]
         assert 64 * max(len(s) for s in seqs) > 2 * model_module.INFERENCE_ROW_STEPS
         slots = []
@@ -645,14 +645,61 @@ class TestCheckpoints:
     def test_partial_checkpoint_fills_missing_tensors(self, tmp_path):
         params = small_params(seed=21)
         config = ModelConfig(embedding_dim=params.dim)
-        subset = {k: v for k, v in params.tensors().items()
-                  if k in ("emb", "lstm_wx", "lstm_wh", "lstm_b", "lm_u")}
+        subset = {k: v for k, v in params.tensors().items() if k in PRETRAIN_TENSORS}
         path = tmp_path / "pre.ckpt"
         save_checkpoint(path, "pretrain", config, "h", subset)
         loaded = load_checkpoint(path)
-        restored = loaded.to_params(rng=make_rng(0))
-        np.testing.assert_array_equal(restored.emb, params.emb)
-        assert restored.reg_w.shape == (params.dim,)
+        restored = loaded.to_params()
+        for name, tensor in restored.tensors().items():
+            if name in PRETRAIN_TENSORS:
+                np.testing.assert_array_equal(tensor, params.tensors()[name])
+            else:
+                np.testing.assert_array_equal(tensor, np.zeros_like(params.tensors()[name]))
+
+    @pytest.mark.parametrize("kind, names, message", [
+        ("model", ("emb",), "model checkpoint lacks lstm_wx, lstm_wh, lstm_b, hw_gate_w, "
+                            "hw_gate_b, hw_trans_w, hw_trans_b, reg_w, reg_b"),
+        ("model", (*PRETRAIN_TENSORS, "lm_u", "hw_gate_w", "hw_gate_b", "hw_trans_w",
+                   "hw_trans_b"), "model checkpoint lacks reg_w, reg_b"),
+        ("pretrain", ("emb", "lstm_wx", "lstm_wh", "lm_u"), "pretrain checkpoint lacks lstm_b"),
+        ("pretrain", ("lstm_wx", "lstm_wh", "lstm_b", "lm_u"), "pretrain checkpoint lacks emb"),
+    ], ids=["model-emb-only", "model-no-regressor", "pretrain-no-bias", "pretrain-no-emb"])
+    def test_incomplete_checkpoint_rejected(self, tmp_path, kind, names, message):
+        params = small_params(seed=26)
+        tensors = {**params.tensors(), "lm_u": params.emb}
+        path = tmp_path / "part.ckpt"
+        save_checkpoint(path, kind, ModelConfig(embedding_dim=params.dim), "h",
+                        {name: tensors[name] for name in names})
+        with pytest.raises(ModelError, match=message):
+            load_checkpoint(path)
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        params = small_params(seed=27)
+        path = tmp_path / "odd.ckpt"
+        save_checkpoint(path, "optimizer", ModelConfig(embedding_dim=params.dim), "h",
+                        params.tensors())
+        with pytest.raises(ModelError, match="unknown checkpoint kind 'optimizer'"):
+            load_checkpoint(path)
+
+    def test_head_loads_but_leaves_the_params(self, tmp_path):
+        # pretrain writes the head lm_u beside the encoder, and model
+        # checkpoints once held it too: it loads with its shape checked, and
+        # to_params leaves it out
+        params = small_params(seed=28)
+        config = ModelConfig(embedding_dim=params.dim)
+        head = make_rng(29).uniform(-0.3, 0.3, params.emb.shape)
+        for kind in ("model", "pretrain"):
+            path = tmp_path / f"{kind}.ckpt"
+            save_checkpoint(path, kind, config, "h", {**params.tensors(), "lm_u": head})
+            loaded = load_checkpoint(path)
+            np.testing.assert_array_equal(loaded.tensors["lm_u"], head)
+            restored = loaded.to_params()
+            assert list(restored.tensors()) == list(params.tensors())
+            for name, tensor in params.tensors().items():
+                np.testing.assert_array_equal(restored.tensors()[name], tensor)
+        save_checkpoint(path, "pretrain", config, "h", {**params.tensors(), "lm_u": head[1:]})
+        with pytest.raises(ModelError, match="tensor lm_u has shape"):
+            load_checkpoint(path)
 
     def test_non_finite_tensor_rejected(self, tmp_path):
         params = small_params(seed=25)

@@ -28,7 +28,7 @@ from storypoint.model import (ModelConfig, batch_forward, batch_loss_and_grads, 
                               pad_batch)
 from storypoint.numerics import NumericError, make_rng
 from storypoint.pretrain import (PretrainConfig, _nce_batch_step, _prediction_batches,
-                                 _softmax_chunks, perplexity, pretrain,
+                                 _softmax_chunks, init_language_model, perplexity, pretrain,
                                  unigram_noise_distribution)
 from storypoint.trainer import TrainConfig, predict_points, train
 
@@ -173,7 +173,7 @@ def test_without_a_pool_everything_runs_here(monkeypatch):
 
     monkeypatch.setattr(parallel.Pool, "__init__", no_pool)
     monkeypatch.setattr(model_module, "INFERENCE_ROW_STEPS", 8 * 29)
-    params = init_params(40, MC, make_rng(3))
+    params = init_language_model(40, MC, make_rng(3))
     seqs = sequences(4, 37)
     assert len(inference_batches([len(s) for s in seqs])) >= 3
     with deadline(60):
@@ -258,7 +258,7 @@ class TestDealtInferenceBytes:
 
     @pytest.fixture
     def params(self):
-        return init_params(40, MC, make_rng(3))
+        return init_language_model(40, MC, make_rng(3))
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_predict_points(self, monkeypatch, params, count):
@@ -386,7 +386,7 @@ def grad_bytes(grad):
 
 class TestNceShards:
     def batch(self):
-        params = init_params(50, MC, make_rng(10))
+        params = init_language_model(50, MC, make_rng(10))
         seqs = sequences(11, 30, vocab=50)
         (batch,) = list(_prediction_batches(seqs, inference_batches([len(s) - 1 for s in seqs])))
         return params, batch, unigram_noise_distribution(seqs, 50)

@@ -2,8 +2,10 @@
 
 perfbench/ drives the package through the CLI and also reaches into it
 directly (init_params, ModelParams.tensors, PRETRAIN_TENSORS), so a change
-to those can break the benchmark without breaking any other test. The smoke
-mode checks correctness gates only, never timings.
+to those can break the benchmark without breaking any other test. Its
+set-up writes the lstm-rf checkpoint as getattr(init_params(...), name) for
+each name in PRETRAIN_TENSORS, so PRETRAIN_TENSORS must name ModelParams
+fields only. The smoke mode checks correctness gates only, never timings.
 """
 
 import subprocess

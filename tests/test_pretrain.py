@@ -1,16 +1,17 @@
 import tracemalloc
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import (densified, grad_check, log_softmax_rows, nce_loss, next_token_logprob,
-                     run_lstm)
+from oracles import (densified, grad_check, initial_draws, log_softmax_rows, nce_loss,
+                     next_token_logprob, run_lstm)
 from storypoint import model as model_module
 from storypoint import pretrain as pretrain_module
 from storypoint.corpus import build_vocabulary, tokenize
-from storypoint.model import (ModelConfig, embed, encode, encode_backward, init_params,
-                              pad_batch)
+from storypoint.model import (ModelConfig, ModelParams, embed, encode, encode_backward,
+                              init_params, pad_batch)
 from storypoint.numerics import make_rng
 from storypoint.pretrain import (
     PRETRAIN_TENSORS,
@@ -21,6 +22,7 @@ from storypoint.pretrain import (
     _prediction_batches,
     _softmax_batch_step,
     _target_logp,
+    init_language_model,
     perplexity,
     pretrain,
     unigram_noise_distribution,
@@ -93,7 +95,7 @@ class TestNceLoss:
         rng = make_rng(5)
         v, d, m = 9, 4, 3
         config = ModelConfig(embedding_dim=d, highway_depth=1)
-        params = init_params(v, config, make_rng(6))
+        params = init_language_model(v, config, make_rng(6))
         q = unigram_noise_distribution([[2, 3, 4]], v)
         ids = np.array([[2]])
         targets = np.array([[5]])
@@ -111,7 +113,7 @@ class TestNceLoss:
     def test_batched_rows_outside_sample_get_exact_zero(self):
         rng = make_rng(8)
         v, d, m = 13, 4, 2
-        params = init_params(v, ModelConfig(embedding_dim=d), make_rng(9))
+        params = init_language_model(v, ModelConfig(embedding_dim=d), make_rng(9))
         q = np.full(v, 1 / v)
         ids = np.array([[1, 2]])
         targets = np.array([[2, 3]])
@@ -134,7 +136,7 @@ class TestNceLoss:
         outputs would take it past the bound (17 arrays with both)."""
         rng = make_rng(26)
         v, m = 13_000, 100
-        params = init_params(v, ModelConfig(embedding_dim=50), rng)
+        params = init_language_model(v, ModelConfig(embedding_dim=50), rng)
         seqs = [list(rng.integers(0, v, size=151)) for _ in range(25)]
         q = unigram_noise_distribution(seqs, v)
         ids, targets, mask = next(_prediction_batches(seqs, [np.arange(25)]))
@@ -169,19 +171,19 @@ class TestPerplexity:
     def test_uniform_model_equals_vocab_size(self):
         v = 70
         config = ModelConfig(embedding_dim=6)
-        params = init_params(v, config, make_rng(11))
+        params = init_language_model(v, config, make_rng(11))
         for t in params.tensors().values():
             t[...] = 0.0
         assert perplexity(params, [[1, 2, 3, 4], [5, 6]]) == pytest.approx(v, rel=1e-12)
 
     def test_matches_hand_summation_oracle(self):
-        params = init_params(6, ModelConfig(embedding_dim=4), make_rng(12))
+        params = init_language_model(6, ModelConfig(embedding_dim=4), make_rng(12))
         seq = [3, 1, 4, 2, 5]
         assert perplexity(params, [seq]) == pytest.approx(hand_perplexity(params, [seq]),
                                                          rel=1e-10)
 
     def test_token_weighted_across_buckets(self, monkeypatch):
-        params = init_params(9, ModelConfig(embedding_dim=4), make_rng(17))
+        params = init_language_model(9, ModelConfig(embedding_dim=4), make_rng(17))
         seqs = [[1, 2, 3, 4, 5, 6], [7, 8], [2, 2, 3], [8, 1, 5, 6, 7, 3, 4, 2], [4, 6, 1, 3],
                 [5], [3, 7, 7]]
         usable = [s for s in seqs if len(s) >= 2]  # one token makes no prediction
@@ -192,11 +194,11 @@ class TestPerplexity:
         assert perplexity(params, seqs) == pytest.approx(expected, abs=1e-12)
 
     def test_at_least_one(self):
-        params = init_params(8, ModelConfig(embedding_dim=5), make_rng(13))
+        params = init_language_model(8, ModelConfig(embedding_dim=5), make_rng(13))
         assert perplexity(params, [[1, 2, 3]]) >= 1.0
 
     def test_empty_corpus_rejected(self):
-        params = init_params(8, ModelConfig(embedding_dim=5), make_rng(14))
+        params = init_language_model(8, ModelConfig(embedding_dim=5), make_rng(14))
         with pytest.raises(PretrainError, match="empty"):
             perplexity(params, [])
         with pytest.raises(PretrainError, match="empty"):
@@ -210,7 +212,7 @@ class TestPerplexity:
         # slot), the outputs and live states of the batch before (16 * d) and
         # the softmax's two logit blocks stay under this bound.
         d, v = 50, 500
-        params = init_params(v, ModelConfig(embedding_dim=d), make_rng(24))
+        params = init_language_model(v, ModelConfig(embedding_dim=d), make_rng(24))
         rng = make_rng(25)
         seqs = [list(rng.integers(0, v, size=601)) for _ in range(20)]
         bound = (3 * 32 * d * model_module.INFERENCE_ROW_STEPS
@@ -234,7 +236,7 @@ def dense_softmax_step(ids, targets, mask, params):
     dlogits = np.exp(logp)
     np.add.at(dlogits, (*np.indices(targets.shape), targets), -1.0)
     dlogits *= (mask / positions)[:, :, None]
-    grads = {name: np.zeros_like(getattr(params, name)) for name in PRETRAIN_TENSORS}
+    grads = {name: np.zeros_like(getattr(params, name)) for name in (*PRETRAIN_TENSORS, "lm_u")}
     grads["lm_u"] += np.einsum("btv,btd->vd", dlogits, states)
     emb_ids, emb_rows = encode_backward(dlogits @ params.lm_u, cache, params, grads)
     grads["emb"][emb_ids] = emb_rows
@@ -253,8 +255,8 @@ class TestChunkedSoftmax:
     SEQS = [[3, 1, 4, 2, 5], [0, 2, 5], [1, 5, 3, 3]]
 
     def params(self, seed):
-        params = init_params(self.V, ModelConfig(embedding_dim=self.D, highway_depth=1),
-                             make_rng(seed))
+        params = init_language_model(self.V, ModelConfig(embedding_dim=self.D, highway_depth=1),
+                                     make_rng(seed))
         for t in params.tensors().values():
             t += make_rng(seed + 1).normal(scale=0.5, size=t.shape)
         return params
@@ -310,7 +312,7 @@ class TestChunkedSoftmax:
         # softmax step, the dense gradient of lm_u and a block's term of it
         # (3.1 MiB each).
         v, bound = 50_000, 16 * 2**20
-        params = init_params(v, ModelConfig(embedding_dim=8), make_rng(22))
+        params = init_language_model(v, ModelConfig(embedding_dim=8), make_rng(22))
         seqs = [list(make_rng(23 + i).integers(0, v, size=61)) for i in range(4)]
         batch = prediction_batch(seqs)
         for call in (lambda: perplexity(params, seqs),
@@ -324,14 +326,32 @@ class TestChunkedSoftmax:
             assert peak < bound, f"peak {peak / 2**20:.0f} MB"
 
 
+class TestInitialization:
+    @pytest.mark.parametrize("v, d", [(9, 4), (300, 50)])
+    def test_draws_keep_their_place_in_the_stream(self, v, d):
+        # init_params leaves the generator where drawing the head too would,
+        # and init_language_model's head is the draw init_params skips
+        config = ModelConfig(embedding_dim=d)
+        reference = make_rng(5)
+        expected = initial_draws(v, d, reference)
+        for build in (init_params, init_language_model):
+            rng = make_rng(5)
+            params = build(v, config, rng)
+            assert rng.bit_generator.state == reference.bit_generator.state, build.__name__
+            names = list(expected) if build is init_language_model else list(expected)[:-1]
+            assert list(params.tensors()) == names
+            for name, tensor in params.tensors().items():
+                assert tensor.tobytes() == expected[name].tobytes(), (build.__name__, name)
+        assert [f.name for f in fields(ModelParams)] == list(expected)[:-1]
+
+
 class TestPretrain:
     def test_zero_epochs_returns_initial_weights(self):
         vocab, seqs = periodic_corpus(copies=10, periods=2)
         config = ModelConfig(embedding_dim=5)
-        initial = init_params(len(vocab), config, make_rng(15))
+        initial = init_language_model(len(vocab), config, make_rng(1))
         result = pretrain(seqs, len(vocab), config,
-                          PretrainConfig(epochs=0, nce_samples=2), seed=1,
-                          initial=initial)
+                          PretrainConfig(epochs=0, nce_samples=2), seed=1)
         for name, tensor in initial.tensors().items():
             np.testing.assert_array_equal(result.params.tensors()[name], tensor)
         assert result.curve == []
@@ -357,11 +377,10 @@ class TestPretrain:
     def test_selection_never_worse_than_initial(self):
         vocab, seqs = periodic_corpus(copies=10, periods=2)
         config = ModelConfig(embedding_dim=5)
-        initial = init_params(len(vocab), config, make_rng(16))
+        initial = init_language_model(len(vocab), config, make_rng(2))
         initial_ppl = perplexity(initial, seqs[-1:])
         result = pretrain(seqs, len(vocab), config,
-                          PretrainConfig(epochs=3, batch_size=4, nce_samples=2),
-                          seed=2, initial=initial)
+                          PretrainConfig(epochs=3, batch_size=4, nce_samples=2), seed=2)
         assert result.best_perplexity <= initial_ppl
 
     def test_early_stopping_bounded_by_patience(self):
@@ -395,12 +414,12 @@ class TestPretrain:
     def test_numeric_blow_up_aborts_with_best_weights(self):
         vocab, seqs = periodic_corpus(copies=10, periods=2)
         config = ModelConfig(embedding_dim=5)
-        initial = init_params(len(vocab), config, make_rng(18))
+        initial = init_language_model(len(vocab), config, make_rng(1))
         for objective in ("nce", "softmax"):
             cfg = PretrainConfig(epochs=5, batch_size=4, nce_samples=2,
                                  learning_rate=1e200, objective=objective)
             with np.errstate(all="ignore"):
-                result = pretrain(seqs, len(vocab), config, cfg, seed=1, initial=initial)
+                result = pretrain(seqs, len(vocab), config, cfg, seed=1)
             assert result.aborted is not None and result.aborted.startswith("epoch ")
             assert len(result.curve) < cfg.epochs  # stopped by the abort, not patience
             # no epoch beat the initial weights, so those are what comes back
@@ -413,12 +432,12 @@ class TestPretrain:
         # every loss stays finite, but the held-out perplexity reads inf
         vocab, seqs = periodic_corpus(copies=10, periods=2)
         config = ModelConfig(embedding_dim=5)
-        initial = init_params(len(vocab), config, make_rng(18))
+        initial = init_language_model(len(vocab), config, make_rng(1))
         for objective in ("nce", "softmax"):
             cfg = PretrainConfig(epochs=5, batch_size=4, nce_samples=2,
                                  learning_rate=1e6, objective=objective)
             with np.errstate(all="ignore"):
-                result = pretrain(seqs, len(vocab), config, cfg, seed=1, initial=initial)
+                result = pretrain(seqs, len(vocab), config, cfg, seed=1)
             assert result.aborted is not None
             assert result.aborted.startswith("epoch 1: validation perplexity")
             assert result.curve == [] and result.best_epoch == 0

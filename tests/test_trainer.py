@@ -9,8 +9,8 @@ from storypoint.corpus import (
     split_chronological,
     tokenize,
 )
-from storypoint.model import (ModelConfig, batch_forward, init_params, load_checkpoint,
-                              pad_batch, save_checkpoint, zero_params)
+from storypoint.model import (PRETRAIN_TENSORS, ModelConfig, batch_forward, init_params,
+                              load_checkpoint, pad_batch, save_checkpoint, zero_params)
 from storypoint.numerics import make_rng
 from storypoint.trainer import (
     TrainConfig,
@@ -204,13 +204,35 @@ class TestEstimate:
 class TestPretrainedHandoff:
     def test_pretrained_tensors_are_loaded(self, split64, tmp_path, trained):
         donor = trained.checkpoint
-        partial = {k: donor.tensors[k] for k in ("emb", "lstm_wx", "lstm_wh", "lstm_b", "lm_u")}
+        partial = {k: donor.tensors[k] for k in PRETRAIN_TENSORS}
+        partial["lm_u"] = make_rng(5).uniform(-0.05, 0.05, donor.tensors["emb"].shape)
         path = tmp_path / "pre.ckpt"
         save_checkpoint(path, "pretrain", MC, donor.vocab_hash, partial)
         cfg = TrainConfig(epochs=1, batch_size=16, seed=4)
         result = train(split64, MC, cfg, vocab=trained.vocab,
                        pretrained=load_checkpoint(path))
         assert result.best_epoch == 1
+
+    def test_train_starts_from_the_encoder_alone(self, split64, tmp_path, trained,
+                                                 monkeypatch):
+        # a checkpoint with every tensor of a trained model and a head: train
+        # takes PRETRAIN_TENSORS from it and draws the rest as without one.
+        # A NaN validation MAE aborts epoch 1, so the initial weights come back.
+        monkeypatch.setattr(trainer_module, "predict_points",
+                            lambda params, config, seqs, pool=None: np.full(len(seqs), np.nan))
+        donor = trained.checkpoint
+        head = make_rng(6).uniform(-0.05, 0.05, donor.tensors["emb"].shape)
+        path = tmp_path / "pre.ckpt"
+        save_checkpoint(path, "pretrain", MC, donor.vocab_hash, {**donor.tensors, "lm_u": head})
+        cfg = TrainConfig(epochs=3, batch_size=16, seed=4)
+        result = train(split64, MC, cfg, vocab=trained.vocab, pretrained=load_checkpoint(path))
+        assert result.aborted == "epoch 1: validation MAE is nan"
+        drawn = init_params(len(trained.vocab), MC, make_rng(cfg.seed)).tensors()
+        assert list(result.checkpoint.tensors) == list(drawn)
+        for name, tensor in result.checkpoint.tensors.items():
+            source = donor.tensors if name in PRETRAIN_TENSORS else drawn
+            assert not np.array_equal(donor.tensors[name], drawn[name]), name
+            np.testing.assert_array_equal(tensor, source[name], err_msg=name)
 
     def test_pretrained_vocab_hash_must_match(self, split64, tmp_path):
         params = zero_params(5, MC)
