@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import os
 import sys
@@ -30,9 +31,11 @@ from .corpus import (
     build_vocabulary,
     compose_document,
     dataset_stats,
+    escape_token,
     filter_issues,
     load_vocabulary,
     read_corpus,
+    read_utf8,
     record_to_json,
     save_vocabulary,
     split_chronological,
@@ -209,7 +212,7 @@ def _read_estimates(path: Path, keys) -> list[tuple[str, float]]:
     issue_key and one not in `keys` are refused, naming the file and the
     line."""
     pairs, seen = [], set()
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with io.StringIO(read_utf8(path, newline=""), newline="") as fh:
         reader = csv.DictReader(fh)
         for column in ("issue_key", "estimate"):
             if column not in (reader.fieldnames or []):
@@ -361,7 +364,7 @@ def _read_feature_table(path: Path) -> dict[str, baselines.IssueFeatureInput]:
     table = {}
     fields = baselines.IssueFeatureInput.__dataclass_fields__
     int_fields = {f for f in fields if f not in ("issue_type", "priority")}
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with io.StringIO(read_utf8(path, newline=""), newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         if "issue_key" not in header:
@@ -562,7 +565,7 @@ def cmd_cluster_words(args) -> int:
     )
     with args.out.open("w", encoding="utf-8") as fh:
         for token, cluster in pairs:
-            fh.write(f"{token}\t{cluster}\n")
+            fh.write(f"{escape_token(token)}\t{cluster}\n")
     print(f"cluster-words: wrote {len(pairs)} tokens in {args.k} clusters to {args.out}")
     return 0
 
@@ -594,8 +597,8 @@ def main(argv=None) -> int:
     sub = subcommands.get(pre.command)
     if pre.config is not None and sub is not None:
         try:
-            overrides = json.loads(Path(pre.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            overrides = json.loads(Path(pre.config).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config file: {exc}")
         if not isinstance(overrides, dict):
             parser.error(f"config file must hold a JSON object, not {type(overrides).__name__}")

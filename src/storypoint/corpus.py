@@ -219,13 +219,24 @@ def build_vocabulary(
     return Vocabulary(tokens=tokens, mode=mode)
 
 
+def read_utf8(path: str | Path, newline: str | None = None) -> str:
+    """The text of a UTF-8 file, opened with `newline` as `open` takes it.
+    Raises CorpusError naming the file and the byte offset of the first
+    byte that is not UTF-8."""
+    with Path(path).open("r", encoding="utf-8", newline=newline) as fh:
+        try:
+            return fh.read()  # one decode of the whole file: offsets are the file's
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: not UTF-8 at byte {exc.start} ({exc.reason})") from None
+
+
 # Tokens are one per line in vocabulary files; escape the characters that
 # would break the line framing (character mode emits literal newlines).
 _ESCAPES = {"\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {"\\\\": "\\", "\\n": "\n", "\\r": "\r", "\\t": "\t"}
 
 
-def _escape_token(token: str) -> str:
+def escape_token(token: str) -> str:
     out = token
     for raw, esc in _ESCAPES.items():
         out = out.replace(raw, esc)
@@ -233,7 +244,7 @@ def _escape_token(token: str) -> str:
 
 
 def _unescape_token(line: str) -> str:
-    """Undo _escape_token, pairing backslashes left to right; a backslash
+    """Undo escape_token, pairing backslashes left to right; a backslash
     that starts no escape stays as it is."""
     return re.sub(r"\\[\\nrt]", lambda m: _UNESCAPES[m.group()], line)
 
@@ -246,7 +257,7 @@ MODE_HEADER = "#mode="
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     """Write the tokenizer-mode header, then one token per line in index
     order; the reserved entries lead."""
-    lines = [MODE_HEADER + vocab.mode + "\n"] + [_escape_token(tok) + "\n" for tok in vocab.tokens]
+    lines = [MODE_HEADER + vocab.mode + "\n"] + [escape_token(tok) + "\n" for tok in vocab.tokens]
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
@@ -255,7 +266,7 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
 
     Raises CorpusError when the first line is not a mode header.
     """
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    lines = read_utf8(path).split("\n")
     mode = lines.pop(0)[len(MODE_HEADER):] if lines[0].startswith(MODE_HEADER) else None
     if mode not in TOKENIZER_MODES:
         raise CorpusError(f"vocabulary file {path} does not start with a line "
@@ -413,7 +424,7 @@ def read_corpus(path: str | Path) -> list[IssueRecord]:
     records = []
     seen = set()
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_utf8(path)
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {path}: {exc}") from exc
     # Records end at "\n" only. JSON escapes every control character, but

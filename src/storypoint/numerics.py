@@ -48,10 +48,11 @@ class RmsPropState:
     """Per-tensor running mean of squared gradients plus step sizes.
 
     A tensor is stepped densely (`step`) or row-sparsely (`step_rows`), with
-    the same bits. Where a dense gradient row is zero, the dense step
-    computes ms*decay + 0.0 and p - 0.0: only the decay of ms changes
-    anything. The row-sparse step defers those decays and replays them, one
-    multiply per skipped step, when a row is next touched or at `catch_up`.
+    the same bits: every step decays the whole mean square, then only the
+    touched rows add their squared gradient and move. Where a dense gradient
+    row is zero, the dense step computes ms*decay + 0.0 and p - 0.0, which
+    are ms*decay and p as ms >= 0, so after every step of either kind
+    `mean_square` and the params hold the dense step's values.
     """
 
     def __init__(self, learning_rate: float, decay: float, smoothing: float):
@@ -64,73 +65,33 @@ class RmsPropState:
         self.decay = decay
         self.smoothing = smoothing
         self.mean_square: dict[str, np.ndarray] = {}
-        # row-sparse tensors: (steps taken, per row the step its ms is decayed to)
-        self._lazy: dict[str, tuple[int, np.ndarray]] = {}
-
-    def _mean_square(self, name: str, params: np.ndarray) -> np.ndarray:
-        ms = self.mean_square.get(name)
-        if ms is None:
-            ms = np.zeros_like(params)
-            self.mean_square[name] = ms
-        return ms
 
     def step(self, name: str, params: np.ndarray, grads: np.ndarray) -> None:
         """Update params in place: ms <- d*ms + (1-d)*g^2; p -= lr*g/sqrt(ms+eps)."""
-        if not np.all(np.isfinite(grads)):
-            raise NumericError(f"gradient blow-up in {name}")
-        if name in self._lazy:
-            self.catch_up(name)
-        ms = self._mean_square(name, params)
-        ms *= self.decay
-        ms += (1.0 - self.decay) * grads * grads
-        params -= self.learning_rate * grads / np.sqrt(ms + self.smoothing)
+        self._update(name, params, slice(None), grads)
 
     def step_rows(self, name: str, params: np.ndarray, ids: np.ndarray,
                   rows: np.ndarray) -> None:
         """`step` for a gradient that is zero but for the rows `ids` (strictly
-        increasing) of a (V, ...) tensor, given as `rows`; the other rows'
-        decays wait for their next touch or `catch_up`. Params are always
-        those of the dense step, mean squares once caught up."""
-        if not np.all(np.isfinite(rows)):
-            raise NumericError(f"gradient blow-up in {name}")
+        increasing) of a (V, ...) tensor, given as `rows`."""
         ids = np.asarray(ids)
         if len(ids) != len(rows) or np.any(ids[1:] <= ids[:-1]):
             raise ValueError(f"row ids of {name} must be strictly increasing, one per row")
-        steps, decayed_to = self._lazy.get(name, (0, None))
-        if decayed_to is None:
-            decayed_to = np.zeros(len(params), dtype=np.int64)
-        order = np.argsort(decayed_to[ids], kind="stable")  # most decays owed first
-        ids, rows = ids[order], rows[order]
-        steps += 1
-        self._lazy[name] = (steps, decayed_to)
-        ms = self._mean_square(name, params)
-        block = self._decayed(ms, ids, steps - decayed_to[ids])
-        block += (1.0 - self.decay) * rows * rows
-        ms[ids] = block
-        decayed_to[ids] = steps
-        params[ids] -= self.learning_rate * rows / np.sqrt(block + self.smoothing)
+        self._update(name, params, ids, rows)
 
-    def catch_up(self, name: str | None = None) -> None:
-        """Replay the decays the row-sparse steps of `name` (of every tensor
-        when None) still owe, so mean_square holds the dense step's values.
-        Bounds the replay: no row owes more decays than steps since this."""
-        for key in [name] if name is not None else list(self._lazy):
-            steps, decayed_to = self._lazy.pop(key, (0, None))
-            if decayed_to is None:
-                continue
-            ids = np.flatnonzero(decayed_to < steps)
-            ids = ids[np.argsort(decayed_to[ids], kind="stable")]
-            ms = self.mean_square[key]
-            ms[ids] = self._decayed(ms, ids, steps - decayed_to[ids])
-
-    def _decayed(self, ms: np.ndarray, ids: np.ndarray, owed: np.ndarray) -> np.ndarray:
-        """ms[ids] with row i multiplied by decay owed[i] times, rounding after
-        every multiply as the dense steps do; owed must be non-increasing."""
-        block = ms[ids]
-        rising = -owed
-        for k in range(owed[0] if len(owed) else 0):
-            block[: np.searchsorted(rising, -k)] *= self.decay  # the rows owing > k
-        return block
+    def _update(self, name: str, params: np.ndarray, touched, grads: np.ndarray) -> None:
+        """The step of both: `grads` are the gradient rows `touched` (an index
+        of the first axis) and the gradient is zero elsewhere."""
+        if not np.all(np.isfinite(grads)):
+            raise NumericError(f"gradient blow-up in {name}")
+        ms = self.mean_square.get(name)
+        if ms is None:
+            ms = self.mean_square[name] = np.zeros_like(params)
+        ms *= self.decay
+        block = ms[touched]
+        block += (1.0 - self.decay) * grads * grads
+        ms[touched] = block
+        params[touched] -= self.learning_rate * grads / np.sqrt(block + self.smoothing)
 
 
 def _run_epochs(params, config, batches, step, validate, label: str,
@@ -140,7 +101,7 @@ def _run_epochs(params, config, batches, step, validate, label: str,
     `config` gives epochs, patience, learning_rate, decay and smoothing. Each
     epoch steps the weights with `loss, grads = step(batch)` for every batch
     of `batches()` (a gradient is a dense array, or row-sparse (ids, rows)
-    for RmsPropState.step_rows), catches the row-sparse tensors up, then
+    for RmsPropState.step_rows), then
     scores `validate()`, lower being better. The weights are copied into
     the one best-weights set whenever the score beats the best so far
     (`best_score` at first) strictly; more than `patience` epochs without
@@ -165,7 +126,6 @@ def _run_epochs(params, config, batches, step, validate, label: str,
                         opt.step(name, getattr(params, name), grad)
                 total += loss
                 count += 1
-            opt.catch_up()
             score = validate()
             if not np.isfinite(score):
                 raise NumericError(f"validation {label} is {score}")

@@ -17,6 +17,7 @@ from storypoint import baselines, cli
 from storypoint.cli import main
 from storypoint.corpus import (
     IssueRecord,
+    _unescape_token,
     build_vocabulary,
     dataset_stats,
     filter_issues,
@@ -25,6 +26,7 @@ from storypoint.corpus import (
     read_corpus,
     save_vocabulary,
     split_chronological,
+    tokenize,
     write_corpus,
 )
 from storypoint.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
@@ -1091,6 +1093,56 @@ class TestClusterWordsCli:
                        "--out", bad) == 1
             assert not bad.exists()
 
+    def test_character_tokens_are_escaped_two_fields_a_line(self, tmp_path):
+        # "\n" and "\t" are tokens of a character vocabulary
+        vocab = build_vocabulary([tokenize("ab c\nd\te\n", "character")], mode="character")
+        config = ModelConfig(embedding_dim=4, highway_depth=1)
+        params = init_params(len(vocab), config, np.random.default_rng(0))
+        checkpoint, vocab_path = tmp_path / "m.ckpt", tmp_path / "vocab.txt"
+        save_checkpoint(checkpoint, "model", config, vocab.content_hash(), params.tensors())
+        save_vocabulary(vocab, vocab_path)
+        out = tmp_path / "clusters.txt"
+        assert run("cluster-words", "--checkpoint", checkpoint, "--vocab", vocab_path,
+                   "--top", 100, "--k", 2, "--out", out) == 0
+        lines = out.read_bytes().decode("utf-8").split("\n")
+        assert lines.pop() == ""
+        fields = [line.split("\t") for line in lines]
+        assert all(len(f) == 2 for f in fields)
+        assert [_unescape_token(token) for token, _ in fields] == vocab.tokens[2:]
+        assert {"\n", "\t"} <= set(vocab.tokens)
+
+
+class TestUndecodableInput:
+    """A byte that is not UTF-8 in a file a command reads fails the command,
+    naming the file and the byte's offset."""
+
+    @pytest.mark.parametrize("reader", ["vocabulary", "corpus", "estimates", "features"])
+    def test_names_the_file_and_the_offset(self, prepared, tmp_path, capsys, reader):
+        estimates, features = tmp_path / "mean.csv", tmp_path / "features.csv"
+        write_feature_table(prepared, features)
+        test = ("--split-dir", prepared, "--in", prepared / "test.jsonl")
+        assert run("baseline", "--model", "mean", *test, "--out", estimates) == 0
+        path, argv = {
+            "vocabulary": (prepared / "vocab.txt",
+                           ("train", "--split-dir", prepared, "--out-dir", tmp_path / "m",
+                            "--dim", 4, "--depth", 1, "--epochs", 1)),
+            "corpus": (prepared / "test.jsonl",
+                       ("baseline", "--model", "mean", *test, "--out", tmp_path / "x.csv")),
+            "estimates": (estimates, ("evaluate", "--split-dir", prepared,
+                                      "--estimates", f"mean={estimates}",
+                                      "--out", tmp_path / "report.csv")),
+            "features": (features, ("baseline", "--model", "cart", *test,
+                                    "--out", tmp_path / "x.csv", "--features", features)),
+        }[reader]
+        data = path.read_bytes()
+        offset = data.index(b"\n") + 3  # inside the second line
+        path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8 at byte {offset} " in err
+        assert "Traceback" not in err
+
 
 class TestTestSetIsolation:
     def test_train_and_baseline_never_open_test_manifest(self, prepared, tmp_path):
@@ -1206,12 +1258,14 @@ class TestConfigFile:
                    "--out-dir", tmp_path / "m", "--dim", 6, "--depth", 2, "--epochs", 1,
                    "--seed", 3) == 0
 
-    def test_bad_config_file_exits_2(self, tmp_path):
+    def test_bad_config_file_exits_2(self, tmp_path, capsys):
         config = tmp_path / "broken.json"
-        config.write_text("{not json")
-        with pytest.raises(SystemExit) as exc:
-            run("--config", config, "prepare", "--in", "x", "--out-dir", "y")
-        assert exc.value.code == 2
+        for content in (b"{not json", b'{"seed": "\xff"}'):  # broken JSON, then not UTF-8
+            config.write_bytes(content)
+            with pytest.raises(SystemExit) as exc:
+                run("--config", config, "prepare", "--in", "x", "--out-dir", "y")
+            assert exc.value.code == 2
+            assert "cannot read config file: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("content, message", [
         ("[1, 2]", "must hold a JSON object, not list"),

@@ -133,18 +133,18 @@ class TestRowSparseRmsProp:
                 dense_opt.step("emb", dense, grad)
                 sparse_opt.step_rows("emb", sparse, ids, rows)
                 assert np.array_equal(sparse, dense), (epoch, step)
+                assert np.array_equal(sparse_opt.mean_square["emb"],
+                                      dense_opt.mean_square["emb"]), (epoch, step)
                 now = epoch * steps + step
                 seen = ids[last_seen[ids] >= epoch * steps]  # seen earlier this epoch
                 if len(seen):
                     longest_gap = max(longest_gap, int((now - last_seen[seen]).max()))
                 last_seen[ids] = now
-            sparse_opt.catch_up()  # the epoch end of numerics._run_epochs
-            assert np.array_equal(sparse_opt.mean_square["emb"], dense_opt.mean_square["emb"])
-        # rows replayed over a hundred missed decays within an epoch
+        # rows went unseen for over a hundred steps within an epoch
         assert longest_gap > 100
         assert len(np.unique(last_seen)) > 100
 
-    def test_dense_step_after_row_steps_catches_up_first(self):
+    def test_dense_step_after_row_steps_matches_the_dense_run(self):
         rng = make_rng(32)
         dense, sparse = np.zeros((self.V, self.D)), np.zeros((self.V, self.D))
         dense_opt, sparse_opt = RmsPropState(0.01, 0.9, 1e-6), RmsPropState(0.01, 0.9, 1e-6)
@@ -171,8 +171,8 @@ class TestRowSparseRmsProp:
         with pytest.raises(NumericError, match="gradient blow-up in lm_u"):
             opt.step_rows("lm_u", params, np.array([2, 7, 40]), rows)
         assert np.array_equal(params, before)
-        # the failed step counted no step: the next one matches a dense run
-        # that never saw it
+        assert np.array_equal(opt.mean_square["lm_u"], ms_before)
+        # the next step matches a dense run that never saw the failed one
         dense, dense_opt = params.copy(), RmsPropState(0.01, 0.9, 1e-6)
         dense_opt.mean_square["lm_u"] = ms_before.copy()
         rows = rng.normal(size=(1, 3))
@@ -180,7 +180,6 @@ class TestRowSparseRmsProp:
         grad[[40]] = rows
         dense_opt.step("lm_u", dense, grad)
         opt.step_rows("lm_u", params, np.array([40]), rows)
-        opt.catch_up()
         assert np.array_equal(params, dense)
         assert np.array_equal(opt.mean_square["lm_u"], dense_opt.mean_square["lm_u"])
 
@@ -248,11 +247,7 @@ class TestRunEpochs:
         assert len(curve) == 1 and (epoch, score) == (1, 3.0)
         assert best.w[0] == scored_at[0]
 
-    def test_row_sparse_gradients_step_like_dense_ones(self, monkeypatch):
-        caught_up = []
-        catch_up = RmsPropState.catch_up
-        monkeypatch.setattr(RmsPropState, "catch_up",
-                            lambda opt, name=None: caught_up.append(name) or catch_up(opt, name))
+    def test_row_sparse_gradients_step_like_dense_ones(self):
         rng = make_rng(34)
         batches = [(np.unique(rng.integers(0, 30, size=5)), None) for _ in range(4)]
         batches = [(ids, rng.normal(size=(len(ids), 2))) for ids, _ in batches]
@@ -273,7 +268,6 @@ class TestRunEpochs:
                                    best_score=2.0)
             results.append(params.w)
         assert np.array_equal(results[0], results[1])
-        assert caught_up == [None] * 6  # every epoch ends caught up: replays stay bounded
 
     def test_an_improving_epoch_copies_into_the_one_best_set(self):
         # no batches; each validation sets the weights in place, then scores them

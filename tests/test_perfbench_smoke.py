@@ -5,7 +5,9 @@ directly (init_params, ModelParams.tensors, PRETRAIN_TENSORS), so a change
 to those can break the benchmark without breaking any other test. Its
 set-up writes the lstm-rf checkpoint as getattr(init_params(...), name) for
 each name in PRETRAIN_TENSORS, so PRETRAIN_TENSORS must name ModelParams
-fields only. The smoke mode checks correctness gates only, never timings.
+fields only. Its tracer wraps `numerics.RmsPropState.step` with the fixed
+signature (self, tensor_name, params, grads), so `step` must keep it. The
+smoke mode checks correctness gates only, never timings.
 """
 
 import subprocess
