@@ -1,11 +1,11 @@
 """Command-line pipeline: ingest, prepare, pretrain, train, estimate,
 baseline, evaluate, cross-project, cluster-words.
 
-A JSON config file (--config) supplies defaults for the long flags of the
-subcommand, each key a flag name with dashes or underscores; explicit flags
-win, and a key that names no flag is a bad flag. Artifacts are deterministic
-given identical inputs, flags, and seed. Exit codes: 0 success, 1 runtime
-or transport failure, 2 bad flags.
+A JSON config file (--config) stands for flags written ahead of the given
+ones, each key a long flag of the subcommand with dashes or underscores;
+a given flag wins, and a key that names no flag is a bad flag. Artifacts
+are deterministic given identical inputs, flags, and seed. Exit codes: 0
+success, 1 runtime or transport failure, 2 bad flags.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="storypoint", description="Story-point estimation pipeline", allow_abbrev=False
     )
     parser.add_argument("--config", type=Path, default=None,
-                        help="JSON file with default values for any flag")
+                        help="JSON object of flags, read ahead of the given ones")
     add_parser = functools.partial(
         parser.add_subparsers(dest="command", required=True).add_parser, allow_abbrev=False)
 
@@ -208,9 +208,9 @@ def _write_estimates(path: Path, estimates, column: str = "estimate") -> None:
 
 def _read_estimates(path: Path, keys) -> list[tuple[str, float]]:
     """(issue_key, estimate) rows of an estimates CSV of the issues `keys`.
-    A missing column, an estimate that is not a finite number, a repeated
-    issue_key and one not in `keys` are refused, naming the file and the
-    line."""
+    A missing column, a row with more cells than the header, an estimate
+    that is not a finite number, a repeated issue_key and one not in `keys`
+    are refused, naming the file and the line."""
     pairs, seen = [], set()
     with io.StringIO(read_utf8(path, newline=""), newline="") as fh:
         reader = csv.DictReader(fh)
@@ -219,6 +219,8 @@ def _read_estimates(path: Path, keys) -> list[tuple[str, float]]:
                 raise CliError(f"{path}: no {column} column")
         for row in reader:
             where = f"{path} line {reader.line_num}"
+            if None in row:  # DictReader's key for the cells past the header's
+                raise CliError(f"{where}: more than the header's {len(reader.fieldnames)} cells")
             key, cell = row["issue_key"], row["estimate"]
             try:
                 value = float(cell)
@@ -583,50 +585,60 @@ COMMANDS = {
 }
 
 
+def _config_flags(parser, sub, command: str, path: Path, given: list[str]) -> list[str]:
+    """The flags a --config file stands for, to go ahead of those `given`:
+    a --flag=value token per key (a long flag of `sub`, with dashes or
+    underscores), a list's values for an nargs="+" flag, none for a null."""
+    try:
+        text = read_utf8(path)
+    except (OSError, CorpusError) as exc:
+        parser.error(f"cannot read config file: {exc}")
+    try:  # objects as tuples of pairs, so a repeated key is seen; floats as written
+        pairs = json.loads(text, object_pairs_hook=tuple, parse_float=str)
+    except json.JSONDecodeError as exc:
+        parser.error(f"cannot read config file: {path}: {exc}")
+    if not isinstance(pairs, tuple):
+        parser.error(f"config file must hold a JSON object, not {type(json.loads(text)).__name__}")
+    flags = {option[2:].replace("-", "_"): action for action in sub._actions
+             if action.dest != "help" for option in action.option_strings
+             if option.startswith("--")}
+    tokens, named = [], set()
+    for key, value in pairs:
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            sub.error(f"config file key {key!r} names no flag of {command}")
+        flag = action.option_strings[0]
+        if action in named:
+            sub.error(f"config file key {key!r} names {flag} a second time")
+        named.add(action)
+        if value is not None:
+            values = value if action.nargs == "+" and isinstance(value, list) else [value]
+            for v in values:
+                if v is None or isinstance(v, (list, tuple)):
+                    kind = {list: "list", tuple: "object"}.get(type(v), "null")
+                    sub.error(f"config file key {key!r}: {flag} takes no {kind}")
+            texts = [v if isinstance(v, str) else json.dumps(v) for v in values]
+            tokens += [flag, *texts] if isinstance(value, list) else [f"{flag}={texts[0]}"]
+        elif action.default is not None and flag not in {t.split("=")[0] for t in given}:
+            sub.error(f"argument {flag}: null in the config file, "
+                      "which only a flag that defaults to none takes")
+    return tokens
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    subcommands = parser._subparsers._group_actions[0].choices
-    null = object()  # a config-file null for a flag that has a default
-    # apply config-file values as defaults of the subcommand's flags before
-    # the real parse, which reports a missing or unknown subcommand
+    # the top-level flags end at the subcommand, which takes the rest of argv
     probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config", type=Path, default=None)
     probe.add_argument("command", nargs="?")
+    probe.add_argument("rest", nargs=argparse.REMAINDER)
     pre, _ = probe.parse_known_args(argv)
-    sub = subcommands.get(pre.command)
+    sub = parser._subparsers._group_actions[0].choices.get(pre.command)
     if pre.config is not None and sub is not None:
-        try:
-            overrides = json.loads(Path(pre.config).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config file: {exc}")
-        if not isinstance(overrides, dict):
-            parser.error(f"config file must hold a JSON object, not {type(overrides).__name__}")
-        flags = {option[2:].replace("-", "_"): action for action in sub._actions
-                 if action.dest != "help" for option in action.option_strings
-                 if option.startswith("--")}
-        for key, value in overrides.items():
-            action = flags.get(key.replace("-", "_"))
-            if action is None:
-                sub.error(f"config file key {key!r} names no flag of {pre.command}")
-            if value is None and action.required:
-                continue  # a required flag the file gives no value stays required
-            if value is None and action.default is not None:
-                value = null  # refused below unless the flag is given
-            elif value is not None and action.type is not None:
-                # argparse converts string defaults with the flag's type,
-                # so a value of the wrong type fails as a bad flag would
-                value = str(value)
-            action.default, action.required = value, False
+        at = len(argv) - len(pre.rest)  # just past the subcommand
+        argv[at:at] = _config_flags(parser, sub, pre.command, pre.config, pre.rest)
     args = parser.parse_args(argv)
-    sub = subcommands[args.command]
-    for action in sub._actions:  # argparse checks the choices of given flags only
-        value = getattr(args, action.dest, None)
-        if value is null:
-            sub.error(f"argument {action.option_strings[0]}: null in the config file, "
-                      "which only a flag that defaults to none takes")
-        if action.choices is not None and value is not None and value not in action.choices:
-            sub.error(f"argument {action.option_strings[0]}: invalid choice: {value!r}")
     try:
         return COMMANDS[args.command](args)
     except (IngestError, CliError, CorpusError, ModelError, TrainerError, PretrainError,

@@ -832,12 +832,14 @@ class TestEvaluateCli:
         (lambda rows: rows[:3] + [rows[3].split(",")[0] + ",three"] + rows[4:], 4,
          "is not a number"),
         (lambda rows: rows[:3] + [rows[3].split(",")[0]] + rows[4:], 4, "is not a number"),
+        (lambda rows: rows[:3] + [rows[3] + ",junk"] + rows[4:], 4,
+         "more than the header's 2 cells"),
         (lambda rows: rows[:5] + ["NOT-IN-SPLIT-1,3.0"] + rows[5:], 6,
          "issue_key 'NOT-IN-SPLIT-1' is not in the test split"),
         (lambda rows: ["issue_key,est"] + rows[1:], None, "no estimate column"),
         (lambda rows: ["key,estimate"] + rows[1:], None, "no issue_key column"),
         (lambda rows: [], None, "no issue_key column"),
-    ], ids=["duplicate-key", "nan", "unparsable", "short-row", "stray-key",
+    ], ids=["duplicate-key", "nan", "unparsable", "short-row", "long-row", "stray-key",
             "no-estimate-column", "no-key-column", "empty"])
     def test_malformed_estimates_are_refused(self, prepared, tmp_path, capsys, edit, line,
                                              message):
@@ -1265,13 +1267,19 @@ class TestConfigFile:
             with pytest.raises(SystemExit) as exc:
                 run("--config", config, "prepare", "--in", "x", "--out-dir", "y")
             assert exc.value.code == 2
-            assert "cannot read config file: " in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "cannot read config file: " in err and str(config) in err
 
     @pytest.mark.parametrize("content, message", [
         ("[1, 2]", "must hold a JSON object, not list"),
         ('{"epochs": 1.5}', "argument --epochs: invalid int value: '1.5'"),
         ('{"seed": null}', "argument --seed: null in the config file"),
         ('{"epochs": null}', "argument --epochs: null in the config file"),
+        ('{"epochs": 1, "epochs": 2}', "config file key 'epochs' names --epochs a second time"),
+        ('{"batch-size": 1, "batch_size": 2}',
+         "config file key 'batch_size' names --batch-size a second time"),
+        ('{"dim": [6]}', "config file key 'dim': --dim takes no list"),
+        ('{"seed": {"value": 3}}', "config file key 'seed': --seed takes no object"),
     ])
     def test_malformed_config_exits_2(self, prepared, tmp_path, capsys, content, message):
         config = tmp_path / "config.json"
@@ -1323,3 +1331,107 @@ class TestConfigFile:
         key, = overrides
         assert f"config file key {key!r} names no flag of {command}" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"pairs": ["mean:mean"]}, "config file key 'pairs': --pairs takes no list"),
+        ({"estimates": [None]}, "config file key 'estimates': --estimates takes no null"),
+        ({"estimates": [["mean=x.csv"]]},
+         "config file key 'estimates': --estimates takes no list"),
+    ], ids=["list-for-pairs", "null-entry", "list-entry"])
+    def test_evaluate_refuses_a_value_its_flag_cannot_take(self, prepared, tmp_path, capsys,
+                                                           overrides, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"estimates": ["mean=x.csv"], **overrides}))
+        with pytest.raises(SystemExit) as exc:
+            run("--config", config, "evaluate", "--split-dir", prepared)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_a_string_is_one_estimates_entry(self, prepared, tmp_path):
+        # and one --estimates=value token, so its leading dash is no flag
+        est = tmp_path / "mean.csv"
+        assert run("baseline", "--model", "mean", "--split-dir", prepared,
+                   "--in", prepared / "test.jsonl", "--out", est) == 0
+        config = tmp_path / "config.json"
+        reports = [tmp_path / "string.csv", tmp_path / "flagged.csv", tmp_path / "list.csv"]
+        config.write_text(json.dumps({"estimates": f"-m={est}", "runs": 10}))
+        assert run("--config", config, "evaluate", "--split-dir", prepared,
+                   "--out", reports[0]) == 0
+        assert run("evaluate", "--split-dir", prepared, f"--estimates=-m={est}",
+                   "--runs", 10, "--out", reports[1]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+        config.write_text(json.dumps({"estimates": [f"m={est}", f"n={est}"], "runs": 10}))
+        assert run("--config", config, "evaluate", "--split-dir", prepared,
+                   "--out", reports[2]) == 0
+        assert [row[0] for row in csv.reader(reports[2].open())] == ["model", "m", "n"]
+
+
+def _config_text(pairs) -> bytes:
+    """A JSON object of (key, JSON text of the value) pairs, in order."""
+    return ("{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in pairs)
+            + "}").encode()
+
+
+def _config_mutants(pairs, path, seed):
+    """(bytes, must_exit_2, names) mutants of the config `pairs` at `path`,
+    drawn from `seed`; an error must name one of `names`. The config reader
+    refuses the first kind itself: a truncation, a flag named twice, a list
+    or an object for a single-valued flag, a byte that is not UTF-8, an
+    empty file. It passes the second kind on as flags: null, true, NaN,
+    Infinity, 1e400."""
+    rng = np.random.default_rng(seed)
+    valid = _config_text(pairs)
+
+    def draw(items):
+        return items[int(rng.integers(len(items)))]
+
+    def spellings(key):
+        return [key, key.replace("-", "_"), "--" + key]
+
+    def replaced(text):
+        at = int(rng.integers(len(pairs)))
+        key, old = pairs[at]
+        value = text.format(old)
+        return (_config_text(pairs[:at] + [(key, value)] + pairs[at + 1:]), value,
+                spellings(key))
+
+    cut, byte = int(rng.integers(1, len(valid))), int(rng.integers(len(valid) + 1))
+    key, value = draw(pairs)
+    other, value_of_other = draw([(k, v) for k, v in pairs if "-" in k])
+    mutants = [(valid[:cut], True, [str(path)]),
+               (_config_text(pairs + [(key, value)]), True, spellings(key)),
+               (_config_text(pairs + [(other.replace("-", "_"), value_of_other)]), True,
+                spellings(other)),
+               (valid[:byte] + b"\xff" + valid[byte:], True, [str(path)]),
+               (b"", True, [str(path)])]
+    for shape in ("[{}]", '{{"value": {}}}'):
+        content, _, names = replaced(shape)
+        mutants.append((content, True, names))
+    for literal in ("null", "true", "NaN", "Infinity", "1e400"):
+        content, value, names = replaced(literal)
+        mutants.append((content, False, names + [value]))
+    return mutants
+
+
+class TestConfigMutations:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_mutated_config_fails_loudly_or_works(self, prepared, tmp_path, capsys,
+                                                   monkeypatch, seed):
+        # main returns 0 or 1 or exits 2 and raises nothing else; the error
+        # line names the config file, the key or the value as written
+        monkeypatch.chdir(tmp_path)  # a mutated --out-dir lands here
+        pairs = [("split-dir", json.dumps(str(prepared))), ("out-dir", '"m"'),
+                 ("dim", "4"), ("depth", "1"), ("epochs", "1"), ("batch-size", "16"),
+                 ("learning-rate", "0.01"), ("seed", "3")]
+        config = tmp_path / "config.json"
+        for content, must_exit_2, names in _config_mutants(pairs, config, seed):
+            config.write_bytes(content)
+            try:
+                code = run("--config", config, "train")
+            except SystemExit as exc:
+                code = exc.code
+            err = capsys.readouterr().err
+            assert code in ((2,) if must_exit_2 else (0, 1, 2)), (content, code, err)
+            if code != 0:
+                line = err.strip().splitlines()[-1]
+                assert "error: " in line and any(n in line for n in names), (content, err)
